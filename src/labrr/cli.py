@@ -1,8 +1,11 @@
 """Command-line interface: ``synth | train | benchmark | predict``.
 
-Exit codes: 0 success, 2 bad arguments or inconsistent inputs, 3 IO or data
-failure (missing/unreadable/malformed files).  The ``LABRR_LOG`` environment
-variable (``quiet`` / ``info`` / ``debug``) controls stderr verbosity;
+Exit codes: 0 success; 1 a singular training solve, or every benchmark trial
+failed; 2 a bad argument or config-file value, or inputs that do not fit
+together (too few samples, mismatched dimensions); 3 a file that cannot be
+read or written, or a malformed data or model file.  :func:`main` alone maps
+file and solver errors to codes, logging one line and never a traceback.
+``LABRR_LOG`` (``quiet`` / ``info`` / ``debug``) controls stderr verbosity;
 results and summaries go to stdout or the requested output files.
 """
 
@@ -24,7 +27,6 @@ from .data import (
     InsufficientData,
     ParseError,
     SplitSpec,
-    UnknownFunction,
     apply_feature_scaling,
     apply_label_scaling,
     invert_label_scaling,
@@ -35,8 +37,8 @@ from .data import (
     split,
     synth,
 )
-from .metrics import DegenerateLabels, make_report, project, sparsity_r0
-from .numerics import DimensionMismatch, SingularSystem
+from .metrics import make_report, project, sparsity_r0
+from .numerics import SingularSystem
 from .ridgeless import load_model, predict, save_model
 from .trainer import TrainConfig, train
 
@@ -45,6 +47,7 @@ __all__ = ["build_parser", "load_results", "main"]
 LOG = logging.getLogger("labrr")
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_ARGS = 2
 EXIT_IO = 3
 
@@ -68,7 +71,10 @@ _TRAIN_FLAGS = [
     ("--momentum", "momentum", float, "heavy-ball coefficient (0 = plain SGD)"),
 ]
 
-_BENCH_CONFIG_KEYS = {"trials", "train_fraction", "base_seed", "clip"}
+# JSON types a config file may give; a float setting also takes an integer.
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
+_BENCH_CONFIG_KEYS = {"trials": (int,), "train_fraction": (int, float), "base_seed": (int,),
+                      "clip": (int, float, type(None))}
 
 
 def _configure_logging() -> None:
@@ -145,22 +151,24 @@ def build_parser() -> argparse.ArgumentParser:
 # Config assembly
 
 
-def _load_config_file(parser: argparse.ArgumentParser, path: str | None, extra_keys: set[str]) -> dict:
+def _load_config_file(parser: argparse.ArgumentParser, path: str | None, extra_keys: dict) -> dict:
+    """Read a JSON config file; any fault in it is an argument error (exit 2)."""
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        parser.error(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
-        parser.error(f"config file is not valid JSON: {exc}")
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+        parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         parser.error("config file must hold a JSON object")
-    known = {dest for _, dest, _, _ in _TRAIN_FLAGS} | {"seed"} | extra_keys
-    for key in doc:
+    known = {dest: _JSON_TYPES[typ] for _, dest, typ, _ in _TRAIN_FLAGS}
+    known |= {"seed": (int,), **extra_keys}
+    for key, value in doc.items():
         if key not in known:
             parser.error(f"unknown config key {key!r}")
+        if isinstance(value, bool) or not isinstance(value, known[key]):
+            parser.error(f"config key {key!r} has the wrong type: {value!r}")
     return doc
 
 
@@ -181,7 +189,7 @@ def _merge_train_config(
     try:
         config = TrainConfig(**values)
         config.validate()
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     return config
 
@@ -197,18 +205,16 @@ def _bench_setting(args: argparse.Namespace, file_cfg: dict, key: str, default):
 # Subcommands
 
 
+def _synth(parser: argparse.ArgumentParser, args: argparse.Namespace, seed: int) -> Dataset:
+    try:
+        return synth(args.fn, args.n, args.noise, seed)
+    except ValueError as exc:  # an unknown function id, a bad count or noise ratio
+        parser.error(str(exc))
+
+
 def cmd_synth(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    try:
-        dataset = synth(args.fn, args.n, args.noise, args.seed)
-    except UnknownFunction as exc:
-        parser.error(str(exc))
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        save_csv(dataset, args.out)
-    except OSError as exc:
-        LOG.error("cannot write %s: %s", args.out, exc)
-        return EXIT_IO
+    dataset = _synth(parser, args, args.seed)
+    save_csv(dataset, args.out)
     print(
         f"wrote {args.out}: n={dataset.n} d={dataset.dim} "
         f"label_variance={float(np.var(dataset.y)):.6g}"
@@ -221,34 +227,19 @@ def _max_train_sq_error(model, dataset: Dataset) -> float:
 
 
 def cmd_train(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(parser, args.config, set())
+    file_cfg = _load_config_file(parser, args.config, {})
     config = _merge_train_config(parser, args, file_cfg)
-    try:
-        dataset = normalize(load_csv(args.data))
-    except OSError as exc:
-        LOG.error("cannot read %s: %s", args.data, exc)
-        return EXIT_IO
-    except (ParseError, EmptyDataset) as exc:
-        LOG.error("%s: %s", args.data, exc)
-        return EXIT_IO
-
+    dataset = normalize(load_csv(args.data))
     try:
         model, trace = train(dataset, config)
     except InsufficientData as exc:
         parser.error(f"insufficient data: {exc}")
-    except SingularSystem as exc:
-        LOG.error("training failed: %s", exc)
-        return 1
 
-    try:
-        save_model(model, args.out)
-        if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as fh:
-                for record in trace.rounds:
-                    fh.write(json.dumps(record.to_dict()) + "\n")
-    except OSError as exc:
-        LOG.error("cannot write output: %s", exc)
-        return EXIT_IO
+    save_model(model, args.out)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            for record in trace.rounds:
+                fh.write(json.dumps(record.to_dict()) + "\n")
 
     if not trace.converged:
         LOG.warning("did not reach the error budget (stop reason: %s)", trace.stop_reason)
@@ -312,45 +303,40 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     file_cfg = _load_config_file(parser, args.config, _BENCH_CONFIG_KEYS)
     if (args.data is None) == (args.fn is None):
         parser.error("give exactly one of --data or --fn")
-    trials = int(_bench_setting(args, file_cfg, "trials", 50))
+    trials = _bench_setting(args, file_cfg, "trials", 50)
     train_fraction = float(_bench_setting(args, file_cfg, "train_fraction", 0.8))
-    base_seed = int(_bench_setting(args, file_cfg, "base_seed", 0))
+    base_seed = _bench_setting(args, file_cfg, "base_seed", 0)
     clip = _bench_setting(args, file_cfg, "clip", None)
     if trials < 1:
         parser.error(f"trials must be at least 1, got {trials}")
-    if clip is not None and not (float(clip) > 0.0):
+    if clip is not None and not (clip > 0.0):
         parser.error(f"clip must be positive, got {clip}")
+    try:
+        SplitSpec(base_seed, 0, train_fraction)
+    except ValueError as exc:
+        parser.error(str(exc))
     base_config = _merge_train_config(parser, args, file_cfg)
 
-    try:
-        if args.data is not None:
-            raw = load_csv(args.data)
-        else:
-            if args.n is None:
-                parser.error("--fn needs --n")
-            raw = synth(args.fn, args.n, args.noise, seed=base_seed)
-        dataset = normalize(raw)
-        fixed_test = None
-        if args.test_csv is not None:
-            raw_test = load_csv(args.test_csv)
-            if raw_test.dim != dataset.dim:
-                parser.error(
-                    f"test CSV has dim {raw_test.dim}, training data has dim {dataset.dim}"
-                )
-            fixed_test = Dataset(
-                apply_feature_scaling(dataset.norm_meta, raw_test.x),
-                apply_label_scaling(dataset.norm_meta, raw_test.y),
-                dataset.norm_meta,
-                raw_test.name,
+    if args.data is not None:
+        raw = load_csv(args.data)
+    elif args.n is None:
+        parser.error("--fn needs --n")
+    else:
+        raw = _synth(parser, args, base_seed)
+    dataset = normalize(raw)
+    fixed_test = None
+    if args.test_csv is not None:
+        raw_test = load_csv(args.test_csv)
+        if raw_test.dim != dataset.dim:
+            parser.error(
+                f"test CSV has dim {raw_test.dim}, training data has dim {dataset.dim}"
             )
-    except UnknownFunction as exc:
-        parser.error(str(exc))
-    except OSError as exc:
-        LOG.error("cannot read data: %s", exc)
-        return EXIT_IO
-    except (ParseError, EmptyDataset) as exc:
-        LOG.error("bad data file: %s", exc)
-        return EXIT_IO
+        fixed_test = Dataset(
+            apply_feature_scaling(dataset.norm_meta, raw_test.x),
+            apply_label_scaling(dataset.norm_meta, raw_test.y),
+            dataset.norm_meta,
+            raw_test.name,
+        )
 
     effective = {
         "record": "config",
@@ -399,7 +385,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
                 "trial %d: r2=%.5f support=%d rounds=%d stop=%s",
                 trial, report.r_squared, report.n_support, trace.n_rounds, trace.stop_reason,
             )
-        except (SingularSystem, InsufficientData, DegenerateLabels, DimensionMismatch, ValueError) as exc:
+        except (SingularSystem, ValueError) as exc:  # the trial fails, the run goes on
             row = {
                 "record": "trial",
                 "trial": trial,
@@ -413,13 +399,9 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     aggregate = _aggregate(records)
     lines = [effective, *records, aggregate]
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                for line in lines:
-                    fh.write(json.dumps(line) + "\n")
-        except OSError as exc:
-            LOG.error("cannot write %s: %s", args.out, exc)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(json.dumps(line) + "\n")
 
     good = [r for r in records if "error" not in r]
     print(f"# {dataset.name}: {len(good)}/{trials} trials ok")
@@ -440,28 +422,14 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         )
         return EXIT_OK
     LOG.error("all %d trials failed", trials)
-    return 1
+    return EXIT_FAILED
 
 
 def cmd_predict(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.clip is not None and not (args.clip > 0.0):
         parser.error(f"clip must be positive, got {args.clip}")
-    try:
-        model = load_model(args.model)
-    except OSError as exc:
-        LOG.error("cannot read model: %s", exc)
-        return EXIT_IO
-    except ValueError as exc:
-        LOG.error("bad model file: %s", exc)
-        return EXIT_IO
-    try:
-        matrix = load_matrix_csv(args.data)
-    except OSError as exc:
-        LOG.error("cannot read %s: %s", args.data, exc)
-        return EXIT_IO
-    except (ParseError, EmptyDataset) as exc:
-        LOG.error("%s: %s", args.data, exc)
-        return EXIT_IO
+    model = load_model(args.model)
+    matrix = load_matrix_csv(args.data)
 
     if matrix.shape[1] == model.dim:
         features = matrix
@@ -485,12 +453,8 @@ def cmd_predict(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     out_lines = ["prediction"] + [repr(float(v)) for v in values]
     text = "\n".join(out_lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            LOG.error("cannot write %s: %s", args.out, exc)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -500,4 +464,11 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    try:
+        return args.func(parser, args)
+    except (OSError, ParseError, EmptyDataset) as exc:
+        LOG.error("%s", exc)
+        return EXIT_IO
+    except SingularSystem as exc:
+        LOG.error("training failed: %s", exc)
+        return EXIT_FAILED

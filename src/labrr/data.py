@@ -1,10 +1,12 @@
 """Dataset ingestion, [-1, 1] scaling, seeded splits, and synthetic generators.
 
-CSV convention: comma-separated UTF-8, decimal-point reals, an optional
-single header line (skipped when any cell is non-numeric), last column is
-the label.  Normalization maps every feature column and the label to
-``[-1, 1]`` affinely; the statistics are recorded so the map can be applied
-to new data and inverted exactly.
+CSV convention: comma-separated UTF-8, finite decimal-point reals, an
+optional single header line (the first line, when none of its cells parses
+as a number), last column is the label.  Any other non-numeric, NaN or
+infinite cell, a ragged row, or bytes that are not UTF-8 raise
+:class:`ParseError` naming the file.  Normalization maps every feature
+column and the label to ``[-1, 1]`` affinely; the statistics are recorded so
+the map can be applied to new data and inverted exactly.
 """
 
 from __future__ import annotations
@@ -36,10 +38,15 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """A CSV cell could not be parsed; carries its 1-based file position."""
+    """An input file is malformed; the message names the file.
 
-    def __init__(self, row: int, col: int, message: str) -> None:
-        super().__init__(f"row {row}, column {col}: {message}")
+    ``row`` and ``col`` give the 1-based position of a bad CSV cell, and are
+    ``None`` when the fault has no single position.
+    """
+
+    def __init__(self, path, message: str, row: int | None = None, col: int | None = None) -> None:
+        where = "" if row is None else f" row {row}, column {col}:"
+        super().__init__(f"{path}:{where} {message}")
         self.row = row
         self.col = col
 
@@ -130,53 +137,55 @@ class Dataset:
 # CSV
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_numeric_table(path) -> tuple[np.ndarray, int]:
-    """Parse a numeric CSV into a matrix.
+    """Parse a numeric CSV into a finite matrix.
 
     Returns the matrix and the 1-based file line of the first data row.
-    A header line is detected by any non-numeric cell and skipped.
+    The first line is a header, and skipped, when none of its cells is a
+    number.
     """
 
-    def parse_row(lineno: int, cells: list[str], expect: int | None) -> list[float]:
-        if expect is not None and len(cells) != expect:
-            bad_col = min(len(cells), expect) + 1
-            raise ParseError(
-                lineno, bad_col, f"expected {expect} columns, found {len(cells)}"
-            )
+    def parse_row(lineno: int, cells: list[str], expect: int) -> list[float]:
+        if len(cells) != expect:
+            message = f"expected {expect} columns, found {len(cells)}"
+            raise ParseError(path, message, lineno, min(len(cells), expect) + 1)
         values = []
         for j, cell in enumerate(cells):
             try:
                 values.append(float(cell))
             except ValueError:
-                raise ParseError(lineno, j + 1, f"not a number: {cell.strip()!r}") from None
+                raise ParseError(path, f"not a number: {cell.strip()!r}", lineno, j + 1) from None
         return values
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        lines = [
-            (lineno, row)
-            for lineno, row in enumerate(csv.reader(fh), start=1)
-            if any(cell.strip() for cell in row)
-        ]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = [
+                (lineno, row)
+                for lineno, row in enumerate(csv.reader(fh), start=1)
+                if any(cell.strip() for cell in row)
+            ]
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"not UTF-8 text ({exc.reason})") from None
+    if lines and not any(_is_number(cell) for cell in lines[0][1]):
+        lines = lines[1:]
     if not lines:
         raise EmptyDataset(f"{path}: no data rows")
 
-    first_lineno, first_cells = lines[0]
-    try:
-        first_values = parse_row(first_lineno, first_cells, None)
-        data_lines = lines[1:]
-        rows = [first_values]
-    except ParseError:
-        # Non-numeric first line: treat it as the header.
-        data_lines = lines[1:]
-        rows = []
-    if not rows and not data_lines:
-        raise EmptyDataset(f"{path}: no data rows")
-
-    expect = len(rows[0]) if rows else len(data_lines[0][1])
-    start_lineno = first_lineno if rows else data_lines[0][0]
-    for lineno, cells in data_lines:
-        rows.append(parse_row(lineno, cells, expect))
-    return np.asarray(rows, dtype=np.float64), start_lineno
+    expect = len(lines[0][1])
+    matrix = np.asarray([parse_row(lineno, cells, expect) for lineno, cells in lines], dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ParseError(path, f"not a finite number: {lines[i][1][j].strip()!r}", lines[i][0], j + 1)
+    return matrix, lines[0][0]
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -189,9 +198,8 @@ def load_csv(path, name: str | None = None) -> Dataset:
     """Load an un-normalized dataset; the last column is the label."""
     matrix, first_row = _read_numeric_table(path)
     if matrix.shape[1] < 2:
-        raise ParseError(
-            first_row, matrix.shape[1] + 1, "need at least two columns (features + label)"
-        )
+        message = "need at least two columns (features + label)"
+        raise ParseError(path, message, first_row, matrix.shape[1] + 1)
     return Dataset(matrix[:, :-1], matrix[:, -1], None, name or str(path))
 
 

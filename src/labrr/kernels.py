@@ -21,17 +21,12 @@ import numpy as np
 from .numerics import DimensionMismatch, as_matrix, as_vector
 
 __all__ = [
-    "COLUMN_OWNS_BANDWIDTH",
     "BandwidthSet",
     "lab_entry",
     "lab_entry_grad_theta",
     "lab_matrix",
     "rbf_matrix",
 ]
-
-#: Orientation convention, recorded once: kernel-matrix entry (i, j) uses the
-#: bandwidths of the column (support) point j.  Probe rows never need one.
-COLUMN_OWNS_BANDWIDTH = True
 
 # Rows of the probe set are processed in blocks of this size so that the
 # (block, n_support, dim) difference tensor stays cache-friendly.
@@ -73,10 +68,6 @@ class BandwidthSet:
         if not (value > 0.0):
             raise ValueError(f"bandwidth value must be positive, got {value}")
         return cls(np.full((n_points, dim), float(value)))
-
-    def clipped(self, low: float, high: float) -> "BandwidthSet":
-        """Entrywise clamp into ``[low, high]``."""
-        return BandwidthSet(np.clip(self.values, low, high))
 
 
 def _bandwidth_values(theta, cols: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,15 +90,7 @@ class EvalReport:
     wall_clock_seconds: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "r_squared": self.r_squared,
-            "mse": self.mse,
-            "n_test": self.n_test,
-            "n_support": self.n_support,
-            "r0": self.r0,
-            "max_train_sq_error": self.max_train_sq_error,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return asdict(self)
 
 
 def make_report(

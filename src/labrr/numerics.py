@@ -19,7 +19,6 @@ __all__ = [
     "FactorizedMatrix",
     "as_matrix",
     "as_vector",
-    "matvec",
     "solve_regularized",
 ]
 
@@ -62,17 +61,6 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def matvec(a, x) -> np.ndarray:
-    """Matrix-vector product with shape checking."""
-    a = as_matrix(a, "a")
-    x = as_vector(x, "x")
-    if a.shape[1] != x.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} matrix by length-{x.shape[0]} vector"
-        )
-    return a @ x
 
 
 class FactorizedMatrix:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormMeta
+from .data import NormMeta, ParseError
 from .kernels import BandwidthSet, lab_matrix
 from .numerics import DimensionMismatch, as_matrix, as_vector, solve_regularized
 
@@ -170,31 +170,24 @@ def fit_asym_duals(gram, y, lam: float) -> AsymDualSolution:
     return AsymDualSolution(alpha=alpha, beta=beta, lam=lam)
 
 
-def _dual_coefficients(duals: AsymDualSolution, which: str) -> np.ndarray:
-    dual = duals.alpha if which == "alpha" else duals.beta
-    return as_vector(dual, which) / duals.lam
+def _predict_dual(kernel_rows, dual: np.ndarray, lam: float) -> np.ndarray:
+    kernel_rows = as_matrix(kernel_rows, "kernel_rows")
+    coef = as_vector(dual, "dual") / lam
+    if kernel_rows.shape[1] != coef.shape[0]:
+        raise DimensionMismatch(
+            f"kernel rows have {kernel_rows.shape[1]} columns, expected {coef.shape[0]}"
+        )
+    return kernel_rows @ coef
 
 
 def predict_f1(kernel_rows, duals: AsymDualSolution) -> np.ndarray:
     """First regressor: rows are kernel values ``k(t_i, x_j)`` against training points."""
-    kernel_rows = as_matrix(kernel_rows, "kernel_rows")
-    coef = _dual_coefficients(duals, "alpha")
-    if kernel_rows.shape[1] != coef.shape[0]:
-        raise DimensionMismatch(
-            f"kernel rows have {kernel_rows.shape[1]} columns, expected {coef.shape[0]}"
-        )
-    return kernel_rows @ coef
+    return _predict_dual(kernel_rows, duals.alpha, duals.lam)
 
 
 def predict_f2(kernel_rows, duals: AsymDualSolution) -> np.ndarray:
     """Second regressor: rows are transposed kernel values ``k(x_j, t_i)``."""
-    kernel_rows = as_matrix(kernel_rows, "kernel_rows")
-    coef = _dual_coefficients(duals, "beta")
-    if kernel_rows.shape[1] != coef.shape[0]:
-        raise DimensionMismatch(
-            f"kernel rows have {kernel_rows.shape[1]} columns, expected {coef.shape[0]}"
-        )
-    return kernel_rows @ coef
+    return _predict_dual(kernel_rows, duals.beta, duals.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +208,26 @@ def model_to_dict(model: LabModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> LabModel:
+def model_from_dict(doc) -> LabModel:
+    """Rebuild a model document; any malformed document raises ``ValueError``."""
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ValueError("not a model document")
     if doc.get("version") != _MODEL_VERSION:
         raise ValueError(f"unsupported model version: {doc.get('version')!r}")
-    norm = doc.get("normalization")
-    model = LabModel(
-        support_x=np.asarray(doc["support_x"], dtype=np.float64),
-        theta=BandwidthSet(np.asarray(doc["bandwidths"], dtype=np.float64)),
-        alpha=np.asarray(doc["alpha"], dtype=np.float64),
-        jitter=float(doc["jitter"]),
-        norm_meta=NormMeta.from_dict(norm) if norm is not None else None,
-    )
-    if model.dim != int(doc["dim"]) or model.n_support != int(doc["n_support"]):
+    try:
+        norm = doc["normalization"]
+        model = LabModel(
+            support_x=np.asarray(doc["support_x"], dtype=np.float64),
+            theta=BandwidthSet(np.asarray(doc["bandwidths"], dtype=np.float64)),
+            alpha=np.asarray(doc["alpha"], dtype=np.float64),
+            jitter=float(doc["jitter"]),
+            norm_meta=NormMeta.from_dict(norm) if norm is not None else None,
+        )
+        declared = (doc["dim"], doc["n_support"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from None
+    meta_dim = model.dim if model.norm_meta is None else model.norm_meta.feature_min.shape[0]
+    if declared != (model.dim, model.n_support) or meta_dim != model.dim:
         raise ValueError("model document is inconsistent with its declared shape")
     return model
 
@@ -241,10 +240,10 @@ def save_model(model: LabModel, path) -> None:
 
 
 def load_model(path) -> LabModel:
-    """Load a model saved by :func:`save_model`; predictions are bit-identical."""
+    """Load a model saved by :func:`save_model` (predictions are bit-identical);
+    a malformed file raises :class:`~labrr.data.ParseError` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a valid model file ({exc})") from None
-    return model_from_dict(doc)
+            return model_from_dict(json.load(fh))
+        except ValueError as exc:  # also JSON syntax and UTF-8 decoding errors
+            raise ParseError(path, f"not a valid model file ({exc})") from None

@@ -232,22 +232,10 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
         return _rank_spaced(order, count).astype(np.intp)
     if strategy == "extreme_y":
         return order[::-1][:count].astype(np.intp)
-    # x_kmeans: dedupe the representatives, then fill from rank spacing.
-    chosen = list(dict.fromkeys(_kmeans_representatives(dataset.x, count, seed)))
-    if len(chosen) < count:
-        pool = set(chosen)
-        for idx in _rank_spaced(order, count):
-            if int(idx) not in pool:
-                chosen.append(int(idx))
-                pool.add(int(idx))
-            if len(chosen) == count:
-                break
-        for idx in order:  # extreme fallback: dedupe collapsed the rank candidates too
-            if len(chosen) == count:
-                break
-            if int(idx) not in pool:
-                chosen.append(int(idx))
-                pool.add(int(idx))
+    # x_kmeans: dedupe the representatives, then fill from rank spacing, which
+    # alone already holds ``count`` distinct indices.
+    representatives = _kmeans_representatives(dataset.x, count, seed)
+    chosen = list(dict.fromkeys([*representatives, *_rank_spaced(order, count).tolist()]))
     return np.asarray(chosen[:count], dtype=np.intp)
 
 
@@ -375,20 +363,18 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
     Expects a normalized dataset.  Stops when the worst non-support squared
     error is at or below ``config.error_budget``; a round cap, the support
     ratio cap, or running out of non-support points stop early with
-    ``converged=False`` flagged in the trace.  The returned model is always
-    refit on the final support set with the config jitter.
+    ``converged=False`` flagged in the trace.  Every stop comes right after a
+    round's fit, so the returned model is the fit of the final support set
+    with the config jitter.
     """
     config.validate()
     started = time.perf_counter()
     n = dataset.n
     support_cap = max(int(config.max_support_ratio * n), 1)
 
-    support = list(
-        int(i)
-        for i in select_initial_support(
-            dataset, config.initial_support, config.selection, config.seed
-        )
-    )
+    support = select_initial_support(
+        dataset, config.initial_support, config.selection, config.seed
+    ).tolist()
     in_support = np.zeros(n, dtype=bool)
     in_support[support] = True
     theta = BandwidthSet.uniform(len(support), dataset.dim, config.init_bandwidth)
@@ -423,8 +409,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
             stop_reason = "all_data_in_support"
             break
         if round_index == config.max_rounds - 1:
-            stop_reason = "max_rounds"
-            break
+            break  # stop_reason stays "max_rounds"
         room = support_cap - len(support)
         if room <= 0:
             stop_reason = "support_cap"
@@ -440,9 +425,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
         support.extend(int(i) for i in new_indices)
         in_support[new_indices] = True
 
-    model = fit_lab(
-        dataset.x[support], dataset.y[support], theta, config.jitter, dataset.norm_meta
-    )
     trace = TrainTrace(
         rounds=rounds,
         converged=converged,

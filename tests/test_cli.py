@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
 import json
+import logging
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import labrr
 from labrr.cli import load_results, main
 from labrr.data import load_csv, synth, save_csv
 from labrr.ridgeless import load_model
@@ -452,6 +457,109 @@ def test_predict_missing_files_return_3(tmp_path, trained):
                  "--data", data]) == 3
     assert main(["predict", "--model", str(model_path),
                  "--data", str(tmp_path / "absent.csv")]) == 3
+
+
+# ---------------------------------------------------------------------------
+# Malformed inputs: one documented exit code each, one log line, no traceback
+
+_NAN_LABEL = "x1,x2,y\n0.1,0.2,0.3\n0.4,0.5,nan\n0.6,0.7,0.8\n"
+
+
+def _file(tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return str(path)
+
+
+def _edited_model(tmp_path, model_path, edit):
+    doc = json.loads(model_path.read_text())
+    edit(doc)
+    return _file(tmp_path, "edited_model.json", json.dumps(doc))
+
+
+def _train(data, tmp_path, *extra):
+    return ["train", "--data", data, "--out", str(tmp_path / "m.json"), "--B", "1e-3", *extra]
+
+
+def _predict(model, data, *extra):
+    return ["predict", "--model", str(model), "--data", data, *extra]
+
+
+# name -> (argv builder over (tmp_path, training CSV, model path), exit code)
+_BAD_INPUTS = {
+    "nan-label-train": (lambda t, d, m: _train(_file(t, "nan.csv", _NAN_LABEL), t), 3),
+    "nan-label-benchmark": (lambda t, d, m: [
+        "benchmark", "--data", _file(t, "nan.csv", _NAN_LABEL), "--trials", "1", "--B", "1e-3"], 3),
+    "nan-label-test-csv": (lambda t, d, m: [
+        "benchmark", "--data", d, "--test-csv", _file(t, "nan.csv", _NAN_LABEL),
+        "--trials", "1", "--B", "1e-3"], 3),
+    "inf-feature-predict": (lambda t, d, m: _predict(m, _file(t, "inf.csv", "0.1,inf\n0.2,0.3\n")), 3),
+    "model-without-dim": (lambda t, d, m: _predict(_edited_model(t, m, lambda doc: doc.pop("dim")), d), 3),
+    "model-without-feature-max": (lambda t, d, m: _predict(
+        _edited_model(t, m, lambda doc: doc["normalization"].pop("feature_max")), d), 3),
+    "model-with-string-jitter": (lambda t, d, m: _predict(
+        _edited_model(t, m, lambda doc: doc.update(jitter="small")), d), 3),
+    "non-json-model": (lambda t, d, m: _predict(_file(t, "broken.json", "not a model {"), d), 3),
+    "non-utf8-csv": (lambda t, d, m: _train(_file(t, "latin1.csv", b"x1,x2,y\n0.1,0.2,caf\xe9\n"), t), 3),
+    "typo-in-first-row": (lambda t, d, m: _train(
+        _file(t, "typo.csv", "0.1,abc,1\n1,2,3\n4,5,6\n7,8,9\n"), t), 3),
+    "missing-data-file": (lambda t, d, m: _train(str(t / "absent.csv"), t), 3),
+    "missing-model-file": (lambda t, d, m: _predict(t / "absent.json", d), 3),
+    "unwritable-train-out": (lambda t, d, m: [
+        "train", "--data", d, "--out", str(t), "--B", "1e-6", "--n0", "30",
+        "--max-support-ratio", "1.0", "--jitter", "0", "--L", "0"], 3),
+    "unwritable-predict-out": (lambda t, d, m: _predict(m, d, "--out", str(t)), 3),
+    "benchmark-negative-n": (lambda t, d, m: ["benchmark", "--fn", "f1", "--n", "-5", "--B", "1e-3"], 2),
+    "benchmark-negative-noise": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "30", "--noise", "-1", "--B", "1e-3"], 2),
+    "benchmark-negative-base-seed": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "30", "--base-seed", "-1", "--B", "1e-3"], 2),
+    "config-fractional-rounds": (lambda t, d, m: _train(
+        d, t, "--config", _file(t, "cfg.json", '{"max_rounds": 1.5}')), 2),
+    "config-string-trials": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
+        "--config", _file(t, "cfg.json", '{"trials": "3"}')], 2),
+    "config-not-json": (lambda t, d, m: _train(d, t, "--config", _file(t, "cfg.json", "{oops")), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_malformed_input_exits_with_its_code(case, tmp_path, trained, capfd, caplog):
+    build, expected = _BAD_INPUTS[case]
+    data, model_path = trained
+    argv = build(tmp_path, data, model_path)
+    capfd.readouterr()
+    caplog.clear()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's path for argument errors
+        code = exc.code
+    err = capfd.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 2:
+        assert "error:" in err
+    else:
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].exc_info is None and "\n" not in errors[0].getMessage()
+
+
+def test_malformed_input_prints_one_stderr_line(tmp_path):
+    bad = _file(tmp_path, "nan.csv", _NAN_LABEL)
+    src = str(Path(labrr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from labrr.cli import main; sys.exit(main())",
+         "train", "--data", bad, "--out", str(tmp_path / "m.json"), "--B", "1e-3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "nan.csv" in proc.stderr and "row 3, column 3" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

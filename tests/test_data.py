@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from labrr.data import (
     Dataset,
@@ -182,6 +185,57 @@ def test_csv_bad_cell_reports_row_and_column(tmp_path):
         load_csv(path)
     assert err.value.row == 3 and err.value.col == 2
     assert "oops" in str(err.value)
+
+
+def test_csv_first_row_with_any_number_is_data(tmp_path):
+    # A typo in the first data row must not turn it into a header.
+    path = tmp_path / "typo.csv"
+    path.write_text("0.1,abc,1\n1,2,3\n4,5,6\n7,8,9\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(path)
+    assert (err.value.row, err.value.col) == (1, 2)
+    assert str(path) in str(err.value)
+
+
+def test_csv_non_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("x,y\n1.0,2.0\n3.0,caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ParseError, match="UTF-8"):
+        load_csv(path)
+
+
+_FILES_EXAMPLES = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+_finite_tables = st.tuples(st.integers(1, 8), st.integers(2, 4)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))
+)
+
+
+@_FILES_EXAMPLES
+@given(table=_finite_tables)
+def test_csv_round_trip_of_any_finite_table_is_bit_exact(tmp_path, table):
+    path = tmp_path / "t.csv"
+    save_csv(Dataset(table[:, :-1], table[:, -1]), path)
+    assert load_matrix_csv(path).tobytes() == table.tobytes()
+
+
+@_FILES_EXAMPLES
+@given(
+    table=_finite_tables,
+    where=st.tuples(st.integers(0, 7), st.integers(0, 3)),
+    cell=st.sampled_from(["nan", "NaN", "inf", "-inf", "1e999", "abc", "1.2.3", ""]),
+)
+def test_csv_bad_cell_anywhere_reports_its_position(tmp_path, table, where, cell):
+    i, j = where[0] % table.shape[0], where[1] % table.shape[1]
+    cells = [[repr(float(v)) for v in row] for row in table]
+    cells[i][j] = cell
+    path = tmp_path / "bad.csv"
+    header = ",".join("abcd"[: table.shape[1]])
+    path.write_text("\n".join([header, *(",".join(row) for row in cells)]) + "\n")
+    with pytest.raises(ParseError) as err:
+        load_matrix_csv(path)
+    assert (err.value.row, err.value.col) == (i + 2, j + 1)
 
 
 def test_csv_ragged_row_is_an_error(tmp_path):

@@ -173,14 +173,6 @@ def test_bandwidth_uniform_factory():
         BandwidthSet.uniform(2, 2, -1.0)
 
 
-def test_bandwidth_clipped():
-    bw = BandwidthSet(np.array([[0.1, 5.0], [1.0, 2.0]]))
-    clipped = bw.clipped(0.5, 3.0)
-    assert np.array_equal(clipped.values, [[0.5, 3.0], [1.0, 2.0]])
-    # The original is untouched.
-    assert np.array_equal(bw.values, [[0.1, 5.0], [1.0, 2.0]])
-
-
 def test_matrix_theta_shape_must_match_support():
     with pytest.raises(DimensionMismatch):
         lab_matrix(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)))

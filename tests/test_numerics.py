@@ -9,7 +9,6 @@ from labrr.numerics import (
     SingularSystem,
     as_matrix,
     as_vector,
-    matvec,
     solve_regularized,
 )
 
@@ -111,12 +110,6 @@ def test_as_vector_rejects_wrong_rank_and_inf():
         as_vector(np.ones((2, 2)))
     with pytest.raises(ValueError):
         as_vector(np.array([1.0, np.inf]))
-
-
-def test_matvec_checks_shapes():
-    assert matvec(np.eye(2), np.array([1.0, 2.0])) == pytest.approx([1.0, 2.0])
-    with pytest.raises(DimensionMismatch):
-        matvec(np.eye(2), np.ones(3))
 
 
 def test_solve_is_deterministic():

@@ -1,13 +1,19 @@
 """Unit tests for the closed-form solvers and model serialization."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from labrr.data import NormMeta, normalize, synth
+from labrr.data import NormMeta, ParseError, normalize, synth
 from labrr.kernels import BandwidthSet, lab_matrix, rbf_matrix
 from labrr.numerics import DimensionMismatch, SingularSystem
 from labrr.ridgeless import (
     DEFAULT_JITTER,
+    LabModel,
     fit_asym_duals,
     fit_lab,
     load_model,
@@ -203,6 +209,69 @@ def test_load_rejects_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError):
         load_model(path)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.pop("dim"),
+    lambda doc: doc.pop("alpha"),
+    lambda doc: doc["normalization"].pop("feature_max"),
+    lambda doc: doc.update(jitter="small"),
+    lambda doc: doc.update(jitter=None),
+    lambda doc: doc.update(support_x={"a": 1}),
+    lambda doc: doc.update(normalization=[1, 2]),
+    lambda doc: doc.update(dim="2"),
+    lambda doc: doc["normalization"].update(feature_min=[0.0], feature_max=[1.0]),
+], ids=["no-dim", "no-alpha", "no-feature-max", "str-jitter", "null-jitter",
+        "object-support", "list-normalization", "str-dim", "short-normalization"])
+def test_load_rejects_malformed_document(tmp_path, mutate):
+    model, _ = _fitted_model()
+    doc = model_to_dict(model)
+    mutate(doc)
+    with pytest.raises(ValueError):
+        model_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="bad.json"):
+        load_model(path)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def _models(draw):
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    meta = None
+    if draw(st.booleans()):
+        meta = NormMeta(
+            draw(arrays(np.float64, d, elements=_finite)),
+            draw(arrays(np.float64, d, elements=_finite)),
+            draw(_finite), draw(_finite),
+        )
+    return LabModel(
+        support_x=draw(arrays(np.float64, (n, d), elements=_finite)),
+        theta=BandwidthSet(draw(arrays(np.float64, (n, d), elements=_positive))),
+        alpha=draw(arrays(np.float64, n, elements=_finite)),
+        jitter=draw(st.floats(min_value=0.0, max_value=1e300)),
+        norm_meta=meta,
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=_models())
+def test_save_load_round_trips_every_field(tmp_path, model):
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.support_x.tobytes() == model.support_x.tobytes()
+    assert loaded.theta.values.tobytes() == model.theta.values.tobytes()
+    assert loaded.alpha.tobytes() == model.alpha.tobytes()
+    assert repr(loaded.jitter) == repr(model.jitter)
+    if model.norm_meta is None:
+        assert loaded.norm_meta is None
+    else:
+        assert json.dumps(loaded.norm_meta.to_dict()) == json.dumps(model.norm_meta.to_dict())
 
 
 def test_norm_meta_serialization_round_trip():

@@ -212,6 +212,21 @@ def test_select_initial_support_kmeans_properties():
     assert np.all(first < ds.n)
 
 
+def test_select_initial_support_kmeans_tops_up_collapsed_representatives():
+    # Three locations, each holding four points: k-means representatives
+    # collapse onto the first point of each location (indices 0, 4, 8), and
+    # evenly spaced label ranks fill the remaining three picks.
+    x = np.repeat(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 4, axis=0)
+    ds = Dataset(x, np.arange(12.0))
+    picks = {seed: select_initial_support(ds, 6, "x_kmeans", seed).tolist() for seed in range(4)}
+    assert picks == {
+        0: [8, 4, 0, 2, 6, 11],
+        1: [4, 8, 0, 2, 6, 11],
+        2: [4, 8, 0, 2, 6, 11],
+        3: [0, 8, 4, 2, 6, 11],
+    }
+
+
 def test_select_initial_support_validation():
     ds = _toy_dataset()
     with pytest.raises(InsufficientData):
