@@ -3,8 +3,9 @@
 Exit codes: 0 success; 1 a singular training solve, or every benchmark trial
 failed; 2 a bad argument or config-file value, or inputs that do not fit
 together (too few samples, mismatched dimensions); 3 a file that cannot be
-read or written, or a malformed data or model file.  :func:`main` alone maps
-file and solver errors to codes, logging one line and never a traceback.
+read or written, a malformed data or model file, or data whose scaling to
+[-1, 1] overflows float64.  :func:`main` alone maps file, data and solver
+errors to codes, logging one line and never a traceback.
 ``LABRR_LOG`` (``quiet`` / ``info`` / ``debug``) controls stderr verbosity;
 results and summaries go to stdout or the requested output files.
 """
@@ -17,7 +18,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .data import (
     InsufficientData,
     ParseError,
     SplitSpec,
+    UnscalableData,
     apply_feature_scaling,
     apply_label_scaling,
     invert_label_scaling,
@@ -71,10 +73,12 @@ _TRAIN_FLAGS = [
     ("--momentum", "momentum", float, "heavy-ball coefficient (0 = plain SGD)"),
 ]
 
-# JSON types a config file may give; a float setting also takes an integer.
+# JSON types a config file may give each setting; a float also takes an integer.
 _JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
-_BENCH_CONFIG_KEYS = {"trials": (int,), "train_fraction": (int, float), "base_seed": (int,),
-                      "clip": (int, float, type(None))}
+_FLAG_KEYS = {dest: _JSON_TYPES[typ] for _, dest, typ, _ in _TRAIN_FLAGS}
+_TRAIN_KEYS = _FLAG_KEYS | {"seed": (int,)}
+_BENCH_KEYS = _FLAG_KEYS | {"trials": (int,), "train_fraction": (int, float), "base_seed": (int,),
+                            "clip": (int, float, type(None))}
 
 
 def _configure_logging() -> None:
@@ -151,54 +155,41 @@ def build_parser() -> argparse.ArgumentParser:
 # Config assembly
 
 
-def _load_config_file(parser: argparse.ArgumentParser, path: str | None, extra_keys: dict) -> dict:
-    """Read a JSON config file; any fault in it is an argument error (exit 2)."""
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-        parser.error(f"cannot read config file {path}: {exc}")
-    if not isinstance(doc, dict):
-        parser.error("config file must hold a JSON object")
-    known = {dest: _JSON_TYPES[typ] for _, dest, typ, _ in _TRAIN_FLAGS}
-    known |= {"seed": (int,), **extra_keys}
+def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace, keys: dict) -> dict:
+    """Config-file values with the flags the user gave laid over them.
+
+    ``keys`` maps every setting the command takes to the JSON types a config
+    file may give it; any fault in the file is an argument error (exit 2).
+    """
+    doc: dict = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+            parser.error(f"cannot read config file {args.config}: {exc}")
+        if not isinstance(doc, dict):
+            parser.error("config file must hold a JSON object")
     for key, value in doc.items():
-        if key not in known:
-            parser.error(f"unknown config key {key!r}")
-        if isinstance(value, bool) or not isinstance(value, known[key]):
+        if key not in keys:
+            hint = "; trial t runs with seed base_seed + t, so set base_seed" if key == "seed" else ""
+            parser.error(f"unknown config key {key!r}{hint}")
+        if isinstance(value, bool) or not isinstance(value, keys[key]):
             parser.error(f"config key {key!r} has the wrong type: {value!r}")
-    return doc
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    return doc | flags
 
 
-def _merge_train_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, file_cfg: dict
-) -> TrainConfig:
-    """Flags override the config file, which overrides TrainConfig defaults."""
-    values: dict = {}
-    fields = [dest for _, dest, _, _ in _TRAIN_FLAGS] + ["seed"]
-    for dest in fields:
-        cli_value = getattr(args, dest, None)
-        if cli_value is not None:
-            values[dest] = cli_value
-        elif dest in file_cfg:
-            values[dest] = file_cfg[dest]
-    if "error_budget" not in values:
+def _train_config(parser: argparse.ArgumentParser, settings: dict) -> TrainConfig:
+    """The TrainConfig of the merged settings, over TrainConfig's own defaults."""
+    if "error_budget" not in settings:
         parser.error("--B is required (or supply error_budget in --config)")
     try:
-        config = TrainConfig(**values)
+        config = TrainConfig(**{k: v for k, v in settings.items() if k in _TRAIN_KEYS})
         config.validate()
     except ValueError as exc:
         parser.error(str(exc))
     return config
-
-
-def _bench_setting(args: argparse.Namespace, file_cfg: dict, key: str, default):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    return file_cfg.get(key, default)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +218,7 @@ def _max_train_sq_error(model, dataset: Dataset) -> float:
 
 
 def cmd_train(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(parser, args.config, {})
-    config = _merge_train_config(parser, args, file_cfg)
+    config = _train_config(parser, _settings(parser, args, _TRAIN_KEYS))
     dataset = normalize(load_csv(args.data))
     try:
         model, trace = train(dataset, config)
@@ -300,13 +290,13 @@ def load_results(path) -> tuple[dict | None, list[dict], dict]:
 
 
 def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(parser, args.config, _BENCH_CONFIG_KEYS)
+    settings = _settings(parser, args, _BENCH_KEYS)
     if (args.data is None) == (args.fn is None):
         parser.error("give exactly one of --data or --fn")
-    trials = _bench_setting(args, file_cfg, "trials", 50)
-    train_fraction = float(_bench_setting(args, file_cfg, "train_fraction", 0.8))
-    base_seed = _bench_setting(args, file_cfg, "base_seed", 0)
-    clip = _bench_setting(args, file_cfg, "clip", None)
+    trials = settings.get("trials", 50)
+    train_fraction = float(settings.get("train_fraction", 0.8))
+    base_seed = settings.get("base_seed", 0)
+    clip = settings.get("clip")
     if trials < 1:
         parser.error(f"trials must be at least 1, got {trials}")
     if clip is not None and not (clip > 0.0):
@@ -315,7 +305,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         SplitSpec(base_seed, 0, train_fraction)
     except ValueError as exc:
         parser.error(str(exc))
-    base_config = _merge_train_config(parser, args, file_cfg)
+    base_config = _train_config(parser, settings)
 
     if args.data is not None:
         raw = load_csv(args.data)
@@ -348,7 +338,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         "base_seed": base_seed,
         "clip": clip,
         "fixed_test": args.test_csv,
-        "train_config": {k: getattr(base_config, k) for k in base_config.__dataclass_fields__},
+        "train_config": {k: v for k, v in asdict(base_config).items() if k != "seed"},
     }
 
     records: list[dict] = []
@@ -466,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except (OSError, ParseError, EmptyDataset) as exc:
+    except (OSError, ParseError, EmptyDataset, UnscalableData) as exc:
         LOG.error("%s", exc)
         return EXIT_IO
     except SingularSystem as exc:

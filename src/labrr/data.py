@@ -28,6 +28,7 @@ __all__ = [
     "ParseError",
     "SplitSpec",
     "UnknownFunction",
+    "UnscalableData",
     "load_csv",
     "load_matrix_csv",
     "normalize",
@@ -61,6 +62,10 @@ class UnknownFunction(ValueError):
 
 class InsufficientData(ValueError):
     """Too few samples for the requested operation."""
+
+
+class UnscalableData(ValueError):
+    """A column's range or values overflow float64 when scaled to [-1, 1]."""
 
 
 @dataclass(frozen=True)
@@ -219,12 +224,20 @@ def save_csv(dataset: Dataset, path) -> None:
 # Normalization
 
 
-def _scale_columns(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Affine map ``v -> 2(v - lo)/(hi - lo) - 1``; constant columns go to 0."""
-    span = hi - lo
-    safe = np.where(span == 0.0, 1.0, span)
-    scaled = 2.0 * (values - lo) / safe - 1.0
-    return np.where(span == 0.0, 0.0, scaled)
+def _scale_columns(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, names: list[str]) -> np.ndarray:
+    """Affine map ``v -> 2(v - lo)/(hi - lo) - 1``; constant columns go to 0.
+
+    Raises :class:`UnscalableData` naming the first column (``names[j]``)
+    whose range or values overflow float64 on the way.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        safe = np.where(span == 0.0, 1.0, span)
+        scaled = np.where(span == 0.0, 0.0, 2.0 * (values - lo) / safe - 1.0)
+    bad = np.flatnonzero(~np.isfinite(scaled).all(axis=0))
+    if bad.size:
+        raise UnscalableData(f"{names[bad[0]]}: values overflow float64 when scaled to [-1, 1]")
+    return scaled
 
 
 def normalize(dataset: Dataset) -> Dataset:
@@ -256,7 +269,8 @@ def apply_feature_scaling(meta: NormMeta, x) -> np.ndarray:
         raise ValueError(
             f"features have dim {x.shape[1]}, normalization has dim {meta.feature_min.shape[0]}"
         )
-    return _scale_columns(x, meta.feature_min, meta.feature_max)
+    names = [f"feature column {j + 1}" for j in range(x.shape[1])]
+    return _scale_columns(x, meta.feature_min, meta.feature_max, names)
 
 
 def apply_label_scaling(meta: NormMeta, y) -> np.ndarray:
@@ -264,7 +278,7 @@ def apply_label_scaling(meta: NormMeta, y) -> np.ndarray:
     y = as_vector(y, "y")
     lo = np.asarray([meta.label_min])
     hi = np.asarray([meta.label_max])
-    return _scale_columns(y[:, None], lo, hi)[:, 0]
+    return _scale_columns(y[:, None], lo, hi, ["label"])[:, 0]
 
 
 def invert_label_scaling(meta: NormMeta, y_norm) -> np.ndarray:

@@ -23,7 +23,6 @@ from .numerics import DimensionMismatch, as_matrix, as_vector
 __all__ = [
     "BandwidthSet",
     "lab_entry",
-    "lab_entry_grad_theta",
     "lab_matrix",
     "rbf_matrix",
 ]
@@ -98,19 +97,6 @@ def lab_entry(t, x, theta) -> float:
         raise ValueError("bandwidths must be strictly positive")
     diff = th * (t - x)
     return float(np.exp(-(diff @ diff)))
-
-
-def lab_entry_grad_theta(t, x, theta) -> np.ndarray:
-    """Derivative of :func:`lab_entry` with respect to each bandwidth entry.
-
-    Component ``m`` equals ``-2 * k(t, x) * theta[m] * (t[m] - x[m])**2``;
-    the zero vector exactly at ``t == x``.
-    """
-    t = as_vector(t, "t")
-    x = as_vector(x, "x")
-    th = as_vector(theta, "theta")
-    k = lab_entry(t, x, th)
-    return (-2.0 * k) * th * (t - x) ** 2
 
 
 def lab_matrix(rows, cols, theta) -> np.ndarray:

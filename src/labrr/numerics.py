@@ -1,11 +1,11 @@
 """Dense linear-algebra substrate shared by the kernel solvers.
 
 Everything operates on plain float64 numpy arrays, validated on entry to be
-finite and correctly shaped.  The solver wraps a partial-pivot LU
-factorization: the Gram matrices built elsewhere in this package are
-asymmetric, so symmetric factorizations (Cholesky) are not an option.  A
-collapsed pivot raises :class:`SingularSystem` instead of letting garbage
-propagate into the fit.
+finite and correctly shaped.  :class:`FactorizedMatrix` is the only code that
+adds the diagonal jitter and factors: a partial-pivot LU, because the Gram
+matrices built elsewhere in this package are asymmetric, so symmetric
+factorizations (Cholesky) are not an option.  A collapsed pivot raises
+:class:`SingularSystem` instead of letting garbage propagate into the fit.
 """
 
 from __future__ import annotations
@@ -64,22 +64,41 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
 
 
 class FactorizedMatrix:
-    """Partial-pivot LU factorization reusable for solves against A and A^T.
+    """Partial-pivot LU factorization of ``A + jitter * I``, reusable for
+    solves against it and its transpose.
 
-    Factoring once and solving twice is the workhorse pattern of the
-    bandwidth gradient, which needs both ``A x = b`` and ``A^T u = v`` for
-    every mini-batch.
+    This is the one place that adds a jitter and factors.  It takes one
+    private copy of ``A`` with the jitter added to its diagonal and factors
+    that copy in place, so the caller's array is never changed.  Factoring
+    once and solving twice is the workhorse pattern of the bandwidth
+    gradient, which needs both ``A x = b`` and ``A^T u = v`` for every
+    mini-batch.
+
+    Raises
+    ------
+    ValueError
+        If ``jitter`` is negative, infinite or NaN.
+    DimensionMismatch
+        If ``A`` is not square and non-empty.
+    SingularSystem
+        If a pivot falls below ``PIVOT_RTOL`` times the largest absolute row
+        sum of ``A + jitter * I``.
     """
 
-    def __init__(self, a) -> None:
+    def __init__(self, a, jitter: float = 0.0) -> None:
         a = as_matrix(a, "a")
+        if not (0.0 <= jitter < np.inf):
+            raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
         n, m = a.shape
         if n != m:
             raise DimensionMismatch(f"matrix must be square, got {n}x{m}")
         if n == 0:
             raise DimensionMismatch("matrix must be non-empty")
-        scale = float(np.abs(a).sum(axis=1).max())
-        lu, piv = lu_factor(a, check_finite=False)
+        # Fortran order lets LAPACK factor the copy itself rather than another.
+        work = np.array(a, order="F")
+        work.flat[:: n + 1] += jitter
+        scale = float(np.abs(work).sum(axis=1).max())
+        lu, piv = lu_factor(work, overwrite_a=True, check_finite=False)
         pivots = np.abs(np.diagonal(lu))
         if scale == 0.0 or bool((pivots < PIVOT_RTOL * scale).any()):
             raise SingularSystem(
@@ -90,7 +109,7 @@ class FactorizedMatrix:
         self.shape = (n, m)
 
     def solve(self, b, transpose: bool = False) -> np.ndarray:
-        """Solve ``A x = b`` (or ``A^T x = b`` with ``transpose=True``)."""
+        """Solve ``(A + jitter*I) x = b``, or its transpose with ``transpose=True``."""
         b = as_vector(b, "b")
         if b.shape[0] != self.shape[0]:
             raise DimensionMismatch(
@@ -100,32 +119,9 @@ class FactorizedMatrix:
 
 
 def solve_regularized(a, b, jitter: float = 0.0) -> np.ndarray:
-    """Solve ``(A + jitter * I) x = b`` by pivoted LU factorization.
+    """Solve ``(A + jitter * I) x = b`` with one :class:`FactorizedMatrix`.
 
-    Parameters
-    ----------
-    a : array_like, shape (n, n)
-        Coefficient matrix; may be asymmetric.
-    b : array_like, shape (n,)
-        Right-hand side.
-    jitter : float
-        Nonnegative diagonal regularization added before factorizing.
-
-    Returns
-    -------
-    numpy.ndarray
-        The solution vector.  Deterministic for fixed inputs.
-
-    Raises
-    ------
-    SingularSystem
-        If a pivot of the factorization falls below ``PIVOT_RTOL`` times the
-        largest absolute row sum of ``A + jitter * I``.
-    DimensionMismatch
-        If ``A`` is not square or ``b`` has the wrong length.
+    ``A`` may be asymmetric; the result is deterministic for fixed inputs.
+    Raises what :class:`FactorizedMatrix` and its ``solve`` raise.
     """
-    a = as_matrix(a, "a")
-    if not (jitter >= 0.0):
-        raise ValueError(f"jitter must be nonnegative, got {jitter}")
-    m = a if jitter == 0.0 else a + jitter * np.eye(a.shape[0])
-    return FactorizedMatrix(m).solve(as_vector(b, "b"))
+    return FactorizedMatrix(a, jitter).solve(b)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import NormMeta, ParseError
 from .kernels import BandwidthSet, lab_matrix
-from .numerics import DimensionMismatch, as_matrix, as_vector, solve_regularized
+from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_vector, solve_regularized
 
 __all__ = [
     "DEFAULT_JITTER",
@@ -165,8 +165,9 @@ def fit_asym_duals(gram, y, lam: float) -> AsymDualSolution:
         raise DimensionMismatch(f"{y.shape[0]} labels for {gram.shape[0]}x{gram.shape[1]} gram")
     if not (lam > 0.0):
         raise ValueError(f"lam must be strictly positive, got {lam}")
-    alpha = lam * solve_regularized(gram, y, lam)
-    beta = lam * solve_regularized(gram.T, y, lam)
+    solver = FactorizedMatrix(gram, lam)  # its transpose solve is (K^T + lam*I)
+    alpha = lam * solver.solve(y)
+    beta = lam * solver.solve(y, transpose=True)
     return AsymDualSolution(alpha=alpha, beta=beta, lam=lam)
 
 

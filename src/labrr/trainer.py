@@ -134,8 +134,8 @@ class TrainConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not (self.jitter >= 0.0):
-            raise ValueError(f"jitter must be nonnegative, got {self.jitter}")
+        if not (0.0 <= self.jitter < np.inf):
+            raise ValueError(f"jitter must be finite and nonnegative, got {self.jitter}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
@@ -243,6 +243,11 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 # The gradient
 
 
+def _weighted_sq_dist(w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``sum_i w[i, j] * (rows[i] - cols[j])**2`` for every column ``j``."""
+    return (w * (rows[:, None] - cols[None, :]) ** 2).sum(axis=0)
+
+
 def batch_loss_and_grad(
     support_x,
     support_y,
@@ -274,9 +279,7 @@ def batch_loss_and_grad(
     th = theta.values
 
     gram = lab_matrix(sx, sx, theta)
-    solver = FactorizedMatrix(
-        gram if jitter == 0.0 else gram + jitter * np.eye(gram.shape[0])
-    )
+    solver = FactorizedMatrix(gram, jitter)
     alpha = solver.solve(sy)
 
     cross = lab_matrix(bx, sx, theta)
@@ -286,13 +289,13 @@ def batch_loss_and_grad(
     # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
     u = solver.solve(cross.T @ resid, transpose=True)
 
+    direct_w, through_alpha_w = resid[:, None] * cross, u[:, None] * gram
     grad = np.empty_like(th)
     for m in range(th.shape[1]):
-        batch_diff_sq = (bx[:, m, None] - sx[None, :, m]) ** 2
-        support_diff_sq = (sx[:, m, None] - sx[None, :, m]) ** 2
-        direct = (resid[:, None] * cross * batch_diff_sq).sum(axis=0)
-        through_alpha = (u[:, None] * gram * support_diff_sq).sum(axis=0)
-        grad[:, m] = direct - through_alpha
+        grad[:, m] = (
+            _weighted_sq_dist(direct_w, bx[:, m], sx[:, m])
+            - _weighted_sq_dist(through_alpha_w, sx[:, m], sx[:, m])
+        )
     grad *= -4.0 * th * alpha[:, None]
     return loss, grad
 

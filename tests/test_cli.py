@@ -361,6 +361,16 @@ def test_benchmark_config_file_keys(tmp_path):
     config, trials, _ = load_results(out)
     assert config["base_seed"] == 5
     assert [t["seed"] for t in trials] == [5, 6]
+    assert "seed" not in config["train_config"]  # each trial has its own
+
+
+def test_benchmark_config_seed_points_to_base_seed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"error_budget": 1e-3, "seed": 99}))
+    with pytest.raises(SystemExit) as err:
+        main(["benchmark", "--fn", "f1", "--n", "30", "--config", str(cfg)])
+    assert err.value.code == 2
+    assert "base_seed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +473,8 @@ def test_predict_missing_files_return_3(tmp_path, trained):
 # Malformed inputs: one documented exit code each, one log line, no traceback
 
 _NAN_LABEL = "x1,x2,y\n0.1,0.2,0.3\n0.4,0.5,nan\n0.6,0.7,0.8\n"
+# Finite cells whose column range (2e308) overflows float64.
+_HUGE_RANGE = "x1,x2,y\n1e308,0.2,0.3\n-1e308,0.5,0.4\n0.6,0.7,0.8\n"
 
 
 def _file(tmp_path, name, content):
@@ -523,6 +535,15 @@ _BAD_INPUTS = {
         "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
         "--config", _file(t, "cfg.json", '{"trials": "3"}')], 2),
     "config-not-json": (lambda t, d, m: _train(d, t, "--config", _file(t, "cfg.json", "{oops")), 2),
+    "infinite-jitter-train": (lambda t, d, m: _train(d, t, "--jitter", "inf"), 2),
+    "config-seed-benchmark": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
+        "--config", _file(t, "cfg.json", '{"seed": 99}')], 2),
+    "overflowing-range-train": (lambda t, d, m: _train(_file(t, "huge.csv", _HUGE_RANGE), t), 3),
+    "overflowing-probe-predict": (lambda t, d, m: _predict(m, _file(t, "huge.csv", "1e308,0.2\n")), 3),
+    "overflowing-test-csv": (lambda t, d, m: [
+        "benchmark", "--data", d, "--test-csv", _file(t, "huge.csv", "x1,x2,y\n1e308,0.2,0.3\n"),
+        "--trials", "1", "--B", "1e-3"], 3),
 }
 
 

@@ -13,6 +13,7 @@ from labrr.data import (
     ParseError,
     SplitSpec,
     UnknownFunction,
+    UnscalableData,
     apply_feature_scaling,
     apply_label_scaling,
     invert_label_scaling,
@@ -136,6 +137,22 @@ def test_feature_scaling_matches_normalize():
     raw = synth("f1", 40, seed=9)
     norm = normalize(raw)
     assert np.array_equal(apply_feature_scaling(norm.norm_meta, raw.x), norm.x)
+
+
+def test_overflowing_column_range_is_a_typed_error_naming_the_column():
+    x = np.array([[0.0, 1e308], [1.0, -1e308], [2.0, 0.0]])
+    with pytest.raises(UnscalableData, match="feature column 2"):
+        normalize(Dataset(x, np.arange(3.0)))
+    with pytest.raises(UnscalableData, match="label"):
+        normalize(Dataset(x[:, :1], np.array([1e308, -1e308, 0.0])))
+
+
+def test_overflowing_new_values_are_a_typed_error():
+    meta = normalize(synth("f1", 20, seed=1)).norm_meta
+    with pytest.raises(UnscalableData, match="feature column 1"):
+        apply_feature_scaling(meta, np.array([[1e308, 0.0]]))
+    with pytest.raises(UnscalableData, match="label"):
+        apply_label_scaling(meta, np.array([-1e308]))
 
 
 def test_feature_scaling_checks_dimension():
@@ -306,6 +323,29 @@ def test_split_empty_side_raises():
     ds = synth("f1", 4, seed=1)
     with pytest.raises(InsufficientData):
         split(ds, SplitSpec(seed=0, train_fraction=0.1))  # floor(0.4) = 0 train rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32),
+    trial=st.integers(0, 1000),
+    fraction=st.floats(0.01, 0.99),
+)
+def test_split_is_a_deterministic_partition_for_each_seed_and_trial(n, seed, trial, fraction):
+    ds = Dataset(np.arange(float(n))[:, None], np.zeros(n))  # the feature is the row number
+    spec = SplitSpec(seed, trial, fraction)
+    n_train = int(fraction * n)
+    if n_train in (0, n):
+        with pytest.raises(InsufficientData):
+            split(ds, spec)
+        return
+    train, test = split(ds, spec)
+    again_train, again_test = split(ds, SplitSpec(seed, trial, fraction))
+    assert np.array_equal(train.x, again_train.x) and np.array_equal(test.x, again_test.x)
+    assert train.n == n_train
+    rows = np.concatenate([train.x[:, 0], test.x[:, 0]])
+    assert np.array_equal(np.sort(rows), np.arange(float(n)))
 
 
 def test_split_spec_validation():

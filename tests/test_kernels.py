@@ -4,11 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from labrr.kernels import (
     BandwidthSet,
     lab_entry,
-    lab_entry_grad_theta,
     lab_matrix,
     rbf_matrix,
 )
@@ -56,33 +58,6 @@ def test_square_matrix_uses_column_bandwidths():
     assert k[0, 0] == 1.0 and k[1, 1] == 1.0
     assert k[0, 1] == pytest.approx(0.01831563888873418, rel=1e-15)  # exp(-4)
     assert k[1, 0] == pytest.approx(0.36787944117144233, rel=1e-15)  # exp(-1)
-
-
-def test_grad_known_value():
-    grad = lab_entry_grad_theta([0.0], [1.0], [1.0])
-    assert grad == pytest.approx([-0.7357588823428847], rel=1e-15)  # -2 e^-1
-
-
-def test_grad_zero_at_coincident_points():
-    t = np.array([1.0, 2.0])
-    assert np.array_equal(lab_entry_grad_theta(t, t, np.array([3.0, 0.5])), np.zeros(2))
-
-
-def test_grad_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    step = 1e-6
-    for _ in range(20):
-        d = int(rng.integers(1, 5))
-        t, x = rng.normal(size=d), rng.normal(size=d)
-        th = rng.uniform(0.2, 3.0, size=d)
-        grad = lab_entry_grad_theta(t, x, th)
-        fd = np.empty(d)
-        for m in range(d):
-            hi, lo = th.copy(), th.copy()
-            hi[m] += step
-            lo[m] -= step
-            fd[m] = (lab_entry(t, x, hi) - lab_entry(t, x, lo)) / (2.0 * step)
-        assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12) + 1e-9
 
 
 def test_matrix_blocked_rows_match_direct_evaluation():
@@ -176,3 +151,33 @@ def test_bandwidth_uniform_factory():
 def test_matrix_theta_shape_must_match_support():
     with pytest.raises(DimensionMismatch):
         lab_matrix(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Kernel invariants
+
+
+@st.composite
+def _kernel_inputs(draw):
+    # Coordinates in [-2, 2] and bandwidths up to 3 keep every exponent under
+    # 12**2 * 3 = 432, far from exp's underflow to 0 near 745.
+    d, n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    coords = st.floats(-2.0, 2.0, allow_nan=False)
+    rows = draw(arrays(np.float64, (n_rows, d), elements=coords))
+    cols = draw(arrays(np.float64, (n_cols, d), elements=coords))
+    theta = draw(arrays(np.float64, (n_cols, d), elements=st.floats(0.05, 3.0)))
+    hits = draw(st.lists(st.integers(0, n_cols - 1), max_size=4))
+    return rows, cols, theta, hits
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_kernel_inputs())
+def test_lab_matrix_entries_in_unit_interval_and_one_at_coincident_points(inputs):
+    rows, cols, theta, hits = inputs
+    rows = np.vstack([rows, cols[hits]])  # some rows repeat a column point exactly
+    k = lab_matrix(rows, cols, theta)
+    assert k.shape == (rows.shape[0], cols.shape[0])
+    assert bool(((k > 0.0) & (k <= 1.0)).all())
+    first_hit = rows.shape[0] - len(hits)
+    for i, j in enumerate(hits, start=first_hit):
+        assert k[i, j] == 1.0

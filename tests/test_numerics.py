@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import lu_factor, lu_solve
 
 from labrr.numerics import (
     DimensionMismatch,
@@ -33,8 +37,11 @@ def test_jitter_shifts_the_diagonal():
 
 
 def test_negative_jitter_rejected():
-    with pytest.raises(ValueError):
-        solve_regularized(np.eye(2), np.ones(2), jitter=-1e-9)
+    for jitter in (-1e-9, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="jitter"):
+            FactorizedMatrix(np.eye(2), jitter)
+        with pytest.raises(ValueError, match="jitter"):
+            solve_regularized(np.eye(2), np.ones(2), jitter=jitter)
 
 
 def test_random_asymmetric_solves_recover_known_solution():
@@ -117,3 +124,29 @@ def test_solve_is_deterministic():
     a = rng.normal(size=(8, 8)) + 8.0 * np.eye(8)
     b = rng.normal(size=8)
     assert np.array_equal(solve_regularized(a, b), solve_regularized(a, b))
+
+
+# ---------------------------------------------------------------------------
+# FactorizedMatrix owns the jitter
+
+
+@st.composite
+def _jittered_systems(draw):
+    n = draw(st.integers(1, 8))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    a = draw(arrays(np.float64, (n, n), elements=entries)) + (n + 1) * np.eye(n)  # strictly dominant
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    return a, draw(st.floats(0.0, 10.0)), draw(arrays(np.float64, n, elements=entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=_jittered_systems())
+def test_jittered_solves_equal_lu_of_the_explicit_matrix_bit_for_bit(system):
+    a, jitter, b = system
+    before = a.copy()
+    fm = FactorizedMatrix(a, jitter)
+    reference = lu_factor(a + jitter * np.eye(a.shape[0]))
+    for trans in (0, 1):
+        assert np.array_equal(fm.solve(b, transpose=bool(trans)), lu_solve(reference, b, trans=trans))
+    assert np.array_equal(a, before)  # the caller's matrix is never touched

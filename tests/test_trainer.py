@@ -381,6 +381,7 @@ def test_train_model_r0_equals_support_size():
         {"jitter": -1e-9},
         {"momentum": 1.0},
         {"momentum": -0.1},
+        {"jitter": float("inf")},
     ],
 )
 def test_train_config_validation(overrides):
