@@ -462,3 +462,7 @@ def main(argv: list[str] | None = None) -> int:
     except SingularSystem as exc:
         LOG.error("training failed: %s", exc)
         return EXIT_FAILED
+
+
+if __name__ == "__main__":
+    sys.exit(main())

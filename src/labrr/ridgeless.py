@@ -78,8 +78,8 @@ class LabModel:
             raise DimensionMismatch(
                 f"{self.alpha.shape[0]} coefficients for {self.support_x.shape[0]} support points"
             )
-        if not (self.jitter >= 0.0):
-            raise ValueError(f"jitter must be nonnegative, got {self.jitter}")
+        if not (0.0 <= self.jitter < np.inf):
+            raise ValueError(f"jitter must be finite and nonnegative, got {self.jitter}")
 
     @property
     def n_support(self) -> int:
@@ -209,6 +209,14 @@ def model_to_dict(model: LabModel) -> dict:
     }
 
 
+def _typed(doc: dict, key: str, kind):
+    """``doc[key]`` if it is a ``kind`` (JSON ``true``/``false`` never count)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{key} has the wrong type: {value!r}")
+    return value
+
+
 def model_from_dict(doc) -> LabModel:
     """Rebuild a model document; any malformed document raises ``ValueError``."""
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
@@ -221,10 +229,10 @@ def model_from_dict(doc) -> LabModel:
             support_x=np.asarray(doc["support_x"], dtype=np.float64),
             theta=BandwidthSet(np.asarray(doc["bandwidths"], dtype=np.float64)),
             alpha=np.asarray(doc["alpha"], dtype=np.float64),
-            jitter=float(doc["jitter"]),
+            jitter=float(_typed(doc, "jitter", (int, float))),
             norm_meta=NormMeta.from_dict(norm) if norm is not None else None,
         )
-        declared = (doc["dim"], doc["n_support"])
+        declared = (_typed(doc, "dim", int), _typed(doc, "n_support", int))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from None
     meta_dim = model.dim if model.norm_meta is None else model.norm_meta.feature_min.shape[0]

@@ -22,8 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, InsufficientData
-from .kernels import BandwidthSet, lab_matrix
-from .numerics import FactorizedMatrix, as_matrix, as_vector
+# ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
+# ``trainer.lab_matrix`` by name, so the name must stay importable.
+from .kernels import BandwidthSet, lab_matrix  # noqa: F401
+from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_vector
 from .ridgeless import DEFAULT_JITTER, LabModel, fit_lab, predict
 
 __all__ = [
@@ -243,9 +245,47 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 # The gradient
 
 
-def _weighted_sq_dist(w: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``sum_i w[i, j] * (rows[i] - cols[j])**2`` for every column ``j``."""
-    return (w * (rows[:, None] - cols[None, :]) ** 2).sum(axis=0)
+def _quadratic_features(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Rows ``[p**2, p, 1]`` of ``p = points - origin``: the left factor of
+    every expanded squared distance below.
+
+    Expanding ``(r - c)**2`` cancels terms as large as the squared
+    coordinates, so ``origin`` must lie near the data; the support mean keeps
+    every term at the data's spread.
+    """
+    p = points - origin
+    return np.hstack([p * p, p, np.ones((p.shape[0], 1))])
+
+
+def _expanded_lab_matrix(rows: np.ndarray, cols: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
+    """``lab_matrix(rows, cols, sqrt(th_sq))`` as one matrix product.
+
+    On points centered on the column mean, ``sum_m th_sq[j, m] * (r[i, m] -
+    c[j, m])**2 = (r**2) @ th_sq.T - 2 r @ (c * th_sq).T + sum_m c**2 * th_sq``.
+    Agrees with the difference form to rounding, not bit for bit.
+    """
+    origin = cols.mean(axis=0)
+    c = cols - origin
+    neg_coef = np.hstack([-th_sq, 2.0 * c * th_sq, -(c * c * th_sq).sum(axis=1, keepdims=True)])
+    neg_dist = _quadratic_features(rows, origin) @ neg_coef.T
+    np.minimum(neg_dist, 0.0, out=neg_dist)
+    return np.exp(neg_dist, out=neg_dist)
+
+
+def _weighted_sq_dist(
+    v: np.ndarray, kernel: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """``sum_i v[i] * kernel[i, j] * (rows[i, m] - cols[j, m])**2`` for every ``(j, m)``.
+
+    With ``w = v[:, None] * kernel`` and centered points this is ``w.T @ r**2
+    - 2 c * (w.T @ r) + c**2 * colsum(w)``, taken as one product with
+    ``kernel.T`` so that ``w`` is never formed.
+    """
+    origin = cols.mean(axis=0)
+    c = cols - origin
+    d = c.shape[1]
+    sums = kernel.T @ (v[:, None] * _quadratic_features(rows, origin))
+    return sums[:, :d] - 2.0 * c * sums[:, d:2 * d] + c * c * sums[:, 2 * d:]
 
 
 def batch_loss_and_grad(
@@ -265,6 +305,10 @@ def batch_loss_and_grad(
     ``alpha`` on the support Gram matrix.  The latter is evaluated with one
     adjoint (transposed) solve instead of per-entry solves.
 
+    The kernels and the gradient's weighted distances use the expanded
+    (matrix-product) form, so they match ``lab_matrix`` and the difference
+    form to rounding; the Gram diagonal is exactly 1.
+
     Returns
     -------
     (float, numpy.ndarray)
@@ -277,25 +321,26 @@ def batch_loss_and_grad(
     if not isinstance(theta, BandwidthSet):
         theta = BandwidthSet(theta)
     th = theta.values
+    if bx.shape[1] != th.shape[1] or sx.shape != th.shape:
+        raise DimensionMismatch(
+            f"support {sx.shape}, batch {bx.shape} and bandwidths {th.shape} disagree"
+        )
+    th_sq = th * th
 
-    gram = lab_matrix(sx, sx, theta)
+    gram = _expanded_lab_matrix(sx, sx, th_sq)
+    np.fill_diagonal(gram, 1.0)
     solver = FactorizedMatrix(gram, jitter)
     alpha = solver.solve(sy)
 
-    cross = lab_matrix(bx, sx, theta)
+    cross = _expanded_lab_matrix(bx, sx, th_sq)
     resid = cross @ alpha - by
     loss = float(resid @ resid)
 
     # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
     u = solver.solve(cross.T @ resid, transpose=True)
 
-    direct_w, through_alpha_w = resid[:, None] * cross, u[:, None] * gram
-    grad = np.empty_like(th)
-    for m in range(th.shape[1]):
-        grad[:, m] = (
-            _weighted_sq_dist(direct_w, bx[:, m], sx[:, m])
-            - _weighted_sq_dist(through_alpha_w, sx[:, m], sx[:, m])
-        )
+    grad = _weighted_sq_dist(resid, cross, bx, sx)
+    grad -= _weighted_sq_dist(u, gram, sx, sx)
     grad *= -4.0 * th * alpha[:, None]
     return loss, grad
 

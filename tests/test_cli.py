@@ -14,7 +14,8 @@ import pytest
 import labrr
 from labrr.cli import load_results, main
 from labrr.data import load_csv, synth, save_csv
-from labrr.ridgeless import load_model
+from labrr.kernels import BandwidthSet
+from labrr.ridgeless import LabModel, load_model, model_to_dict
 
 
 def _write_synth_csv(path, fn="f1", n=30, noise=0.0, seed=1):
@@ -492,6 +493,13 @@ def _edited_model(tmp_path, model_path, edit):
     return _file(tmp_path, "edited_model.json", json.dumps(doc))
 
 
+def _one_dim_model(tmp_path, **fields):
+    # One point in one dimension, where ``true == 1`` matches the real dim.
+    doc = model_to_dict(LabModel([[0.0]], BandwidthSet([[1.0]]), [1.0]))
+    doc.update(fields)
+    return _file(tmp_path, "one_dim_model.json", json.dumps(doc))
+
+
 def _train(data, tmp_path, *extra):
     return ["train", "--data", data, "--out", str(tmp_path / "m.json"), "--B", "1e-3", *extra]
 
@@ -514,6 +522,12 @@ _BAD_INPUTS = {
         _edited_model(t, m, lambda doc: doc["normalization"].pop("feature_max")), d), 3),
     "model-with-string-jitter": (lambda t, d, m: _predict(
         _edited_model(t, m, lambda doc: doc.update(jitter="small")), d), 3),
+    "model-with-infinite-jitter": (lambda t, d, m: _predict(
+        _edited_model(t, m, lambda doc: doc.update(jitter=float("inf"))), d), 3),
+    "model-with-boolean-jitter": (lambda t, d, m: _predict(
+        _edited_model(t, m, lambda doc: doc.update(jitter=True)), d), 3),
+    "model-with-boolean-dim": (lambda t, d, m: _predict(
+        _one_dim_model(t, dim=True), _file(t, "x.csv", "0.5\n")), 3),
     "non-json-model": (lambda t, d, m: _predict(_file(t, "broken.json", "not a model {"), d), 3),
     "non-utf8-csv": (lambda t, d, m: _train(_file(t, "latin1.csv", b"x1,x2,y\n0.1,0.2,caf\xe9\n"), t), 3),
     "typo-in-first-row": (lambda t, d, m: _train(
@@ -597,6 +611,19 @@ def test_log_env_does_not_break_commands(tmp_path, monkeypatch):
     monkeypatch.setenv("LABRR_LOG", "debug")
     out = tmp_path / "d.csv"
     assert main(["synth", "--fn", "f3", "--n", "8", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("module", ["labrr", "labrr.cli"])
+def test_python_dash_m_entry_point(tmp_path, module):
+    out = tmp_path / "cli.csv"
+    src = str(Path(labrr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "synth", "--fn", "f1", "--n", "6", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert load_csv(out).n == 6
 
 
 @pytest.mark.skipif(shutil.which("labrr") is None, reason="console script not on PATH")

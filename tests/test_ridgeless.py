@@ -221,8 +221,13 @@ def test_load_rejects_invalid_json(tmp_path):
     lambda doc: doc.update(normalization=[1, 2]),
     lambda doc: doc.update(dim="2"),
     lambda doc: doc["normalization"].update(feature_min=[0.0], feature_max=[1.0]),
+    lambda doc: doc.update(jitter=float("inf")),
+    lambda doc: doc.update(jitter=True),
+    lambda doc: doc.update(jitter="1e-5"),
+    lambda doc: doc.update(n_support=float(doc["n_support"])),
 ], ids=["no-dim", "no-alpha", "no-feature-max", "str-jitter", "null-jitter",
-        "object-support", "list-normalization", "str-dim", "short-normalization"])
+        "object-support", "list-normalization", "str-dim", "short-normalization",
+        "inf-jitter", "bool-jitter", "numeric-str-jitter", "float-n-support"])
 def test_load_rejects_malformed_document(tmp_path, mutate):
     model, _ = _fitted_model()
     doc = model_to_dict(model)
@@ -233,6 +238,16 @@ def test_load_rejects_malformed_document(tmp_path, mutate):
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="bad.json"):
         load_model(path)
+
+
+@pytest.mark.parametrize("key", ["dim", "n_support"])
+def test_load_rejects_boolean_counts(key):
+    # One point in one dimension: ``true == 1``, so only the type check can
+    # tell the boolean from the count.
+    doc = model_to_dict(LabModel([[0.0]], BandwidthSet([[1.0]]), [1.0]))
+    doc[key] = True
+    with pytest.raises(ValueError, match=key):
+        model_from_dict(doc)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

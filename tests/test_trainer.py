@@ -2,13 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from labrr import trainer
 from labrr.data import Dataset, InsufficientData, normalize, synth
-from labrr.kernels import BandwidthSet
+from labrr.kernels import BandwidthSet, lab_matrix
 from labrr.metrics import sparsity_r0
+from labrr.numerics import DimensionMismatch, FactorizedMatrix
 from labrr.trainer import (
     SELECTION_STRATEGIES,
     TrainConfig,
+    _expanded_lab_matrix,
     batch_loss_and_grad,
     grow_support,
     select_initial_support,
@@ -39,27 +45,114 @@ def test_batch_loss_and_grad_accepts_raw_theta():
     assert np.array_equal(grad_a, grad_b)
 
 
+def _assert_grad_matches_finite_differences(rng, n_support, n_batch, dim):
+    step = 1e-5
+    sx = rng.uniform(-1.0, 1.0, size=(n_support, dim))
+    sy = rng.normal(size=n_support)
+    bx = rng.uniform(-1.0, 1.0, size=(n_batch, dim))
+    by = rng.normal(size=n_batch)
+    th = rng.uniform(0.3, 3.0, size=(n_support, dim))
+    _, grad = batch_loss_and_grad(sx, sy, BandwidthSet(th), 1e-6, bx, by)
+    fd = np.empty_like(grad)
+    for j in range(n_support):
+        for m in range(dim):
+            bumped = th.copy()
+            bumped[j, m] = th[j, m] + step
+            up, _ = batch_loss_and_grad(sx, sy, BandwidthSet(bumped), 1e-6, bx, by)
+            bumped[j, m] = th[j, m] - step
+            down, _ = batch_loss_and_grad(sx, sy, BandwidthSet(bumped), 1e-6, bx, by)
+            fd[j, m] = (up - down) / (2.0 * step)
+    rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
+    assert rel <= 1e-4
+
+
 def test_batch_grad_matches_finite_differences():
     rng = np.random.default_rng(77)
-    step = 1e-5
     for _ in range(10):
-        sx = rng.uniform(-1.0, 1.0, size=(4, 2))
-        sy = rng.normal(size=4)
-        bx = rng.uniform(-1.0, 1.0, size=(3, 2))
-        by = rng.normal(size=3)
-        th = rng.uniform(0.3, 3.0, size=(4, 2))
-        _, grad = batch_loss_and_grad(sx, sy, BandwidthSet(th), 1e-6, bx, by)
-        fd = np.empty_like(grad)
-        for j in range(4):
-            for m in range(2):
-                bumped = th.copy()
-                bumped[j, m] = th[j, m] + step
-                up, _ = batch_loss_and_grad(sx, sy, BandwidthSet(bumped), 1e-6, bx, by)
-                bumped[j, m] = th[j, m] - step
-                down, _ = batch_loss_and_grad(sx, sy, BandwidthSet(bumped), 1e-6, bx, by)
-                fd[j, m] = (up - down) / (2.0 * step)
-        rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
-        assert rel <= 1e-4
+        _assert_grad_matches_finite_differences(rng, 4, 3, 2)
+
+
+def test_batch_grad_matches_finite_differences_in_six_dimensions():
+    rng = np.random.default_rng(78)
+    for _ in range(3):
+        _assert_grad_matches_finite_differences(rng, 6, 5, 6)
+
+
+def _difference_form_loss_and_grad(sx, sy, th, jitter, bx, by):
+    """The SGD step written with ``lab_matrix`` and a per-dimension loop over
+    explicit differences: the reference for the expanded form."""
+    gram = lab_matrix(sx, sx, th)
+    solver = FactorizedMatrix(gram, jitter)
+    alpha = solver.solve(sy)
+    cross = lab_matrix(bx, sx, th)
+    resid = cross @ alpha - by
+    u = solver.solve(cross.T @ resid, transpose=True)
+    grad = np.empty_like(th)
+    for m in range(th.shape[1]):
+        direct = (resid[:, None] * cross * (bx[:, m, None] - sx[None, :, m]) ** 2).sum(axis=0)
+        through = (u[:, None] * gram * (sx[:, m, None] - sx[None, :, m]) ** 2).sum(axis=0)
+        grad[:, m] = direct - through
+    return float(resid @ resid), -4.0 * th * alpha[:, None] * grad
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_batch_loss_and_grad_matches_difference_form(offset):
+    # The grow-large-support shape.  Far from the origin the expanded squares
+    # only stay accurate because the step centers the points first.
+    rng = np.random.default_rng(290)
+    sx = rng.uniform(0.0, 1.0, size=(290, 6)) + offset
+    sy = rng.normal(size=290)
+    bx = rng.uniform(0.0, 1.0, size=(128, 6)) + offset
+    by = rng.normal(size=128)
+    th = rng.uniform(0.5, 5.0, size=(290, 6))
+    loss, grad = batch_loss_and_grad(sx, sy, BandwidthSet(th), 1e-2, bx, by)
+    ref_loss, ref_grad = _difference_form_loss_and_grad(sx, sy, th, 1e-2, bx, by)
+    assert loss == pytest.approx(ref_loss, rel=1e-9)
+    assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max()
+
+
+@st.composite
+def _offset_kernel_inputs(draw):
+    d, n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    offset = draw(st.sampled_from([0.0, 1e3, 1e6]))
+    coords = st.floats(-1.0, 1.0, allow_nan=False)
+    rows = draw(arrays(np.float64, (n_rows, d), elements=coords)) + offset
+    cols = draw(arrays(np.float64, (n_cols, d), elements=coords)) + offset
+    theta = draw(arrays(np.float64, (n_cols, d), elements=st.floats(0.05, 3.0)))
+    return rows, cols, theta
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_offset_kernel_inputs())
+def test_expanded_kernel_matches_lab_matrix(inputs):
+    rows, cols, theta = inputs
+    expanded = _expanded_lab_matrix(rows, cols, theta * theta)
+    assert np.abs(expanded - lab_matrix(rows, cols, theta)).max() <= 1e-12
+
+
+def test_sgd_step_gram_has_exact_unit_diagonal(monkeypatch):
+    grams = []
+
+    def recording(a, jitter):
+        grams.append(a.copy())
+        return FactorizedMatrix(a, jitter)
+
+    monkeypatch.setattr(trainer, "FactorizedMatrix", recording)
+    rng = np.random.default_rng(5)
+    sx = rng.uniform(0.0, 1.0, size=(40, 3)) + 1e3
+    th = rng.uniform(0.5, 8.0, size=(40, 3))
+    batch_loss_and_grad(sx, rng.normal(size=40), th, 1e-2, sx[:7] + 0.01, rng.normal(size=7))
+    (gram,) = grams
+    assert np.all(np.diagonal(gram) == 1.0)
+    assert np.abs(gram - lab_matrix(sx, sx, th)).max() <= 1e-12
+
+
+def test_batch_loss_and_grad_checks_shapes():
+    th = BandwidthSet(np.ones((3, 2)))
+    with pytest.raises(DimensionMismatch):
+        batch_loss_and_grad(np.zeros((3, 2)), np.zeros(3), th, 0.1, np.zeros((2, 1)), np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        batch_loss_and_grad(np.zeros((4, 2)), np.zeros(4), th, 0.1, np.zeros((2, 2)), np.zeros(2))
 
 
 def test_batch_loss_is_zero_on_support_points():
