@@ -10,6 +10,11 @@ matrix weights the difference ``rows[i] - cols[j]`` with the bandwidths of
 *column* point ``j``.  A square matrix over a non-constant bandwidth set is
 therefore generally asymmetric.  The classic RBF matrix is the special case
 of a single bandwidth vector shared by every column.
+
+Kernel matrices come in two forms.  ``lab_matrix`` is the reference: it
+evaluates every entry from explicit differences, and fitting uses it.
+``_expanded_lab_matrix`` gets the same entries, to rounding, from one matrix
+product, and prediction and the SGD step use it.
 """
 
 from __future__ import annotations
@@ -132,6 +137,37 @@ def lab_matrix(rows, cols, theta) -> np.ndarray:
         diff = (rows[lo:hi, None, :] - cols[None, :, :]) * th[None, :, :]
         out[lo:hi] = np.exp(-np.einsum("ijk,ijk->ij", diff, diff))
     return out
+
+
+def _quadratic_features(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Rows ``[p**2, p, 1]`` of ``p = points - origin``: the left factor of
+    every expanded squared distance.
+
+    Expanding ``(r - c)**2`` cancels terms as large as the squared
+    coordinates, so ``origin`` must lie near the data; the support mean keeps
+    every term at the data's spread.
+    """
+    p = points - origin
+    return np.hstack([p * p, p, np.ones((p.shape[0], 1))])
+
+
+def _expanded_lab_matrix(rows: np.ndarray, cols: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
+    """``lab_matrix(rows, cols, sqrt(th_sq))`` as one matrix product, on
+    validated arrays, with every entry in ``[exp(-700), 1]``.
+
+    On points centered on the column mean, ``sum_m th_sq[j, m] * (r[i, m] -
+    c[j, m])**2 = (r**2) @ th_sq.T - 2 r @ (c * th_sq).T + sum_m c**2 * th_sq``.
+    Agrees with the difference form to rounding, not bit for bit.
+    """
+    origin = cols.mean(axis=0)
+    c = cols - origin
+    neg_coef = np.hstack([-th_sq, 2.0 * c * th_sq, -(c * c * th_sq).sum(axis=1, keepdims=True)])
+    neg_dist = _quadratic_features(rows, origin) @ neg_coef.T
+    # Below about -708 ``exp`` returns subnormals or zero, and both take slow
+    # paths: in ``exp`` itself and in every BLAS call that reads the kernel.
+    # An entry of exp(-700) ~ 1e-304 is as negligible in any sum as a zero.
+    np.clip(neg_dist, -700.0, 0.0, out=neg_dist)
+    return np.exp(neg_dist, out=neg_dist)
 
 
 def rbf_matrix(x1, x2, sigma) -> np.ndarray:

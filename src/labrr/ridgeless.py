@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NormMeta, ParseError
-from .kernels import BandwidthSet, lab_matrix
+from .kernels import BandwidthSet, _expanded_lab_matrix, lab_matrix
 from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_vector, solve_regularized
 
 __all__ = [
@@ -35,6 +35,11 @@ __all__ = [
 #: Default diagonal regularization: small enough to keep the fit effectively
 #: interpolating, large enough to keep near-singular Gram matrices solvable.
 DEFAULT_JITTER = 1e-5
+
+#: Kernel entries per row block of :func:`predict` (8 MB of float64): small
+#: enough to stay off the peak memory of a bulk predict, large enough that
+#: each block is one efficient matrix product.
+_PREDICT_BLOCK_ENTRIES = 1 << 20
 
 _MODEL_FORMAT = "labrr.model"
 _MODEL_VERSION = 1
@@ -125,7 +130,10 @@ def predict(model: LabModel, t):
     """Evaluate the interpolant at one point ``(dim,)`` or a batch ``(m, dim)``.
 
     Returns a float for a single point, a vector for a batch.  Operates in
-    the model's own (normalized) input space.
+    the model's own (normalized) input space.  The kernel is built in the
+    expanded form (see :func:`~labrr.kernels._expanded_lab_matrix`) one block
+    of rows at a time, so the full points-by-support matrix is never formed;
+    predictions match ``lab_matrix(t, support_x, theta) @ alpha`` to rounding.
     """
     arr = np.asarray(t, dtype=np.float64)
     single = arr.ndim == 1
@@ -134,7 +142,12 @@ def predict(model: LabModel, t):
         raise DimensionMismatch(
             f"points have dim {points.shape[1]}, model has dim {model.dim}"
         )
-    values = lab_matrix(points, model.support_x, model.theta) @ model.alpha
+    th_sq = model.theta.values ** 2
+    block = max(1, _PREDICT_BLOCK_ENTRIES // max(model.n_support, 1))
+    values = np.empty(points.shape[0])
+    for lo in range(0, points.shape[0], block):
+        rows = points[lo:lo + block]
+        values[lo:lo + block] = _expanded_lab_matrix(rows, model.support_x, th_sq) @ model.alpha
     return float(values[0]) if single else values
 
 

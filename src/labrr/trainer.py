@@ -24,7 +24,12 @@ import numpy as np
 from .data import Dataset, InsufficientData
 # ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
 # ``trainer.lab_matrix`` by name, so the name must stay importable.
-from .kernels import BandwidthSet, lab_matrix  # noqa: F401
+from .kernels import (  # noqa: F401
+    BandwidthSet,
+    _expanded_lab_matrix,
+    _quadratic_features,
+    lab_matrix,
+)
 from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_vector
 from .ridgeless import DEFAULT_JITTER, LabModel, fit_lab, predict
 
@@ -245,33 +250,6 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 # The gradient
 
 
-def _quadratic_features(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Rows ``[p**2, p, 1]`` of ``p = points - origin``: the left factor of
-    every expanded squared distance below.
-
-    Expanding ``(r - c)**2`` cancels terms as large as the squared
-    coordinates, so ``origin`` must lie near the data; the support mean keeps
-    every term at the data's spread.
-    """
-    p = points - origin
-    return np.hstack([p * p, p, np.ones((p.shape[0], 1))])
-
-
-def _expanded_lab_matrix(rows: np.ndarray, cols: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
-    """``lab_matrix(rows, cols, sqrt(th_sq))`` as one matrix product.
-
-    On points centered on the column mean, ``sum_m th_sq[j, m] * (r[i, m] -
-    c[j, m])**2 = (r**2) @ th_sq.T - 2 r @ (c * th_sq).T + sum_m c**2 * th_sq``.
-    Agrees with the difference form to rounding, not bit for bit.
-    """
-    origin = cols.mean(axis=0)
-    c = cols - origin
-    neg_coef = np.hstack([-th_sq, 2.0 * c * th_sq, -(c * c * th_sq).sum(axis=1, keepdims=True)])
-    neg_dist = _quadratic_features(rows, origin) @ neg_coef.T
-    np.minimum(neg_dist, 0.0, out=neg_dist)
-    return np.exp(neg_dist, out=neg_dist)
-
-
 def _weighted_sq_dist(
     v: np.ndarray, kernel: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
@@ -307,7 +285,8 @@ def batch_loss_and_grad(
 
     The kernels and the gradient's weighted distances use the expanded
     (matrix-product) form, so they match ``lab_matrix`` and the difference
-    form to rounding; the Gram diagonal is exactly 1.
+    form to rounding, with kernel entries below ``exp(-700)`` read as
+    ``exp(-700)``; the Gram diagonal is exactly 1.
 
     Returns
     -------

@@ -1,0 +1,12 @@
+"""Test-session set-up shared by every test module.
+
+BLAS reads its thread count once, when numpy first loads, so it is fixed here
+before any test module imports numpy.  On a small host a multi-threaded BLAS
+contends with any other busy process and slows the suite several-fold; the
+benchmark (``perfbench/run.py``) fixes the same count for the same reason.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")

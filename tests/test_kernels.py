@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from labrr.kernels import (
     BandwidthSet,
+    _expanded_lab_matrix,
     lab_entry,
     lab_matrix,
     rbf_matrix,
@@ -181,3 +182,22 @@ def test_lab_matrix_entries_in_unit_interval_and_one_at_coincident_points(inputs
     first_hit = rows.shape[0] - len(hits)
     for i, j in enumerate(hits, start=first_hit):
         assert k[i, j] == 1.0
+
+
+def test_expanded_kernel_has_no_subnormal_or_zero_entries():
+    # Exponents from 0 down to -1e4: exp underflows to subnormals near -708
+    # and to 0 near -745, and both are slow in exp and in BLAS.
+    rng = np.random.default_rng(9)
+    rows = np.sqrt(np.linspace(0.0, 1e4, 4001))[:, None] * rng.uniform(0.5, 1.0, size=(1, 3))
+    cols = np.zeros((1, 3)) + rng.uniform(-1e-3, 1e-3, size=(5, 3))
+    th_sq = rng.uniform(0.2, 1.0, size=(5, 3))
+    exponents = -(((rows[:, None, :] - cols[None, :, :]) ** 2) * th_sq[None, :, :]).sum(axis=2)
+    assert exponents.max() > -1.0 and exponents.min() < -1e3
+
+    k = _expanded_lab_matrix(rows, cols, th_sq)
+    floor = np.exp(-700.0)
+    assert bool(((k >= floor) & (k <= 1.0)).all())
+    assert k.min() >= np.finfo(float).tiny
+    # Above the floor the entries are the kernel's own values.
+    reference = np.maximum(lab_matrix(rows, cols, np.sqrt(th_sq)), floor)
+    assert np.abs(k - reference).max() <= 1e-12

@@ -1,6 +1,7 @@
 """Unit tests for the closed-form solvers and model serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from labrr.data import NormMeta, ParseError, normalize, synth
+from labrr.data import NormMeta, ParseError, apply_feature_scaling, normalize, synth
 from labrr.kernels import BandwidthSet, lab_matrix, rbf_matrix
 from labrr.numerics import DimensionMismatch, SingularSystem
 from labrr.ridgeless import (
+    _PREDICT_BLOCK_ENTRIES,
     DEFAULT_JITTER,
     LabModel,
     fit_asym_duals,
@@ -71,6 +73,61 @@ def test_predict_single_point_matches_batch():
         # Matrix-vector and matrix-matrix BLAS paths may sum in different
         # orders, so equality holds to rounding rather than bitwise.
         assert single == pytest.approx(batch[i], rel=1e-12, abs=1e-15)
+
+
+def _assert_predict_matches_lab_matrix(model, points):
+    values = predict(model, points)
+    reference = lab_matrix(points, model.support_x, model.theta) @ model.alpha
+    assert values.shape == reference.shape
+    if reference.size:
+        assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+_N_SUPPORT = 300
+_BLOCK = _PREDICT_BLOCK_ENTRIES // _N_SUPPORT
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_blocked_predict_matches_lab_matrix(n_rows, offset):
+    # Row counts around the block boundaries; far from the origin the
+    # expanded form stays accurate only because it centers the points.
+    rng = np.random.default_rng(n_rows)
+    support = rng.uniform(0.0, 1.0, size=(_N_SUPPORT, 3)) + offset
+    theta = rng.uniform(0.5, 5.0, size=(_N_SUPPORT, 3))
+    model = LabModel(support, theta, rng.normal(size=_N_SUPPORT))
+    points = rng.uniform(-0.2, 1.2, size=(n_rows, 3)) + offset
+    _assert_predict_matches_lab_matrix(model, points)
+
+
+def test_predict_matches_lab_matrix_on_narrow_bandwidths():
+    # The bulk-predict shape: 500 support points at d=6 with bandwidths in
+    # [0.5, 40], where most kernel exponents lie below exp's underflow.
+    ds = normalize(synth("f2", 500, 0.0, seed=11))
+    rng = np.random.default_rng(12)
+    model = fit_lab(ds.x, ds.y, rng.uniform(0.5, 40.0, size=ds.x.shape), norm_meta=ds.norm_meta)
+    points = apply_feature_scaling(ds.norm_meta, synth("f2", 1000, 0.0, seed=13).x)
+    diff = (points[:, None, :] - model.support_x[None, :, :]) * model.theta.values[None, :, :]
+    assert np.mean((diff * diff).sum(axis=2) > 745.0) > 0.5
+    _assert_predict_matches_lab_matrix(model, points)
+    single = predict(model, points[0])
+    assert isinstance(single, float)
+    assert single == pytest.approx(predict(model, points[:1])[0], rel=1e-12, abs=1e-15)
+
+
+def test_predict_never_forms_the_full_kernel():
+    rng = np.random.default_rng(20)
+    theta = rng.uniform(0.5, 40.0, size=(500, 6))
+    model = LabModel(rng.uniform(size=(500, 6)), theta, rng.normal(size=500))
+    points = rng.uniform(size=(20_000, 6))
+    full_kernel_bytes = points.shape[0] * model.n_support * 8
+    tracemalloc.start()
+    try:
+        predict(model, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_kernel_bytes / 4
 
 
 def test_predict_checks_dimension():

@@ -8,13 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from labrr import trainer
 from labrr.data import Dataset, InsufficientData, normalize, synth
-from labrr.kernels import BandwidthSet, lab_matrix
+from labrr.kernels import BandwidthSet, _expanded_lab_matrix, lab_matrix
 from labrr.metrics import sparsity_r0
 from labrr.numerics import DimensionMismatch, FactorizedMatrix
 from labrr.trainer import (
     SELECTION_STRATEGIES,
     TrainConfig,
-    _expanded_lab_matrix,
     batch_loss_and_grad,
     grow_support,
     select_initial_support,
