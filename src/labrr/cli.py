@@ -440,8 +440,7 @@ def cmd_predict(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     if model.norm_meta is not None:
         values = invert_label_scaling(model.norm_meta, values)
 
-    out_lines = ["prediction"] + [repr(float(v)) for v in values]
-    text = "\n".join(out_lines) + "\n"
+    text = "\n".join(["prediction", *map(repr, values.tolist())]) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

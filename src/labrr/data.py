@@ -1,12 +1,14 @@
 """Dataset ingestion, [-1, 1] scaling, seeded splits, and synthetic generators.
 
-CSV convention: comma-separated UTF-8, finite decimal-point reals, an
-optional single header line (the first line, when none of its cells parses
-as a number), last column is the label.  Any other non-numeric, NaN or
-infinite cell, a ragged row, or bytes that are not UTF-8 raise
-:class:`ParseError` naming the file.  Normalization maps every feature
-column and the label to ``[-1, 1]`` affinely; the statistics are recorded so
-the map can be applied to new data and inverted exactly.
+CSV convention: comma-separated UTF-8 (a leading byte-order mark is
+dropped), finite decimal-point reals spelled in ASCII, an optional single
+header line (the first line, when none of its cells parses as a number), last
+column is the label.  Any other non-numeric, NaN or infinite cell, a cell
+holding ``_`` or a non-ASCII character other than whitespace, a ragged row, or
+bytes that are not UTF-8 raise :class:`ParseError` naming the file.
+Normalization maps every feature column and the label to ``[-1, 1]``
+affinely; the statistics are recorded so the map can be applied to new data
+and inverted exactly.
 """
 
 from __future__ import annotations
@@ -150,12 +152,48 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _read_numeric_table(path) -> tuple[np.ndarray, int]:
-    """Parse a numeric CSV into a finite matrix.
+def _cell_value(cell: str) -> float:
+    """``float(cell)`` restricted to ASCII decimal spellings.
 
-    Returns the matrix and the 1-based file line of the first data row.
-    The first line is a header, and skipped, when none of its cells is a
-    number.
+    ``float`` also reads digit-group underscores (``1_0``) and non-ASCII
+    digits (``١``), which numpy's parser rejects; both raise ``ValueError``
+    here, so both readers accept the same cells.  Surrounding whitespace,
+    ASCII or not, is allowed.
+    """
+    if "_" in cell or not cell.strip().isascii():
+        raise ValueError(cell)
+    return float(cell)
+
+
+def _data_records(fh):
+    """Yield ``(record, lines_before, cells)`` for each data record of a CSV.
+
+    ``record`` is the 1-based record number and ``lines_before`` the number of
+    physical lines that precede the record.  Blank records are skipped.  The
+    first non-blank record is a header, and skipped, when none of its cells is
+    a number.
+    """
+    reader = csv.reader(fh)
+    lines_before, first = 0, True
+    for record, cells in enumerate(reader, start=1):
+        if any(cell.strip() for cell in cells):
+            if not first or any(_is_number(cell) for cell in cells):
+                yield record, lines_before, cells
+            first = False
+        lines_before = reader.line_num
+
+
+def _open_csv(path):
+    # utf-8-sig drops a leading byte-order mark, so it never reaches a cell.
+    return open(path, newline="", encoding="utf-8-sig")
+
+
+def _read_strict(path) -> tuple[np.ndarray, int]:
+    """Parse a numeric CSV cell by cell into a finite matrix.
+
+    Returns the matrix and the record number of the first data row.  Every
+    fault raises :class:`ParseError` naming its row and column, or
+    :class:`EmptyDataset`.
     """
 
     def parse_row(lineno: int, cells: list[str], expect: int) -> list[float]:
@@ -165,22 +203,16 @@ def _read_numeric_table(path) -> tuple[np.ndarray, int]:
         values = []
         for j, cell in enumerate(cells):
             try:
-                values.append(float(cell))
+                values.append(_cell_value(cell))
             except ValueError:
                 raise ParseError(path, f"not a number: {cell.strip()!r}", lineno, j + 1) from None
         return values
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = [
-                (lineno, row)
-                for lineno, row in enumerate(csv.reader(fh), start=1)
-                if any(cell.strip() for cell in row)
-            ]
+        with _open_csv(path) as fh:
+            lines = [(record, cells) for record, _, cells in _data_records(fh)]
     except UnicodeDecodeError as exc:
         raise ParseError(path, f"not UTF-8 text ({exc.reason})") from None
-    if lines and not any(_is_number(cell) for cell in lines[0][1]):
-        lines = lines[1:]
     if not lines:
         raise EmptyDataset(f"{path}: no data rows")
 
@@ -191,6 +223,41 @@ def _read_numeric_table(path) -> tuple[np.ndarray, int]:
         i, j = bad[0].tolist()
         raise ParseError(path, f"not a finite number: {lines[i][1][j].strip()!r}", lines[i][0], j + 1)
     return matrix, lines[0][0]
+
+
+def _read_fast(path) -> tuple[np.ndarray, int] | None:
+    """Parse the body with numpy's C parser; ``None`` when it cannot decide.
+
+    The header rule and the first data record come from :func:`_data_records`,
+    as in :func:`_read_strict`.  ``np.loadtxt`` reads no quotes, so any quoted
+    cell in the body fails to convert, as do ragged rows, empty cells,
+    whitespace-only lines and the spellings :func:`_cell_value` rejects.
+    Every such file, a file with no data rows, one that is not UTF-8 and one
+    holding a NaN or infinite value is left to :func:`_read_strict`.
+    """
+    try:
+        with _open_csv(path) as fh:
+            first = next(_data_records(fh), None)
+            if first is None:
+                return None
+            record, lines_before, _ = first
+            fh.seek(0)
+            matrix = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, skiprows=lines_before)
+    except ValueError:  # includes UnicodeDecodeError
+        return None
+    if not np.isfinite(matrix).all():
+        return None
+    return matrix, record
+
+
+def _read_numeric_table(path) -> tuple[np.ndarray, int]:
+    """Parse a numeric CSV into a finite matrix.
+
+    Returns the matrix and the record number of the first data row.  Files
+    the fast reader cannot decide go through the strict reader, which raises
+    the same error, with row and column, on any fault.
+    """
+    return _read_fast(path) or _read_strict(path)
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -208,16 +275,23 @@ def load_csv(path, name: str | None = None) -> Dataset:
     return Dataset(matrix[:, :-1], matrix[:, -1], None, name or str(path))
 
 
+# Rows formatted per write: one join per block, so the text of a large file is
+# never held in memory at once.
+_WRITE_BLOCK_ROWS = 4096
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset as CSV with an ``x1..xd,y`` header.
 
     Floats are written with ``repr`` so a reload reproduces them bit-exactly.
+    Lines end in CRLF, as :mod:`csv`'s default dialect writes them.
     """
+    table = np.column_stack([dataset.x, dataset.y])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(dataset.dim)] + ["y"])
-        for row, label in zip(dataset.x, dataset.y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])
+        fh.write(",".join([f"x{j + 1}" for j in range(dataset.dim)] + ["y"]) + "\r\n")
+        for lo in range(0, table.shape[0], _WRITE_BLOCK_ROWS):
+            rows = table[lo : lo + _WRITE_BLOCK_ROWS].tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
 
 
 # ---------------------------------------------------------------------------

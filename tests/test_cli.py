@@ -398,6 +398,9 @@ def test_predict_round_trips_training_labels(tmp_path, trained):
     truth = load_csv(data).y
     assert preds.shape == truth.shape
     assert np.abs(preds - truth).max() <= 1e-6
+    # One shortest round-trip repr per line, LF line endings.
+    expected = "".join(f"{line}\n" for line in ["prediction", *map(repr, preds.tolist())])
+    assert out.read_bytes() == expected.encode("ascii")
 
 
 def test_predict_to_stdout(capsys, trained):
@@ -555,12 +558,18 @@ _BAD_INPUTS = {
         "--config", _file(t, "cfg.json", '{"seed": 99}')], 2),
     "overflowing-range-train": (lambda t, d, m: _train(_file(t, "huge.csv", _HUGE_RANGE), t), 3),
     "overflowing-probe-predict": (lambda t, d, m: _predict(m, _file(t, "huge.csv", "1e308,0.2\n")), 3),
+    "underscore-number-predict": (lambda t, d, m: _predict(m, _file(t, "under.csv", "0.1,0.2\n1_0,0.3\n")), 3),
+    "non-ascii-digit-predict": (lambda t, d, m: _predict(
+        m, _file(t, "digits.csv", "0.1,\u0662\n".encode("utf-8"))), 3),
+    "empty-csv-predict": (lambda t, d, m: _predict(m, _file(t, "empty.csv", "")), 3),
+    "header-only-csv-predict": (lambda t, d, m: _predict(m, _file(t, "head.csv", "x1,x2\n\n")), 3),
     "overflowing-test-csv": (lambda t, d, m: [
         "benchmark", "--data", d, "--test-csv", _file(t, "huge.csv", "x1,x2,y\n1e308,0.2,0.3\n"),
         "--trials", "1", "--B", "1e-3"], 3),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_malformed_input_exits_with_its_code(case, tmp_path, trained, capfd, caplog):
     build, expected = _BAD_INPUTS[case]

@@ -1,5 +1,7 @@
 """Unit tests for CSV ingestion, scaling, splitting, and synthetic data."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +26,7 @@ from labrr.data import (
     split,
     synth,
 )
+from labrr.data import _WRITE_BLOCK_ROWS, _read_fast, _read_numeric_table, _read_strict
 from labrr.data import _synth_f1, _synth_f2, _synth_f3
 
 
@@ -174,6 +177,21 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(loaded.y, ds.y)
 
 
+@pytest.mark.parametrize("n", [0, 1, _WRITE_BLOCK_ROWS, _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 3])
+def test_save_csv_writes_what_the_csv_module_writes(tmp_path, n):
+    rng = np.random.default_rng(n)
+    ds = Dataset(rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3)), rng.normal(size=n))
+    path = tmp_path / "d.csv"
+    save_csv(ds, path)
+    reference = tmp_path / "ref.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(ds.dim)] + ["y"])
+        for row, label in zip(ds.x, ds.y):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(label))])
+    assert path.read_bytes() == reference.read_bytes()
+
+
 def test_csv_header_is_detected_and_skipped(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("alpha,beta,label\n1.0,2.0,3.0\n4.0,5.0,6.0\n")
@@ -221,6 +239,37 @@ def test_csv_non_utf8_is_a_parse_error(tmp_path):
         load_csv(path)
 
 
+def test_csv_byte_order_mark_before_a_data_line_is_dropped(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.5,2.0\n3.0,4.0\n")
+    assert np.array_equal(load_matrix_csv(path), [[1.5, 2.0], [3.0, 4.0]])
+
+
+def test_csv_byte_order_mark_before_a_header_line_is_dropped(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfx1,y\r\n1.5,2.0\r\n")
+    ds = load_csv(path)
+    assert np.array_equal(ds.x, [[1.5]]) and np.array_equal(ds.y, [2.0])
+
+
+@pytest.mark.parametrize("cell", ["1_0", "1_000.5", "1e1_0", "\u0661", "\uff11", "1\u0660", "\ufeff1"])
+def test_csv_python_only_number_spellings_are_rejected(tmp_path, cell):
+    # float() reads all of these; the CSV grammar is ASCII decimal reals.
+    path = tmp_path / "spelling.csv"
+    path.write_text(f"x,y\n0.5,0.5\n0.5,{cell}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_matrix_csv(path)
+    assert (err.value.row, err.value.col) == (3, 2)
+    assert str(err.value).endswith(f"not a number: {cell!r}")
+
+
+def test_csv_non_ascii_whitespace_around_a_number_is_allowed(tmp_path):
+    path = tmp_path / "nbsp.csv"
+    path.write_text("\u00a01.5 ,\u20092.0\u3000\n", encoding="utf-8")
+    assert np.array_equal(load_matrix_csv(path), [[1.5, 2.0]])
+    assert np.array_equal(_read_strict(path)[0], [[1.5, 2.0]])
+
+
 _FILES_EXAMPLES = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -255,6 +304,96 @@ def test_csv_bad_cell_anywhere_reports_its_position(tmp_path, table, where, cell
     assert (err.value.row, err.value.col) == (i + 2, j + 1)
 
 
+# Cells numpy's parser reads as the strict reader does, and cells that send a
+# file to the strict reader (quoted, Python-only spellings, non-finite, empty,
+# non-numeric or not UTF-8).
+_PADDING = st.sampled_from(["", "", "", " ", "\t", "\u00a0", "\u3000"])
+_NUMERIC_CELLS = st.builds(
+    lambda before, number, after: before + number + after,
+    _PADDING,
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-10**6, 10**6).map(str),
+        st.sampled_from(["+.5", "5.", "-0", "1E5", "1.e-3"]),
+    ),
+    _PADDING,
+)
+_FALLBACK_CELLS = st.sampled_from([
+    '"1.5"', '"2', "1_0", "\u0661", "\uff11", "\ufeff1", "infinity", "-inf", "nan", "NaN", "1e999",
+    "", " ", "abc", "0x10", "1d5", "\xe9",
+])
+_HEADER_CELLS = st.sampled_from(["x1", "y", " label ", '"a,b"', '"say ""hi"""', "", "\ufeffx"])
+_BLANK_LINES = st.sampled_from(["", "   ", ",", " , ", '""'])
+
+
+@st.composite
+def _csv_files(draw):
+    """A generated CSV as bytes, with two flags about its body.
+
+    ``clean``: every body line is empty or a row of ``width`` numeric cells,
+    so numpy's parser must decide the file.  ``csv_only``: the
+    body holds a quote or a whitespace-only line, which only the strict
+    reader can read.
+    """
+    width = draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    clean, csv_only = True, False
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.lists(_HEADER_CELLS, min_size=width, max_size=width))))
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            line = draw(_BLANK_LINES)
+            clean &= line == ""
+            csv_only |= line != ""
+        else:
+            cells = draw(st.lists(_NUMERIC_CELLS, min_size=width, max_size=width))
+            if draw(st.integers(0, 3)) == 0:
+                cell = draw(_FALLBACK_CELLS)
+                cells[draw(st.integers(0, width - 1))] = cell
+                clean = False
+                csv_only |= '"' in cell
+            shape = draw(st.integers(0, 9))
+            if shape == 0:
+                cells.append("")  # trailing comma
+                clean = False
+            elif shape == 1 and width > 1:
+                cells.pop()  # ragged row
+                clean = False
+            line = ",".join(cells)
+        lines.append(line)
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    data = text.encode("utf-8").replace("\xe9".encode("utf-8"), b"\xe9")  # not UTF-8
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    return data, clean, csv_only
+
+
+def _outcome(read, path):
+    try:
+        matrix, first_row = read(path)
+    except (ParseError, EmptyDataset) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return matrix.shape, matrix.tobytes(), first_row
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(generated=_csv_files())
+def test_csv_fast_and_strict_readers_agree(tmp_path, generated):
+    data, clean, csv_only = generated
+    path = tmp_path / "g.csv"
+    path.write_bytes(data)
+    strict = _outcome(_read_strict, path)
+    fast = _read_fast(path)
+    if fast is not None:
+        assert (fast[0].shape, fast[0].tobytes(), fast[1]) == strict
+    else:
+        assert not clean or strict[0] == "EmptyDataset", "numpy's parser declined a clean file"
+        if isinstance(strict[0], tuple):
+            assert csv_only, "the strict reader accepted a file numpy's parser declined"
+    assert _outcome(_read_numeric_table, path) == strict
+
+
 def test_csv_ragged_row_is_an_error(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0,3.0\n4.0,5.0\n")
@@ -270,12 +409,16 @@ def test_csv_single_column_is_an_error(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.filterwarnings("error")
 def test_csv_empty_file_is_an_error(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
     with pytest.raises(EmptyDataset):
         load_csv(path)
     path.write_text("only,a,header\n")
+    with pytest.raises(EmptyDataset):
+        load_csv(path)
+    path.write_text("\n  \nonly,a,header\n,,\n\n")
     with pytest.raises(EmptyDataset):
         load_csv(path)
 
