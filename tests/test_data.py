@@ -361,6 +361,8 @@ def _csv_files(draw):
                 cells.pop()  # ragged row
                 clean = False
             line = ",".join(cells)
+            # Empty or whitespace fallback cells can leave a blank record.
+            csv_only |= line != "" and not line.replace(",", "").strip()
         lines.append(line)
     text = newline.join(lines) + (newline if draw(st.booleans()) else "")
     data = text.encode("utf-8").replace("\xe9".encode("utf-8"), b"\xe9")  # not UTF-8
