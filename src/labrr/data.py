@@ -43,12 +43,18 @@ __all__ = [
 class ParseError(ValueError):
     """An input file is malformed; the message names the file.
 
-    ``row`` and ``col`` give the 1-based position of a bad CSV cell, and are
-    ``None`` when the fault has no single position.
+    ``row`` and ``col`` give the 1-based position of a bad CSV cell; ``col``
+    is ``None`` when the fault is a whole record, and both are ``None`` when
+    it has no single position.
     """
 
     def __init__(self, path, message: str, row: int | None = None, col: int | None = None) -> None:
-        where = "" if row is None else f" row {row}, column {col}:"
+        if row is None:
+            where = ""
+        elif col is None:
+            where = f" row {row}:"
+        else:
+            where = f" row {row}, column {col}:"
         super().__init__(f"{path}:{where} {message}")
         self.row = row
         self.col = col
@@ -165,22 +171,26 @@ def _cell_value(cell: str) -> float:
     return float(cell)
 
 
-def _data_records(fh):
+def _data_records(fh, path):
     """Yield ``(record, lines_before, cells)`` for each data record of a CSV.
 
     ``record`` is the 1-based record number and ``lines_before`` the number of
     physical lines that precede the record.  Blank records are skipped.  The
     first non-blank record is a header, and skipped, when none of its cells is
-    a number.
+    a number.  A record the ``csv`` module cannot read (for example a cell
+    longer than its field size limit) raises :class:`ParseError`.
     """
     reader = csv.reader(fh)
-    lines_before, first = 0, True
-    for record, cells in enumerate(reader, start=1):
-        if any(cell.strip() for cell in cells):
-            if not first or any(_is_number(cell) for cell in cells):
-                yield record, lines_before, cells
-            first = False
-        lines_before = reader.line_num
+    lines_before, first, record = 0, True, 0
+    try:
+        for record, cells in enumerate(reader, start=1):
+            if any(cell.strip() for cell in cells):
+                if not first or any(_is_number(cell) for cell in cells):
+                    yield record, lines_before, cells
+                first = False
+            lines_before = reader.line_num
+    except csv.Error as exc:
+        raise ParseError(path, f"unreadable CSV record: {exc}", record + 1) from None
 
 
 def _open_csv(path):
@@ -210,7 +220,7 @@ def _read_strict(path) -> tuple[np.ndarray, int]:
 
     try:
         with _open_csv(path) as fh:
-            lines = [(record, cells) for record, _, cells in _data_records(fh)]
+            lines = [(record, cells) for record, _, cells in _data_records(fh, path)]
     except UnicodeDecodeError as exc:
         raise ParseError(path, f"not UTF-8 text ({exc.reason})") from None
     if not lines:
@@ -232,18 +242,19 @@ def _read_fast(path) -> tuple[np.ndarray, int] | None:
     as in :func:`_read_strict`.  ``np.loadtxt`` reads no quotes, so any quoted
     cell in the body fails to convert, as do ragged rows, empty cells,
     whitespace-only lines and the spellings :func:`_cell_value` rejects.
-    Every such file, a file with no data rows, one that is not UTF-8 and one
-    holding a NaN or infinite value is left to :func:`_read_strict`.
+    Every such file, a file with no data rows, one that is not UTF-8, one
+    with a record the ``csv`` module cannot read and one holding a NaN or
+    infinite value is left to :func:`_read_strict`.
     """
     try:
         with _open_csv(path) as fh:
-            first = next(_data_records(fh), None)
+            first = next(_data_records(fh, path), None)
             if first is None:
                 return None
             record, lines_before, _ = first
             fh.seek(0)
             matrix = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, skiprows=lines_before)
-    except ValueError:  # includes UnicodeDecodeError
+    except ValueError:  # includes UnicodeDecodeError and ParseError
         return None
     if not np.isfinite(matrix).all():
         return None

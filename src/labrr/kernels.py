@@ -14,7 +14,8 @@ of a single bandwidth vector shared by every column.
 Kernel matrices come in two forms.  ``lab_matrix`` is the reference: it
 evaluates every entry from explicit differences, and fitting uses it.
 ``_expanded_lab_matrix`` gets the same entries, to rounding, from one matrix
-product, and prediction and the SGD step use it.
+product, and prediction uses it.  The SGD step builds the same product with
+``_expanded_kernel`` from quadratic features it computes once per round.
 """
 
 from __future__ import annotations
@@ -151,6 +152,24 @@ def _quadratic_features(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
     return np.hstack([p * p, p, np.ones((p.shape[0], 1))])
 
 
+def _neg_coef(centered: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
+    """Rows ``[-th_sq, 2 c th_sq, -sum_m c**2 th_sq]`` of centered columns ``c``:
+    the right factor of every expanded squared distance, negated."""
+    c = centered
+    return np.hstack([-th_sq, 2.0 * c * th_sq, -(c * c * th_sq).sum(axis=1, keepdims=True)])
+
+
+def _expanded_kernel(features: np.ndarray, neg_coef: np.ndarray, out=None) -> np.ndarray:
+    """``exp(features @ neg_coef.T)`` with exponents clamped to ``[-700, 0]``,
+    written into ``out`` when given."""
+    neg_dist = np.matmul(features, neg_coef.T, out=out)
+    # Below about -708 ``exp`` returns subnormals or zero, and both take slow
+    # paths: in ``exp`` itself and in every BLAS call that reads the kernel.
+    # An entry of exp(-700) ~ 1e-304 is as negligible in any sum as a zero.
+    np.clip(neg_dist, -700.0, 0.0, out=neg_dist)
+    return np.exp(neg_dist, out=neg_dist)
+
+
 def _expanded_lab_matrix(rows: np.ndarray, cols: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
     """``lab_matrix(rows, cols, sqrt(th_sq))`` as one matrix product, on
     validated arrays, with every entry in ``[exp(-700), 1]``.
@@ -160,14 +179,7 @@ def _expanded_lab_matrix(rows: np.ndarray, cols: np.ndarray, th_sq: np.ndarray) 
     Agrees with the difference form to rounding, not bit for bit.
     """
     origin = cols.mean(axis=0)
-    c = cols - origin
-    neg_coef = np.hstack([-th_sq, 2.0 * c * th_sq, -(c * c * th_sq).sum(axis=1, keepdims=True)])
-    neg_dist = _quadratic_features(rows, origin) @ neg_coef.T
-    # Below about -708 ``exp`` returns subnormals or zero, and both take slow
-    # paths: in ``exp`` itself and in every BLAS call that reads the kernel.
-    # An entry of exp(-700) ~ 1e-304 is as negligible in any sum as a zero.
-    np.clip(neg_dist, -700.0, 0.0, out=neg_dist)
-    return np.exp(neg_dist, out=neg_dist)
+    return _expanded_kernel(_quadratic_features(rows, origin), _neg_coef(cols - origin, th_sq))
 
 
 def rbf_matrix(x1, x2, sigma) -> np.ndarray:

@@ -4,14 +4,16 @@ Everything operates on plain float64 numpy arrays, validated on entry to be
 finite and correctly shaped.  :class:`FactorizedMatrix` is the only code that
 adds the diagonal jitter and factors: a partial-pivot LU, because the Gram
 matrices built elsewhere in this package are asymmetric, so symmetric
-factorizations (Cholesky) are not an option.  A collapsed pivot raises
-:class:`SingularSystem` instead of letting garbage propagate into the fit.
+factorizations (Cholesky) are not an option.  It calls LAPACK's ``dgetrf``,
+``dgetrs`` and ``dlange`` directly, and can factor a caller's work buffer in
+place (``overwrite_a``).  A collapsed pivot raises :class:`SingularSystem`
+instead of letting garbage propagate into the fit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 
 __all__ = [
     "DimensionMismatch",
@@ -67,12 +69,14 @@ class FactorizedMatrix:
     """Partial-pivot LU factorization of ``A + jitter * I``, reusable for
     solves against it and its transpose.
 
-    This is the one place that adds a jitter and factors.  It takes one
-    private copy of ``A`` with the jitter added to its diagonal and factors
-    that copy in place, so the caller's array is never changed.  Factoring
-    once and solving twice is the workhorse pattern of the bandwidth
-    gradient, which needs both ``A x = b`` and ``A^T u = v`` for every
-    mini-batch.
+    This is the one place that adds a jitter and factors.  By default it
+    takes one private Fortran-order copy of ``A``, adds the jitter to its
+    diagonal and factors that copy in place, so the caller's array is never
+    changed.  With ``overwrite_a=True``, as in scipy, a writeable
+    Fortran-order float64 ``A`` is itself jittered and factored in place
+    (it then holds the LU); any other ``A`` is still copied.  Factoring once
+    and solving twice is the workhorse pattern of the bandwidth gradient,
+    which needs both ``A x = b`` and ``A^T u = v`` for every mini-batch.
 
     Raises
     ------
@@ -82,10 +86,11 @@ class FactorizedMatrix:
         If ``A`` is not square and non-empty.
     SingularSystem
         If a pivot falls below ``PIVOT_RTOL`` times the largest absolute row
-        sum of ``A + jitter * I``.
+        sum of ``A + jitter * I`` (LAPACK ``dlange('I')``, taken before the
+        factorization overwrites it).
     """
 
-    def __init__(self, a, jitter: float = 0.0) -> None:
+    def __init__(self, a, jitter: float = 0.0, overwrite_a: bool = False) -> None:
         a = as_matrix(a, "a")
         if not (0.0 <= jitter < np.inf):
             raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
@@ -94,11 +99,14 @@ class FactorizedMatrix:
             raise DimensionMismatch(f"matrix must be square, got {n}x{m}")
         if n == 0:
             raise DimensionMismatch("matrix must be non-empty")
-        # Fortran order lets LAPACK factor the copy itself rather than another.
-        work = np.array(a, order="F")
+        # Fortran order lets LAPACK factor the array itself rather than a copy.
+        if overwrite_a and a.flags.f_contiguous and a.flags.writeable:
+            work = a
+        else:
+            work = np.array(a, order="F")
         work.flat[:: n + 1] += jitter
-        scale = float(np.abs(work).sum(axis=1).max())
-        lu, piv = lu_factor(work, overwrite_a=True, check_finite=False)
+        scale = dlange("I", work)
+        lu, piv, _ = dgetrf(work, overwrite_a=True)
         pivots = np.abs(np.diagonal(lu))
         if scale == 0.0 or bool((pivots < PIVOT_RTOL * scale).any()):
             raise SingularSystem(
@@ -115,7 +123,9 @@ class FactorizedMatrix:
             raise DimensionMismatch(
                 f"right-hand side has length {b.shape[0]}, expected {self.shape[0]}"
             )
-        return lu_solve(self._lu_piv, b, trans=1 if transpose else 0, check_finite=False)
+        lu, piv = self._lu_piv
+        x, _ = dgetrs(lu, piv, b, trans=1 if transpose else 0)
+        return x
 
 
 def solve_regularized(a, b, jitter: float = 0.0) -> np.ndarray:

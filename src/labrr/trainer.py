@@ -26,7 +26,8 @@ from .data import Dataset, InsufficientData
 # ``trainer.lab_matrix`` by name, so the name must stay importable.
 from .kernels import (  # noqa: F401
     BandwidthSet,
-    _expanded_lab_matrix,
+    _expanded_kernel,
+    _neg_coef,
     _quadratic_features,
     lab_matrix,
 )
@@ -36,6 +37,7 @@ from .ridgeless import DEFAULT_JITTER, LabModel, fit_lab, predict
 __all__ = [
     "SELECTION_STRATEGIES",
     "RoundRecord",
+    "SupportSystem",
     "TrainConfig",
     "TrainTrace",
     "batch_loss_and_grad",
@@ -250,27 +252,49 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 # The gradient
 
 
+class SupportSystem:
+    """The support set of one SGD round, validated and featurized once.
+
+    Within a round the support points, their labels and the jitter are fixed
+    and only the bandwidths move, so everything that depends on the points
+    alone is computed here: the support mean (the expanded form's origin),
+    the centered points and their quadratic features.  The system also owns
+    the two ``(n, n)`` buffers every step fills: a C-order Gram and a
+    Fortran-order LU work copy that :class:`FactorizedMatrix` factors in
+    place.  One system serves one round; a step overwrites both buffers.
+    """
+
+    def __init__(self, support_x, support_y, jitter: float) -> None:
+        x = as_matrix(support_x, "support_x")
+        self.y = as_vector(support_y, "support_y")
+        self.jitter = jitter
+        self.origin = x.mean(axis=0)
+        self.centered = x - self.origin
+        self.features = _quadratic_features(x, self.origin)
+        n = x.shape[0]
+        self.gram = np.empty((n, n))
+        self.lu_work = np.empty((n, n), order="F")
+
+
 def _weighted_sq_dist(
-    v: np.ndarray, kernel: np.ndarray, rows: np.ndarray, cols: np.ndarray
+    v: np.ndarray, kernel: np.ndarray, features: np.ndarray, centered: np.ndarray
 ) -> np.ndarray:
     """``sum_i v[i] * kernel[i, j] * (rows[i, m] - cols[j, m])**2`` for every ``(j, m)``.
 
-    With ``w = v[:, None] * kernel`` and centered points this is ``w.T @ r**2
-    - 2 c * (w.T @ r) + c**2 * colsum(w)``, taken as one product with
-    ``kernel.T`` so that ``w`` is never formed.
+    ``features`` are the rows' quadratic features and ``centered`` the
+    columns, both about the same origin.  With ``w = v[:, None] * kernel``
+    this is ``w.T @ r**2 - 2 c * (w.T @ r) + c**2 * colsum(w)``, taken as one
+    product with ``kernel.T`` so that ``w`` is never formed.
     """
-    origin = cols.mean(axis=0)
-    c = cols - origin
+    c = centered
     d = c.shape[1]
-    sums = kernel.T @ (v[:, None] * _quadratic_features(rows, origin))
+    sums = kernel.T @ (v[:, None] * features)
     return sums[:, :d] - 2.0 * c * sums[:, d:2 * d] + c * c * sums[:, 2 * d:]
 
 
 def batch_loss_and_grad(
-    support_x,
-    support_y,
+    system: SupportSystem,
     theta: BandwidthSet,
-    jitter: float,
     batch_x,
     batch_y,
 ) -> tuple[float, np.ndarray]:
@@ -286,40 +310,42 @@ def batch_loss_and_grad(
     The kernels and the gradient's weighted distances use the expanded
     (matrix-product) form, so they match ``lab_matrix`` and the difference
     form to rounding, with kernel entries below ``exp(-700)`` read as
-    ``exp(-700)``; the Gram diagonal is exactly 1.
+    ``exp(-700)``; the Gram diagonal is exactly 1.  The Gram and its LU are
+    written into ``system``'s buffers.
 
     Returns
     -------
     (float, numpy.ndarray)
         The scalar loss and a gradient with one row per support point.
     """
-    sx = as_matrix(support_x, "support_x")
-    sy = as_vector(support_y, "support_y")
     bx = as_matrix(batch_x, "batch_x")
     by = as_vector(batch_y, "batch_y")
     if not isinstance(theta, BandwidthSet):
         theta = BandwidthSet(theta)
     th = theta.values
-    if bx.shape[1] != th.shape[1] or sx.shape != th.shape:
+    c = system.centered
+    if bx.shape[1] != th.shape[1] or c.shape != th.shape:
         raise DimensionMismatch(
-            f"support {sx.shape}, batch {bx.shape} and bandwidths {th.shape} disagree"
+            f"support {c.shape}, batch {bx.shape} and bandwidths {th.shape} disagree"
         )
-    th_sq = th * th
+    neg_coef = _neg_coef(c, th * th)
 
-    gram = _expanded_lab_matrix(sx, sx, th_sq)
+    gram = _expanded_kernel(system.features, neg_coef, out=system.gram)
     np.fill_diagonal(gram, 1.0)
-    solver = FactorizedMatrix(gram, jitter)
-    alpha = solver.solve(sy)
+    np.copyto(system.lu_work, gram)
+    solver = FactorizedMatrix(system.lu_work, system.jitter, overwrite_a=True)
+    alpha = solver.solve(system.y)
 
-    cross = _expanded_lab_matrix(bx, sx, th_sq)
+    batch_features = _quadratic_features(bx, system.origin)
+    cross = _expanded_kernel(batch_features, neg_coef)
     resid = cross @ alpha - by
     loss = float(resid @ resid)
 
     # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
     u = solver.solve(cross.T @ resid, transpose=True)
 
-    grad = _weighted_sq_dist(resid, cross, bx, sx)
-    grad -= _weighted_sq_dist(u, gram, sx, sx)
+    grad = _weighted_sq_dist(resid, cross, batch_features, c)
+    grad -= _weighted_sq_dist(u, gram, system.features, c)
     grad *= -4.0 * th * alpha[:, None]
     return loss, grad
 
@@ -335,11 +361,13 @@ def sgd_round(
 ) -> tuple[BandwidthSet, list[float]]:
     """One round of ``inner_steps`` SGD updates on the bandwidths.
 
-    Each step samples a fresh mini-batch uniformly without replacement from
-    the remainder (non-support) points, descends the exact gradient, and
-    clips into the bandwidth bounds.  Returns the updated bandwidths and the
-    per-step loss curve.  With ``inner_steps=0``, ``learning_rate=0``, or an
-    empty remainder the bandwidths come back unchanged.
+    The support is validated and featurized once, as one
+    :class:`SupportSystem`.  Each step samples a fresh mini-batch uniformly
+    without replacement from the remainder (non-support) points, descends
+    the exact gradient, and clips into the bandwidth bounds.  Returns the
+    updated bandwidths and the per-step loss curve.  With ``inner_steps=0``,
+    ``learning_rate=0``, or an empty remainder the bandwidths come back
+    unchanged.
     """
     remainder_x = as_matrix(remainder_x, "remainder_x")
     remainder_y = as_vector(remainder_y, "remainder_y")
@@ -348,13 +376,13 @@ def sgd_round(
     losses: list[float] = []
     if n_rem == 0:
         return BandwidthSet(th), losses
+    system = SupportSystem(support_x, support_y, config.jitter)
     velocity = np.zeros_like(th) if config.momentum > 0.0 else None
     batch = min(config.batch_size, n_rem)
     for _ in range(config.inner_steps):
         picks = rng.choice(n_rem, size=batch, replace=False)
         loss, grad = batch_loss_and_grad(
-            support_x, support_y, BandwidthSet(th), config.jitter,
-            remainder_x[picks], remainder_y[picks],
+            system, BandwidthSet(th), remainder_x[picks], remainder_y[picks]
         )
         losses.append(loss)
         if velocity is not None:

@@ -29,7 +29,7 @@ from labrr.ridgeless import (
     predict_f2,
     save_model,
 )
-from labrr.trainer import TrainConfig, batch_loss_and_grad, train
+from labrr.trainer import SupportSystem, TrainConfig, batch_loss_and_grad, train
 
 # ---------------------------------------------------------------------------
 # Frozen benchmark configurations
@@ -97,15 +97,16 @@ def test_criterion_01_gradient_matches_finite_differences():
         bx = rng.uniform(-1.0, 1.0, size=(4, 3))
         by = rng.normal(size=4)
         th = rng.uniform(0.1, 5.0, size=(5, 3))
-        _, grad = batch_loss_and_grad(sx, sy, BandwidthSet(th), DEFAULT_JITTER, bx, by)
+        system = SupportSystem(sx, sy, DEFAULT_JITTER)
+        _, grad = batch_loss_and_grad(system, BandwidthSet(th), bx, by)
         fd = np.empty_like(grad)
         for j in range(5):
             for m in range(3):
                 bumped = th.copy()
                 bumped[j, m] = th[j, m] + step
-                up, _ = batch_loss_and_grad(sx, sy, BandwidthSet(bumped), DEFAULT_JITTER, bx, by)
+                up, _ = batch_loss_and_grad(system, BandwidthSet(bumped), bx, by)
                 bumped[j, m] = th[j, m] - step
-                down, _ = batch_loss_and_grad(sx, sy, BandwidthSet(bumped), DEFAULT_JITTER, bx, by)
+                down, _ = batch_loss_and_grad(system, BandwidthSet(bumped), bx, by)
                 fd[j, m] = (up - down) / (2.0 * step)
         rel = float(np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-30))
         worst = max(worst, rel)

@@ -562,6 +562,8 @@ _BAD_INPUTS = {
     "non-ascii-digit-predict": (lambda t, d, m: _predict(
         m, _file(t, "digits.csv", "0.1,\u0662\n".encode("utf-8"))), 3),
     "empty-csv-predict": (lambda t, d, m: _predict(m, _file(t, "empty.csv", "")), 3),
+    # A cell past the csv module's 131072-character field limit.
+    "oversized-cell-predict": (lambda t, d, m: _predict(m, _file(t, "big.csv", "1" * 200_000 + ",0.2\n")), 3),
     "header-only-csv-predict": (lambda t, d, m: _predict(m, _file(t, "head.csv", "x1,x2\n\n")), 3),
     "overflowing-test-csv": (lambda t, d, m: [
         "benchmark", "--data", d, "--test-csv", _file(t, "huge.csv", "x1,x2,y\n1e308,0.2,0.3\n"),

@@ -232,6 +232,19 @@ def test_csv_first_row_with_any_number_is_data(tmp_path):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("record", [1, 3])
+def test_csv_cell_past_the_field_limit_is_a_parse_error(tmp_path, record):
+    lines = ["x,y", "1.0,2.0", "3.0,4.0"]
+    lines[record - 1] = "1" * 200_000 + ",2.0"
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert _read_fast(path) is None
+    with pytest.raises(ParseError) as err:
+        load_matrix_csv(path)
+    assert (err.value.row, err.value.col) == (record, None)
+    assert f"big.csv: row {record}: unreadable CSV record: field larger than field limit" in str(err.value)
+
+
 def test_csv_non_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("x,y\n1.0,2.0\n3.0,caf\u00e9\n".encode("latin-1"))
