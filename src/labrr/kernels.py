@@ -12,10 +12,10 @@ therefore generally asymmetric.  The classic RBF matrix is the special case
 of a single bandwidth vector shared by every column.
 
 Kernel matrices come in two forms.  ``lab_matrix`` is the reference: it
-evaluates every entry from explicit differences, and fitting uses it.
-``_expanded_lab_matrix`` gets the same entries, to rounding, from one matrix
-product, and prediction uses it.  The SGD step builds the same product with
-``_expanded_kernel`` from quadratic features it computes once per round.
+evaluates every entry from explicit differences; ``rbf_matrix`` and the tests
+use it.  Training, fitting and prediction use only the expanded form, the
+same entries to rounding from one product of ``_quadratic_features`` and
+``_neg_coef``, and take every support Gram from ``ridgeless.SupportSystem``.
 """
 
 from __future__ import annotations
@@ -154,7 +154,9 @@ def _quadratic_features(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
 
 def _neg_coef(centered: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
     """Rows ``[-th_sq, 2 c th_sq, -sum_m c**2 th_sq]`` of centered columns ``c``:
-    the right factor of every expanded squared distance, negated."""
+    the right factor of every expanded squared distance ``sum_m th_sq[j, m] *
+    (r[i, m] - c[j, m])**2 = (r**2) @ th_sq.T - 2 r @ (c * th_sq).T + sum_m
+    c**2 * th_sq``, negated.  Agrees with the difference form to rounding."""
     c = centered
     return np.hstack([-th_sq, 2.0 * c * th_sq, -(c * c * th_sq).sum(axis=1, keepdims=True)])
 
@@ -168,18 +170,6 @@ def _expanded_kernel(features: np.ndarray, neg_coef: np.ndarray, out=None) -> np
     # An entry of exp(-700) ~ 1e-304 is as negligible in any sum as a zero.
     np.clip(neg_dist, -700.0, 0.0, out=neg_dist)
     return np.exp(neg_dist, out=neg_dist)
-
-
-def _expanded_lab_matrix(rows: np.ndarray, cols: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
-    """``lab_matrix(rows, cols, sqrt(th_sq))`` as one matrix product, on
-    validated arrays, with every entry in ``[exp(-700), 1]``.
-
-    On points centered on the column mean, ``sum_m th_sq[j, m] * (r[i, m] -
-    c[j, m])**2 = (r**2) @ th_sq.T - 2 r @ (c * th_sq).T + sum_m c**2 * th_sq``.
-    Agrees with the difference form to rounding, not bit for bit.
-    """
-    origin = cols.mean(axis=0)
-    return _expanded_kernel(_quadratic_features(rows, origin), _neg_coef(cols - origin, th_sq))
 
 
 def rbf_matrix(x1, x2, sigma) -> np.ndarray:

@@ -16,13 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NormMeta, ParseError
-from .kernels import BandwidthSet, _expanded_lab_matrix, lab_matrix
+from .kernels import BandwidthSet, _expanded_kernel, _neg_coef, _quadratic_features
+# ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
+# ``ridgeless.lab_matrix`` by name, so the name must stay importable.
+from .kernels import lab_matrix  # noqa: F401
 from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_vector, solve_regularized
 
 __all__ = [
     "DEFAULT_JITTER",
     "AsymDualSolution",
     "LabModel",
+    "SupportSystem",
     "fit_asym_duals",
     "fit_lab",
     "load_model",
@@ -72,6 +76,8 @@ class LabModel:
     def __post_init__(self) -> None:
         self.support_x = as_matrix(self.support_x, "support_x")
         self.alpha = as_vector(self.alpha, "alpha")
+        if 0 in self.support_x.shape:
+            raise DimensionMismatch(f"support_x must be non-empty, got {self.support_x.shape}")
         if not isinstance(self.theta, BandwidthSet):
             self.theta = BandwidthSet(self.theta)
         if self.theta.values.shape != self.support_x.shape:
@@ -95,6 +101,42 @@ class LabModel:
         return self.support_x.shape[1]
 
 
+class SupportSystem:
+    """The one builder of a support Gram, for the fit and every SGD step.
+
+    Validates the support once and holds its mean (the expanded form's
+    origin), the centered points, their quadratic features, the C-order Gram
+    buffer that :meth:`build_gram` overwrites and a Fortran-order LU buffer
+    the SGD step factors in place; one system serves a whole SGD round.
+    """
+
+    def __init__(self, support_x, support_y, jitter: float) -> None:
+        x = as_matrix(support_x, "support_x")
+        self.y = as_vector(support_y, "support_y")
+        if 0 in x.shape:
+            raise DimensionMismatch(f"support_x must be non-empty, got {x.shape}")
+        n = x.shape[0]
+        if self.y.shape[0] != n:
+            raise DimensionMismatch(f"{self.y.shape[0]} labels for {n} support points")
+        self.jitter = jitter
+        self.origin = x.mean(axis=0)
+        self.centered = x - self.origin
+        self.features = _quadratic_features(x, self.origin)
+        self.gram = np.empty((n, n))
+        self.lu_work = np.empty((n, n), order="F")
+
+    def build_gram(self, th: np.ndarray) -> np.ndarray:
+        """Write ``lab_matrix(x, x, th)``, to rounding, floored at ``exp(-700)``
+        and with an exact unit diagonal, into ``self.gram``; return the right
+        factor of any cross-kernel against this support under ``th``."""
+        if th.shape != self.centered.shape:
+            raise DimensionMismatch(f"bandwidths {th.shape}, support {self.centered.shape}")
+        neg_coef = _neg_coef(self.centered, th * th)
+        _expanded_kernel(self.features, neg_coef, out=self.gram)
+        np.fill_diagonal(self.gram, 1.0)
+        return neg_coef
+
+
 def fit_lab(
     support_x,
     support_y,
@@ -106,23 +148,23 @@ def fit_lab(
 
     ``alpha`` solves ``(K + jitter*I) alpha = y`` where ``K`` is the
     (generally asymmetric) Gram matrix of the support points under their own
-    bandwidths.  With ``jitter=0`` and a nonsingular ``K`` the model
-    interpolates the support labels exactly.
+    bandwidths, built by :class:`SupportSystem` as in the SGD step, which
+    solves for this ``alpha`` bit for bit.  With ``jitter=0`` and a
+    nonsingular ``K`` the model interpolates the support labels exactly.
 
     Raises
     ------
+    DimensionMismatch
+        If the support set is empty or the labels or bandwidths do not fit it.
     SingularSystem
         Propagated from the solve; signals duplicate support points or a
         degenerate bandwidth set.
     """
-    support_x = as_matrix(support_x, "support_x")
-    support_y = as_vector(support_y, "support_y")
-    if support_y.shape[0] != support_x.shape[0]:
-        raise DimensionMismatch(
-            f"{support_y.shape[0]} labels for {support_x.shape[0]} support points"
-        )
-    gram = lab_matrix(support_x, support_x, theta)
-    alpha = solve_regularized(gram, support_y, jitter)
+    system = SupportSystem(support_x, support_y, jitter)
+    if not isinstance(theta, BandwidthSet):
+        theta = BandwidthSet(theta)
+    system.build_gram(theta.values)
+    alpha = solve_regularized(system.gram, system.y, jitter)
     return LabModel(support_x, theta, alpha, jitter, norm_meta)
 
 
@@ -131,9 +173,9 @@ def predict(model: LabModel, t):
 
     Returns a float for a single point, a vector for a batch.  Operates in
     the model's own (normalized) input space.  The kernel is built in the
-    expanded form (see :func:`~labrr.kernels._expanded_lab_matrix`) one block
-    of rows at a time, so the full points-by-support matrix is never formed;
-    predictions match ``lab_matrix(t, support_x, theta) @ alpha`` to rounding.
+    expanded form of :class:`SupportSystem` one block of rows at a time, so
+    the full points-by-support matrix is never formed; predictions match
+    ``lab_matrix(t, support_x, theta) @ alpha`` to rounding.
     """
     arr = np.asarray(t, dtype=np.float64)
     single = arr.ndim == 1
@@ -142,12 +184,15 @@ def predict(model: LabModel, t):
         raise DimensionMismatch(
             f"points have dim {points.shape[1]}, model has dim {model.dim}"
         )
-    th_sq = model.theta.values ** 2
-    block = max(1, _PREDICT_BLOCK_ENTRIES // max(model.n_support, 1))
+    origin = model.support_x.mean(axis=0)
+    neg_coef = _neg_coef(model.support_x - origin, model.theta.values ** 2)
+    block = max(1, _PREDICT_BLOCK_ENTRIES // model.n_support)
     values = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], block):
-        rows = points[lo:lo + block]
-        values[lo:lo + block] = _expanded_lab_matrix(rows, model.support_x, th_sq) @ model.alpha
+        # Block arrays stay unnamed, so each is freed before the next is built.
+        values[lo:lo + block] = _expanded_kernel(
+            _quadratic_features(points[lo:lo + block], origin), neg_coef
+        ) @ model.alpha
     return float(values[0]) if single else values
 
 

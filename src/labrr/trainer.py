@@ -10,8 +10,8 @@ residual drops below the error budget ``B``:
 2. A growth step that promotes the ``k`` worst-predicted non-support points
    into the support set.
 
-Support only ever grows; all randomness flows from the config seed, so a
-fixed (dataset, config) pair reproduces the model bitwise.
+Support only ever grows.  All randomness flows from the config seed, so at a
+fixed BLAS thread count a (dataset, config) pair reproduces the model bitwise.
 """
 
 from __future__ import annotations
@@ -22,22 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, InsufficientData
+from .kernels import BandwidthSet, _expanded_kernel, _quadratic_features
 # ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
 # ``trainer.lab_matrix`` by name, so the name must stay importable.
-from .kernels import (  # noqa: F401
-    BandwidthSet,
-    _expanded_kernel,
-    _neg_coef,
-    _quadratic_features,
-    lab_matrix,
-)
+from .kernels import lab_matrix  # noqa: F401
 from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_vector
-from .ridgeless import DEFAULT_JITTER, LabModel, fit_lab, predict
+from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, fit_lab, predict
 
 __all__ = [
     "SELECTION_STRATEGIES",
     "RoundRecord",
-    "SupportSystem",
     "TrainConfig",
     "TrainTrace",
     "batch_loss_and_grad",
@@ -112,15 +106,15 @@ class TrainConfig:
             raise ValueError(f"error_budget must be positive, got {self.error_budget}")
         if self.grow_count < 1:
             raise ValueError(f"grow_count must be at least 1, got {self.grow_count}")
-        if not (self.learning_rate >= 0.0):
-            raise ValueError(f"learning_rate must be nonnegative, got {self.learning_rate}")
+        if not (0.0 <= self.learning_rate < np.inf):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.inner_steps < 0:
             raise ValueError(f"inner_steps must be nonnegative, got {self.inner_steps}")
         if self.initial_support < 1:
             raise ValueError(f"initial_support must be at least 1, got {self.initial_support}")
-        if not (0.0 < self.bandwidth_min <= self.bandwidth_max):
+        if not (0.0 < self.bandwidth_min <= self.bandwidth_max < np.inf):
             raise ValueError(
-                f"need 0 < bandwidth_min <= bandwidth_max, got "
+                f"need 0 < bandwidth_min <= bandwidth_max < inf, got "
                 f"[{self.bandwidth_min}, {self.bandwidth_max}]"
             )
         if not (self.bandwidth_min <= self.init_bandwidth <= self.bandwidth_max):
@@ -252,30 +246,6 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 # The gradient
 
 
-class SupportSystem:
-    """The support set of one SGD round, validated and featurized once.
-
-    Within a round the support points, their labels and the jitter are fixed
-    and only the bandwidths move, so everything that depends on the points
-    alone is computed here: the support mean (the expanded form's origin),
-    the centered points and their quadratic features.  The system also owns
-    the two ``(n, n)`` buffers every step fills: a C-order Gram and a
-    Fortran-order LU work copy that :class:`FactorizedMatrix` factors in
-    place.  One system serves one round; a step overwrites both buffers.
-    """
-
-    def __init__(self, support_x, support_y, jitter: float) -> None:
-        x = as_matrix(support_x, "support_x")
-        self.y = as_vector(support_y, "support_y")
-        self.jitter = jitter
-        self.origin = x.mean(axis=0)
-        self.centered = x - self.origin
-        self.features = _quadratic_features(x, self.origin)
-        n = x.shape[0]
-        self.gram = np.empty((n, n))
-        self.lu_work = np.empty((n, n), order="F")
-
-
 def _weighted_sq_dist(
     v: np.ndarray, kernel: np.ndarray, features: np.ndarray, centered: np.ndarray
 ) -> np.ndarray:
@@ -307,11 +277,11 @@ def batch_loss_and_grad(
     ``alpha`` on the support Gram matrix.  The latter is evaluated with one
     adjoint (transposed) solve instead of per-entry solves.
 
-    The kernels and the gradient's weighted distances use the expanded
-    (matrix-product) form, so they match ``lab_matrix`` and the difference
-    form to rounding, with kernel entries below ``exp(-700)`` read as
-    ``exp(-700)``; the Gram diagonal is exactly 1.  The Gram and its LU are
-    written into ``system``'s buffers.
+    The Gram comes from ``system.build_gram``, as in ``fit_lab``, and the
+    cross-kernel and the weighted distances use the same expanded form: they
+    match ``lab_matrix`` and the difference form to rounding, with kernel
+    entries below ``exp(-700)`` read as ``exp(-700)``.  The Gram and its LU
+    are written into ``system``'s buffers.
 
     Returns
     -------
@@ -324,15 +294,10 @@ def batch_loss_and_grad(
         theta = BandwidthSet(theta)
     th = theta.values
     c = system.centered
-    if bx.shape[1] != th.shape[1] or c.shape != th.shape:
-        raise DimensionMismatch(
-            f"support {c.shape}, batch {bx.shape} and bandwidths {th.shape} disagree"
-        )
-    neg_coef = _neg_coef(c, th * th)
-
-    gram = _expanded_kernel(system.features, neg_coef, out=system.gram)
-    np.fill_diagonal(gram, 1.0)
-    np.copyto(system.lu_work, gram)
+    if bx.shape[1] != c.shape[1]:
+        raise DimensionMismatch(f"batch {bx.shape} and support {c.shape} disagree in dim")
+    neg_coef = system.build_gram(th)
+    np.copyto(system.lu_work, system.gram)
     solver = FactorizedMatrix(system.lu_work, system.jitter, overwrite_a=True)
     alpha = solver.solve(system.y)
 
@@ -345,7 +310,7 @@ def batch_loss_and_grad(
     u = solver.solve(cross.T @ resid, transpose=True)
 
     grad = _weighted_sq_dist(resid, cross, batch_features, c)
-    grad -= _weighted_sq_dist(u, gram, system.features, c)
+    grad -= _weighted_sq_dist(u, system.gram, system.features, c)
     grad *= -4.0 * th * alpha[:, None]
     return loss, grad
 

@@ -22,6 +22,7 @@ from labrr.metrics import r_squared, sparsity_r0
 from labrr.numerics import solve_regularized
 from labrr.ridgeless import (
     DEFAULT_JITTER,
+    SupportSystem,
     fit_asym_duals,
     fit_lab,
     predict,
@@ -29,7 +30,7 @@ from labrr.ridgeless import (
     predict_f2,
     save_model,
 )
-from labrr.trainer import SupportSystem, TrainConfig, batch_loss_and_grad, train
+from labrr.trainer import TrainConfig, batch_loss_and_grad, train
 
 # ---------------------------------------------------------------------------
 # Frozen benchmark configurations

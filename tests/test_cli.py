@@ -531,6 +531,8 @@ _BAD_INPUTS = {
         _edited_model(t, m, lambda doc: doc.update(jitter=True)), d), 3),
     "model-with-boolean-dim": (lambda t, d, m: _predict(
         _one_dim_model(t, dim=True), _file(t, "x.csv", "0.5\n")), 3),
+    "model-without-features": (lambda t, d, m: _predict(
+        _one_dim_model(t, dim=0, support_x=[[]], bandwidths=[[]]), _file(t, "x.csv", "0.5\n")), 3),
     "non-json-model": (lambda t, d, m: _predict(_file(t, "broken.json", "not a model {"), d), 3),
     "non-utf8-csv": (lambda t, d, m: _train(_file(t, "latin1.csv", b"x1,x2,y\n0.1,0.2,caf\xe9\n"), t), 3),
     "typo-in-first-row": (lambda t, d, m: _train(
@@ -553,6 +555,8 @@ _BAD_INPUTS = {
         "--config", _file(t, "cfg.json", '{"trials": "3"}')], 2),
     "config-not-json": (lambda t, d, m: _train(d, t, "--config", _file(t, "cfg.json", "{oops")), 2),
     "infinite-jitter-train": (lambda t, d, m: _train(d, t, "--jitter", "inf"), 2),
+    "infinite-bandwidths-train": (lambda t, d, m: _train(d, t, "--sigma0", "inf", "--theta-max", "inf"), 2),
+    "infinite-learning-rate-train": (lambda t, d, m: _train(d, t, "--eta", "inf"), 2),
     "config-seed-benchmark": (lambda t, d, m: [
         "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
         "--config", _file(t, "cfg.json", '{"seed": 99}')], 2),

@@ -10,12 +10,12 @@ from hypothesis.extra.numpy import arrays
 
 from labrr.kernels import (
     BandwidthSet,
-    _expanded_lab_matrix,
     lab_entry,
     lab_matrix,
     rbf_matrix,
 )
 from labrr.numerics import DimensionMismatch
+from labrr.ridgeless import LabModel, SupportSystem, predict
 
 
 def test_entry_unit_bandwidth_unit_distance():
@@ -184,6 +184,14 @@ def test_lab_matrix_entries_in_unit_interval_and_one_at_coincident_points(inputs
         assert k[i, j] == 1.0
 
 
+def _assert_floored_kernel(k, reference):
+    floor = np.exp(-700.0)
+    assert bool(((k >= floor) & (k <= 1.0)).all())
+    assert k.min() >= np.finfo(float).tiny
+    # Above the floor the entries are the kernel's own values.
+    assert np.abs(k - np.maximum(reference, floor)).max() <= 1e-12
+
+
 def test_expanded_kernel_has_no_subnormal_or_zero_entries():
     # Exponents from 0 down to -1e4: exp underflows to subnormals near -708
     # and to 0 near -745, and both are slow in exp and in BLAS.
@@ -193,11 +201,18 @@ def test_expanded_kernel_has_no_subnormal_or_zero_entries():
     th_sq = rng.uniform(0.2, 1.0, size=(5, 3))
     exponents = -(((rows[:, None, :] - cols[None, :, :]) ** 2) * th_sq[None, :, :]).sum(axis=2)
     assert exponents.max() > -1.0 and exponents.min() < -1e3
+    # ``predict``'s kernel, one column per unit coefficient vector (a product
+    # with a unit vector is exact).
+    theta = np.sqrt(th_sq)
+    k = np.column_stack([predict(LabModel(cols, theta, e), rows) for e in np.eye(len(cols))])
+    _assert_floored_kernel(k, lab_matrix(rows, cols, theta))
 
-    k = _expanded_lab_matrix(rows, cols, th_sq)
-    floor = np.exp(-700.0)
-    assert bool(((k >= floor) & (k <= 1.0)).all())
-    assert k.min() >= np.finfo(float).tiny
-    # Above the floor the entries are the kernel's own values.
-    reference = np.maximum(lab_matrix(rows, cols, np.sqrt(th_sq)), floor)
-    assert np.abs(k - reference).max() <= 1e-12
+    # The support Gram: every 40th probe row as a support point spans the
+    # same exponents, from 0 on the diagonal down to about -1e4.
+    support = rows[::40]
+    theta = np.sqrt(rng.uniform(0.2, 1.0, size=support.shape))
+    system = SupportSystem(support, np.zeros(len(support)), 0.0)
+    system.build_gram(theta)
+    reference = lab_matrix(support, support, theta)
+    assert reference.min() == 0.0
+    _assert_floored_kernel(system.gram, reference)

@@ -142,9 +142,22 @@ def test_duplicate_support_points_raise_without_jitter():
         fit_lab([[1.0], [1.0]], [0.0, 1.0], [[1.0], [1.0]], jitter=0.0)
 
 
+@pytest.mark.filterwarnings("error")
 def test_fit_lab_validates_shapes():
+    for x, y, theta in [
+        ([[0.0], [1.0]], [1.0], [[1.0], [1.0]]),  # one label for two points
+        (np.empty((0, 2)), np.empty(0), np.empty((0, 2))),  # no support points
+        ([[0.0], [1.0]], [1.0, 2.0], [[1.0]]),  # one bandwidth row for two points
+        ([[0.0], [1.0]], [1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]]),  # bandwidth dim 2
+    ]:
+        with pytest.raises(DimensionMismatch):
+            fit_lab(x, y, theta)
+
+
+@pytest.mark.parametrize("shape", [(1, 0), (0, 2)], ids=["no-features", "no-points"])
+def test_model_needs_support_points_and_features(shape):
     with pytest.raises(DimensionMismatch):
-        fit_lab([[0.0], [1.0]], [1.0], [[1.0], [1.0]])
+        LabModel(np.empty(shape), np.ones(shape), np.zeros(shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +307,19 @@ def test_load_rejects_malformed_document(tmp_path, mutate):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ParseError, match="bad.json"):
+        load_model(path)
+
+
+def test_load_rejects_a_model_without_features(tmp_path):
+    # Without features every kernel entry is 1, so such a model would predict
+    # the sum of its coefficients everywhere.
+    doc = model_to_dict(LabModel([[0.0]], BandwidthSet([[1.0]]), [1.0]))
+    doc.update(dim=0, support_x=[[]], bandwidths=[[]])
+    with pytest.raises(ValueError):
+        model_from_dict(doc)
+    path = tmp_path / "featureless.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="featureless.json"):
         load_model(path)
 
 

@@ -8,12 +8,12 @@ from hypothesis.extra.numpy import arrays
 
 from labrr import trainer
 from labrr.data import Dataset, InsufficientData, SplitSpec, normalize, split, synth
-from labrr.kernels import BandwidthSet, _expanded_lab_matrix, lab_matrix
+from labrr.kernels import BandwidthSet, lab_matrix
 from labrr.metrics import sparsity_r0
 from labrr.numerics import DimensionMismatch, FactorizedMatrix
+from labrr.ridgeless import LabModel, SupportSystem, fit_lab, predict
 from labrr.trainer import (
     SELECTION_STRATEGIES,
-    SupportSystem,
     TrainConfig,
     batch_loss_and_grad,
     grow_support,
@@ -124,8 +124,13 @@ def _offset_kernel_inputs(draw):
 @given(inputs=_offset_kernel_inputs())
 def test_expanded_kernel_matches_lab_matrix(inputs):
     rows, cols, theta = inputs
-    expanded = _expanded_lab_matrix(rows, cols, theta * theta)
+    # ``predict``'s kernel, one column per unit coefficient vector (a product
+    # with a unit vector is exact).
+    expanded = np.column_stack([predict(LabModel(cols, theta, e), rows) for e in np.eye(len(cols))])
     assert np.abs(expanded - lab_matrix(rows, cols, theta)).max() <= 1e-12
+    system = SupportSystem(cols, np.zeros(len(cols)), 0.0)
+    system.build_gram(theta)
+    assert np.abs(system.gram - lab_matrix(cols, cols, theta)).max() <= 1e-12
 
 
 def test_sgd_step_gram_has_exact_unit_diagonal(monkeypatch):
@@ -176,6 +181,31 @@ def test_reused_support_system_matches_a_fresh_one_bit_for_bit(run):
         fresh_loss, fresh_grad = batch_loss_and_grad(SupportSystem(sx, sy, jitter), theta, bx, by)
         assert loss == fresh_loss
         assert np.array_equal(grad, fresh_grad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_support_system_runs())
+def test_fit_lab_solves_for_the_alpha_of_the_sgd_step(run):
+    # The fitted model is the interpolant the step differentiated: both build
+    # the Gram through ``SupportSystem`` and factor the same matrix.
+    sx, sy, jitter, steps = run
+    step_alphas = []
+
+    class Recording(FactorizedMatrix):
+        def solve(self, b, transpose=False):
+            x = super().solve(b, transpose)
+            if not transpose:
+                step_alphas.append(x)
+            return x
+
+    system = SupportSystem(sx, sy, jitter)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "FactorizedMatrix", Recording)
+        for theta, bx, by in steps:
+            batch_loss_and_grad(system, theta, bx, by)
+    assert len(step_alphas) == len(steps)
+    for (theta, _, _), alpha in zip(steps, step_alphas):
+        assert np.array_equal(fit_lab(sx, sy, theta, jitter).alpha, alpha)
 
 
 def test_sgd_round_builds_one_system_and_looks_up_the_step_by_name(monkeypatch):
@@ -555,6 +585,11 @@ def test_sgd_does_not_diverge_on_noisy_small_support_seed_9803_trial_5():
         {"momentum": 1.0},
         {"momentum": -0.1},
         {"jitter": float("inf")},
+        {"learning_rate": float("inf")},
+        {"bandwidth_max": float("inf")},
+        {"init_bandwidth": float("inf"), "bandwidth_max": float("inf")},
+        {"init_bandwidth": float("inf")},
+        {"init_bandwidth": float("nan")},
     ],
 )
 def test_train_config_validation(overrides):
