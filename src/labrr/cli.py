@@ -4,8 +4,8 @@ Exit codes: 0 success; 1 a singular training solve, or every benchmark trial
 failed; 2 a bad argument or config-file value, or inputs that do not fit
 together (too few samples, mismatched dimensions); 3 a file that cannot be
 read or written, a malformed data or model file, or data whose scaling to
-[-1, 1] overflows float64.  :func:`main` alone maps file, data and solver
-errors to codes, logging one line and never a traceback.
+[-1, 1], or a model's kernel, overflows float64.  :func:`main` alone maps
+file, data and solver errors to codes, logging one line and no traceback.
 ``LABRR_LOG`` (``quiet`` / ``info`` / ``debug``) controls stderr verbosity;
 results and summaries go to stdout or the requested output files.
 """

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_pair, as_vector
 
 __all__ = [
     "Dataset",
@@ -73,7 +73,8 @@ class InsufficientData(ValueError):
 
 
 class UnscalableData(ValueError):
-    """A column's range or values overflow float64 when scaled to [-1, 1]."""
+    """A column's range or values overflow float64 when scaled to [-1, 1], or
+    a model's bandwidths or support points overflow it in the kernel."""
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,7 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self) -> None:
-        self.x = as_matrix(self.x, "x")
-        self.y = as_vector(self.y, "y")
-        if self.x.shape[0] != self.y.shape[0]:
-            raise ValueError(
-                f"{self.x.shape[0]} feature rows but {self.y.shape[0]} labels"
-            )
+        self.x, self.y = as_pair(self.x, self.y, "x", "y")
 
     @property
     def n(self) -> int:
@@ -201,9 +197,9 @@ def _open_csv(path):
 def _read_strict(path) -> tuple[np.ndarray, int]:
     """Parse a numeric CSV cell by cell into a finite matrix.
 
-    Returns the matrix and the record number of the first data row.  Every
-    fault raises :class:`ParseError` naming its row and column, or
-    :class:`EmptyDataset`.
+    Returns the matrix and the record number of the first data row.  The
+    first fault in file order raises :class:`ParseError` naming its row and
+    column, or :class:`EmptyDataset`.
     """
 
     def parse_row(lineno: int, cells: list[str], expect: int) -> list[float]:
@@ -213,9 +209,12 @@ def _read_strict(path) -> tuple[np.ndarray, int]:
         values = []
         for j, cell in enumerate(cells):
             try:
-                values.append(_cell_value(cell))
+                value = _cell_value(cell)
             except ValueError:
                 raise ParseError(path, f"not a number: {cell.strip()!r}", lineno, j + 1) from None
+            if not math.isfinite(value):
+                raise ParseError(path, f"not a finite number: {cell.strip()!r}", lineno, j + 1)
+            values.append(value)
         return values
 
     try:
@@ -227,12 +226,8 @@ def _read_strict(path) -> tuple[np.ndarray, int]:
         raise EmptyDataset(f"{path}: no data rows")
 
     expect = len(lines[0][1])
-    matrix = np.asarray([parse_row(lineno, cells, expect) for lineno, cells in lines], dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(matrix))
-    if bad.size:
-        i, j = bad[0].tolist()
-        raise ParseError(path, f"not a finite number: {lines[i][1][j].strip()!r}", lines[i][0], j + 1)
-    return matrix, lines[0][0]
+    rows = [parse_row(lineno, cells, expect) for lineno, cells in lines]
+    return np.asarray(rows, dtype=np.float64), lines[0][0]
 
 
 def _read_fast(path) -> tuple[np.ndarray, int] | None:

@@ -20,6 +20,7 @@ __all__ = [
     "SingularSystem",
     "FactorizedMatrix",
     "as_matrix",
+    "as_pair",
     "as_vector",
     "solve_regularized",
 ]
@@ -63,6 +64,17 @@ def as_vector(values, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_pair(x, y, x_name: str, y_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``as_matrix(x)`` and ``as_vector(y)`` of points and their labels; the
+    one check that ``y`` holds one entry per row of ``x`` (else
+    :class:`DimensionMismatch`)."""
+    x = as_matrix(x, x_name)
+    y = as_vector(y, y_name)
+    if x.shape[0] != y.shape[0]:
+        raise DimensionMismatch(f"{y_name} has {y.shape[0]} entries for {x.shape[0]} rows of {x_name}")
+    return x, y
 
 
 class FactorizedMatrix:

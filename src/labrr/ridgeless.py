@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormMeta, ParseError
+from .data import NormMeta, ParseError, UnscalableData
 from .kernels import BandwidthSet, _expanded_kernel, _neg_coef, _quadratic_features
 # ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
 # ``ridgeless.lab_matrix`` by name, so the name must stay importable.
 from .kernels import lab_matrix  # noqa: F401
-from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_vector, solve_regularized
+from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_pair, as_vector, solve_regularized
 
 __all__ = [
     "DEFAULT_JITTER",
@@ -40,9 +40,9 @@ __all__ = [
 #: interpolating, large enough to keep near-singular Gram matrices solvable.
 DEFAULT_JITTER = 1e-5
 
-#: Kernel entries per row block of :func:`predict` (8 MB of float64): small
-#: enough to stay off the peak memory of a bulk predict, large enough that
-#: each block is one efficient matrix product.
+#: Entries per row block of :func:`predict` (8 MB of float64): small enough
+#: to stay off the peak memory of a bulk predict, large enough that each
+#: block is one efficient matrix product.
 _PREDICT_BLOCK_ENTRIES = 1 << 20
 
 _MODEL_FORMAT = "labrr.model"
@@ -74,8 +74,7 @@ class LabModel:
     norm_meta: NormMeta | None = None
 
     def __post_init__(self) -> None:
-        self.support_x = as_matrix(self.support_x, "support_x")
-        self.alpha = as_vector(self.alpha, "alpha")
+        self.support_x, self.alpha = as_pair(self.support_x, self.alpha, "support_x", "alpha")
         if 0 in self.support_x.shape:
             raise DimensionMismatch(f"support_x must be non-empty, got {self.support_x.shape}")
         if not isinstance(self.theta, BandwidthSet):
@@ -84,10 +83,6 @@ class LabModel:
             raise DimensionMismatch(
                 f"bandwidths shape {self.theta.values.shape} does not match "
                 f"support shape {self.support_x.shape}"
-            )
-        if self.alpha.shape[0] != self.support_x.shape[0]:
-            raise DimensionMismatch(
-                f"{self.alpha.shape[0]} coefficients for {self.support_x.shape[0]} support points"
             )
         if not (0.0 <= self.jitter < np.inf):
             raise ValueError(f"jitter must be finite and nonnegative, got {self.jitter}")
@@ -111,13 +106,10 @@ class SupportSystem:
     """
 
     def __init__(self, support_x, support_y, jitter: float) -> None:
-        x = as_matrix(support_x, "support_x")
-        self.y = as_vector(support_y, "support_y")
+        x, self.y = as_pair(support_x, support_y, "support_x", "support_y")
         if 0 in x.shape:
             raise DimensionMismatch(f"support_x must be non-empty, got {x.shape}")
         n = x.shape[0]
-        if self.y.shape[0] != n:
-            raise DimensionMismatch(f"{self.y.shape[0]} labels for {n} support points")
         self.jitter = jitter
         self.origin = x.mean(axis=0)
         self.centered = x - self.origin
@@ -184,9 +176,14 @@ def predict(model: LabModel, t):
         raise DimensionMismatch(
             f"points have dim {points.shape[1]}, model has dim {model.dim}"
         )
-    origin = model.support_x.mean(axis=0)
-    neg_coef = _neg_coef(model.support_x - origin, model.theta.values ** 2)
-    block = max(1, _PREDICT_BLOCK_ENTRIES // model.n_support)
+    with np.errstate(over="ignore", invalid="ignore"):
+        origin = model.support_x.mean(axis=0)
+        neg_coef = _neg_coef(model.support_x - origin, model.theta.values ** 2)
+    if not np.isfinite(neg_coef).all():
+        raise UnscalableData("model bandwidths or support points overflow float64 in the kernel")
+    # A row of a block holds a kernel row and the row's quadratic features,
+    # about 4 * dim + 1 entries with their temporaries; the larger one sets the size.
+    block = max(1, _PREDICT_BLOCK_ENTRIES // max(model.n_support, 4 * model.dim + 1))
     values = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], block):
         # Block arrays stay unnamed, so each is freed before the next is built.
@@ -215,15 +212,10 @@ class AsymDualSolution:
 
 def fit_asym_duals(gram, y, lam: float) -> AsymDualSolution:
     """Solve both dual systems of an asymmetric square kernel matrix."""
-    gram = as_matrix(gram, "gram")
-    if gram.shape[0] != gram.shape[1]:
-        raise DimensionMismatch(f"gram must be square, got {gram.shape}")
-    y = as_vector(y, "y")
-    if y.shape[0] != gram.shape[0]:
-        raise DimensionMismatch(f"{y.shape[0]} labels for {gram.shape[0]}x{gram.shape[1]} gram")
+    gram, y = as_pair(gram, y, "gram", "y")
     if not (lam > 0.0):
         raise ValueError(f"lam must be strictly positive, got {lam}")
-    solver = FactorizedMatrix(gram, lam)  # its transpose solve is (K^T + lam*I)
+    solver = FactorizedMatrix(gram, lam)  # checks squareness; transpose solve is (K^T + lam*I)
     alpha = lam * solver.solve(y)
     beta = lam * solver.solve(y, transpose=True)
     return AsymDualSolution(alpha=alpha, beta=beta, lam=lam)

@@ -26,7 +26,7 @@ from .kernels import BandwidthSet, _expanded_kernel, _quadratic_features
 # ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
 # ``trainer.lab_matrix`` by name, so the name must stay importable.
 from .kernels import lab_matrix  # noqa: F401
-from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_vector
+from .numerics import DimensionMismatch, FactorizedMatrix, as_pair, as_vector
 from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, fit_lab, predict
 
 __all__ = [
@@ -68,7 +68,9 @@ class TrainConfig:
     batch_size : int
         Mini-batch size (capped at the number of non-support points).
     bandwidth_min, bandwidth_max : float
-        Bandwidths are clipped into this interval after every step.
+        Bandwidths are clipped into this interval after every step.  At most
+        1e150, so that ``th**2`` and ``2 c th**2`` stay finite for the centered
+        coordinates ``|c| <= 2`` of normalized data.
     max_rounds : int
         Hard cap on outer rounds.
     max_support_ratio : float
@@ -82,7 +84,7 @@ class TrainConfig:
     jitter : float
         Diagonal regularization used in every interpolating solve.
     momentum : float
-        Optional heavy-ball coefficient; 0 (the default) is plain SGD.
+        Heavy-ball coefficient; 0 (the default) is plain SGD, bit for bit.
     """
 
     error_budget: float
@@ -112,9 +114,9 @@ class TrainConfig:
             raise ValueError(f"inner_steps must be nonnegative, got {self.inner_steps}")
         if self.initial_support < 1:
             raise ValueError(f"initial_support must be at least 1, got {self.initial_support}")
-        if not (0.0 < self.bandwidth_min <= self.bandwidth_max < np.inf):
+        if not (0.0 < self.bandwidth_min <= self.bandwidth_max <= 1e150):
             raise ValueError(
-                f"need 0 < bandwidth_min <= bandwidth_max < inf, got "
+                f"need 0 < bandwidth_min <= bandwidth_max <= 1e150, got "
                 f"[{self.bandwidth_min}, {self.bandwidth_max}]"
             )
         if not (self.bandwidth_min <= self.init_bandwidth <= self.bandwidth_max):
@@ -288,8 +290,7 @@ def batch_loss_and_grad(
     (float, numpy.ndarray)
         The scalar loss and a gradient with one row per support point.
     """
-    bx = as_matrix(batch_x, "batch_x")
-    by = as_vector(batch_y, "batch_y")
+    bx, by = as_pair(batch_x, batch_y, "batch_x", "batch_y")
     if not isinstance(theta, BandwidthSet):
         theta = BandwidthSet(theta)
     th = theta.values
@@ -334,15 +335,14 @@ def sgd_round(
     ``learning_rate=0``, or an empty remainder the bandwidths come back
     unchanged.
     """
-    remainder_x = as_matrix(remainder_x, "remainder_x")
-    remainder_y = as_vector(remainder_y, "remainder_y")
+    remainder_x, remainder_y = as_pair(remainder_x, remainder_y, "remainder_x", "remainder_y")
     n_rem = remainder_x.shape[0]
     th = theta.values.copy()
     losses: list[float] = []
     if n_rem == 0:
         return BandwidthSet(th), losses
     system = SupportSystem(support_x, support_y, config.jitter)
-    velocity = np.zeros_like(th) if config.momentum > 0.0 else None
+    velocity = np.zeros_like(th)
     batch = min(config.batch_size, n_rem)
     for _ in range(config.inner_steps):
         picks = rng.choice(n_rem, size=batch, replace=False)
@@ -350,12 +350,12 @@ def sgd_round(
             system, BandwidthSet(th), remainder_x[picks], remainder_y[picks]
         )
         losses.append(loss)
-        if velocity is not None:
-            velocity *= config.momentum
-            velocity -= config.learning_rate * grad
-            th += velocity
-        else:
-            th -= config.learning_rate * grad
+        # Heavy-ball; at momentum 0 plain SGD bit for bit (0 * v is +-0, +-0 - a
+        # is -a).  An overflowed step is held finite, so 0 * v never makes a NaN.
+        velocity *= config.momentum
+        velocity -= config.learning_rate * grad
+        np.clip(velocity, -np.finfo(float).max, np.finfo(float).max, out=velocity)
+        th += velocity
         np.clip(th, config.bandwidth_min, config.bandwidth_max, out=th)
     return BandwidthSet(th), losses
 

@@ -569,6 +569,12 @@ _BAD_INPUTS = {
     # A cell past the csv module's 131072-character field limit.
     "oversized-cell-predict": (lambda t, d, m: _predict(m, _file(t, "big.csv", "1" * 200_000 + ",0.2\n")), 3),
     "header-only-csv-predict": (lambda t, d, m: _predict(m, _file(t, "head.csv", "x1,x2\n\n")), 3),
+    "bandwidths-past-the-cap-train": (lambda t, d, m: _train(
+        d, t, "--sigma0", "1e200", "--theta-min", "1e199", "--theta-max", "1e200"), 2),
+    "model-with-overflowing-bandwidths": (lambda t, d, m: _predict(_edited_model(
+        t, m, lambda doc: doc.update(bandwidths=[[1e200] * doc["dim"] for _ in doc["bandwidths"]])), d), 3),
+    "model-with-far-support-point": (lambda t, d, m: _predict(_edited_model(
+        t, m, lambda doc: doc.update(support_x=[[1e200] * doc["dim"], *doc["support_x"][1:]])), d), 3),
     "overflowing-test-csv": (lambda t, d, m: [
         "benchmark", "--data", d, "--test-csv", _file(t, "huge.csv", "x1,x2,y\n1e308,0.2,0.3\n"),
         "--trials", "1", "--B", "1e-3"], 3),

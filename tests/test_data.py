@@ -220,6 +220,13 @@ def test_csv_bad_cell_reports_row_and_column(tmp_path):
         load_csv(path)
     assert err.value.row == 3 and err.value.col == 2
     assert "oops" in str(err.value)
+    # The first fault in file order, whatever its kind.
+    path.write_text("x,y\n1.0,2.0\nnan,2.0\n3.0,4.0\nabc,5.0\n")
+    for read in (load_csv, _read_strict):
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert (err.value.row, err.value.col) == (3, 1)
+        assert "'nan'" in str(err.value)
 
 
 def test_csv_first_row_with_any_number_is_data(tmp_path):

@@ -12,6 +12,7 @@ from labrr.numerics import (
     FactorizedMatrix,
     SingularSystem,
     as_matrix,
+    as_pair,
     as_vector,
     solve_regularized,
 )
@@ -117,6 +118,18 @@ def test_as_vector_rejects_wrong_rank_and_inf():
         as_vector(np.ones((2, 2)))
     with pytest.raises(ValueError):
         as_vector(np.array([1.0, np.inf]))
+
+
+def test_as_pair_needs_one_label_per_row():
+    x, y = as_pair([[1.0, 2.0], [3.0, 4.0]], [5, 6], "x", "y")
+    assert x.shape == (2, 2) and y.dtype == np.float64
+    for labels in ([5.0], [5.0, 6.0, 7.0], [[5.0, 6.0]]):
+        with pytest.raises(DimensionMismatch):
+            as_pair(np.ones((2, 2)), labels, "x", "y")
+    with pytest.raises(DimensionMismatch):
+        as_pair(np.ones(2), np.ones(2), "x", "y")
+    with pytest.raises(ValueError):
+        as_pair(np.ones((2, 2)), [1.0, np.nan], "x", "y")
 
 
 def test_solve_is_deterministic():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from labrr.data import NormMeta, ParseError, apply_feature_scaling, normalize, synth
+from labrr.data import NormMeta, ParseError, UnscalableData, apply_feature_scaling, normalize, synth
 from labrr.kernels import BandwidthSet, lab_matrix, rbf_matrix
 from labrr.numerics import DimensionMismatch, SingularSystem
 from labrr.ridgeless import (
@@ -128,6 +128,33 @@ def test_predict_never_forms_the_full_kernel():
     finally:
         tracemalloc.stop()
     assert peak < full_kernel_bytes / 4
+
+
+@pytest.mark.parametrize("n_support", [1, 4])
+def test_predict_memory_with_few_support_points_stays_near_one_block(n_support):
+    # With few support points a block's quadratic features, not its kernel,
+    # are the widest arrays, so they set the rows per block.
+    rng = np.random.default_rng(21)
+    model = LabModel(rng.uniform(size=(n_support, 6)), np.ones((n_support, 6)), np.ones(n_support))
+    points = rng.uniform(size=(300_000, 6))
+    tracemalloc.start()
+    try:
+        predict(model, points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < points.shape[0] * 8 + 2 * _PREDICT_BLOCK_ENTRIES * 8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("support_x, theta", [
+    ([[0.0], [1.0]], [[1e200], [1.0]]),  # bandwidths whose squares overflow
+    ([[0.0], [1e200]], [[1.0], [1.0]]),  # a support point far outside the data
+])
+def test_predict_rejects_a_kernel_that_overflows(support_x, theta):
+    model = LabModel(support_x, theta, [1.0, 1.0])
+    with pytest.raises(UnscalableData):
+        predict(model, [[0.5]])
 
 
 def test_predict_checks_dimension():

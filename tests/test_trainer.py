@@ -239,6 +239,18 @@ def test_batch_loss_and_grad_checks_shapes():
         batch_loss_and_grad(
             SupportSystem(np.zeros((4, 2)), np.zeros(4), 0.1), th, np.zeros((2, 2)), np.zeros(2)
         )
+    # One label per batch row: neither a broadcast label nor extra labels.
+    system = SupportSystem(np.eye(3, 2), np.zeros(3), 0.1)
+    with pytest.raises(DimensionMismatch):
+        batch_loss_and_grad(system, th, np.ones((4, 2)), np.zeros(1))
+    with pytest.raises(DimensionMismatch):
+        batch_loss_and_grad(system, th, np.ones((2, 2)), np.zeros(3))
+    rng = np.random.default_rng(5)
+    with pytest.raises(DimensionMismatch):
+        sgd_round(
+            np.eye(3, 2), np.zeros(3), th, rng.normal(size=(6, 2)), rng.normal(size=9),
+            _round_config(inner_steps=2, batch_size=3, jitter=0.1), rng,
+        )
 
 
 def test_batch_loss_is_zero_on_support_points():
@@ -321,6 +333,37 @@ def test_sgd_round_zero_learning_rate_records_losses_only():
     )
     assert len(losses) == 3
     assert np.array_equal(theta.values, start.values)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.parametrize(
+    "label_scale, learning_rate",
+    # The second case overflows ``learning_rate * grad`` on its first step.
+    [(1.0, 0.05), (1e3, 1e308)],
+)
+def test_sgd_round_at_momentum_zero_is_plain_sgd_bit_for_bit(label_scale, learning_rate):
+    rng = np.random.default_rng(11)
+    sx, sy = rng.normal(size=(6, 2)), label_scale * rng.normal(size=6)
+    rem_x, rem_y = rng.normal(size=(20, 2)), label_scale * rng.normal(size=20)
+    start = BandwidthSet(rng.uniform(0.5, 2.0, size=(6, 2)))
+    config = _round_config(
+        learning_rate=learning_rate, inner_steps=6, batch_size=5, jitter=1e-3,
+        bandwidth_min=0.1, bandwidth_max=10.0,
+    )
+    theta, losses = sgd_round(sx, sy, start, rem_x, rem_y, config, np.random.default_rng(7))
+
+    draws = np.random.default_rng(7)
+    system = SupportSystem(sx, sy, config.jitter)
+    th = start.values.copy()
+    plain_losses = []
+    for _ in range(config.inner_steps):
+        picks = draws.choice(rem_x.shape[0], size=config.batch_size, replace=False)
+        loss, grad = batch_loss_and_grad(system, BandwidthSet(th), rem_x[picks], rem_y[picks])
+        plain_losses.append(loss)
+        th -= config.learning_rate * grad
+        np.clip(th, config.bandwidth_min, config.bandwidth_max, out=th)
+    assert losses == plain_losses
+    assert theta.values.tobytes() == th.tobytes()
 
 
 def test_sgd_round_momentum_accumulates():
@@ -590,6 +633,8 @@ def test_sgd_does_not_diverge_on_noisy_small_support_seed_9803_trial_5():
         {"init_bandwidth": float("inf"), "bandwidth_max": float("inf")},
         {"init_bandwidth": float("inf")},
         {"init_bandwidth": float("nan")},
+        {"bandwidth_max": 1e200},
+        {"init_bandwidth": 1e200, "bandwidth_min": 1e199, "bandwidth_max": 1e200},
     ],
 )
 def test_train_config_validation(overrides):
@@ -602,3 +647,4 @@ def test_train_config_validation(overrides):
 
 def test_train_config_defaults_validate():
     TrainConfig(error_budget=1e-3).validate()
+    TrainConfig(error_budget=1e-3, bandwidth_max=1e150).validate()
