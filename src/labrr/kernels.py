@@ -37,6 +37,17 @@ __all__ = [
 # (block, n_support, dim) difference tensor stays cache-friendly.
 _ROW_BLOCK = 256
 
+#: Lower clamp of every expanded-form exponent, so no kernel entry is below
+#: exp(-350) ~ 1e-152.  That is about the smallest entry whose square, 1e-304,
+#: is still a normal float, with a margin of about 1e4 over
+#: ``np.finfo(float).tiny``.  A product of two entries, as in the LU of a
+#: Gram, then never underflows; underflows run on the CPU's slow microcode
+#: path, which makes the LU of a wide-bandwidth Gram about four times
+#: slower.  Zeroing the small entries instead does not do the same job: the
+#: LU fills the zeros with products of the entries it kept, and products of
+#: those fill-ins underflow again.
+_EXP_FLOOR = -350.0
+
 
 @dataclass(frozen=True)
 class BandwidthSet:
@@ -162,13 +173,13 @@ def _neg_coef(centered: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
 
 
 def _expanded_kernel(features: np.ndarray, neg_coef: np.ndarray, out=None) -> np.ndarray:
-    """``exp(features @ neg_coef.T)`` with exponents clamped to ``[-700, 0]``,
-    written into ``out`` when given."""
+    """``exp(features @ neg_coef.T)`` with exponents clamped to
+    ``[_EXP_FLOOR, 0]``, written into ``out`` when given."""
     neg_dist = np.matmul(features, neg_coef.T, out=out)
-    # Below about -708 ``exp`` returns subnormals or zero, and both take slow
-    # paths: in ``exp`` itself and in every BLAS call that reads the kernel.
-    # An entry of exp(-700) ~ 1e-304 is as negligible in any sum as a zero.
-    np.clip(neg_dist, -700.0, 0.0, out=neg_dist)
+    # At the floor exp(-350) ~ 1e-152 neither an entry nor a product of two
+    # entries is subnormal, and such an entry is as negligible in any sum as
+    # a zero.
+    np.clip(neg_dist, _EXP_FLOOR, 0.0, out=neg_dist)
     return np.exp(neg_dist, out=neg_dist)
 
 

@@ -118,7 +118,8 @@ class SupportSystem:
         self.lu_work = np.empty((n, n), order="F")
 
     def build_gram(self, th: np.ndarray) -> np.ndarray:
-        """Write ``lab_matrix(x, x, th)``, to rounding, floored at ``exp(-700)``
+        """Write ``lab_matrix(x, x, th)``, to rounding, floored at ``exp(-350)``
+        ~ 1e-152 (so a product of two entries in its LU stays a normal float)
         and with an exact unit diagonal, into ``self.gram``; return the right
         factor of any cross-kernel against this support under ``th``."""
         if th.shape != self.centered.shape:
@@ -187,9 +188,12 @@ def predict(model: LabModel, t):
     values = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], block):
         # Block arrays stay unnamed, so each is freed before the next is built.
-        values[lo:lo + block] = _expanded_kernel(
-            _quadratic_features(points[lo:lo + block], origin), neg_coef
-        ) @ model.alpha
+        # A probe far from the support overflows its squared distance to
+        # inf, which the clamp correctly reads as the kernel's floor.
+        with np.errstate(over="ignore"):
+            values[lo:lo + block] = _expanded_kernel(
+                _quadratic_features(points[lo:lo + block], origin), neg_coef
+            ) @ model.alpha
     return float(values[0]) if single else values
 
 

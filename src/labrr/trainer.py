@@ -282,8 +282,9 @@ def batch_loss_and_grad(
     The Gram comes from ``system.build_gram``, as in ``fit_lab``, and the
     cross-kernel and the weighted distances use the same expanded form: they
     match ``lab_matrix`` and the difference form to rounding, with kernel
-    entries below ``exp(-700)`` read as ``exp(-700)``.  The Gram and its LU
-    are written into ``system``'s buffers.
+    entries below ``exp(-350)`` ~ 1e-152 read as ``exp(-350)``, so a product
+    of two entries stays a normal float.  The Gram and its LU are written
+    into ``system``'s buffers.
 
     Returns
     -------

@@ -18,6 +18,12 @@ from labrr.kernels import BandwidthSet
 from labrr.ridgeless import LabModel, load_model, model_to_dict
 
 
+def _labrr_env():
+    """Environment for a subprocess that imports this checkout's ``labrr``."""
+    src = str(Path(labrr.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _write_synth_csv(path, fn="f1", n=30, noise=0.0, seed=1):
     save_csv(synth(fn, n, noise, seed=seed), path)
     return str(path)
@@ -413,6 +419,24 @@ def test_predict_to_stdout(capsys, trained):
     assert len(lines) == 31
 
 
+def test_predict_far_probe_reads_the_label_midpoint_without_a_warning(tmp_path, trained):
+    # Both rows overflow the probe's squared distance to inf, which the
+    # kernel's floor absorbs: the prediction is the label range's midpoint.
+    data, model_path = trained
+    probes = _file(tmp_path, "far.csv", "1e160,0.2\n1e200,0.2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "labrr", *_predict(model_path, probes)],
+        capture_output=True, text=True, env=_labrr_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "prediction" and len(lines) == 3
+    assert lines[1] == lines[2]
+    y = load_csv(data).y
+    assert float(lines[1]) == pytest.approx((y.min() + y.max()) / 2.0, rel=1e-12)
+
+
 def test_predict_accepts_feature_only_csv(tmp_path, trained):
     data, model_path = trained
     ds = load_csv(data)
@@ -606,12 +630,10 @@ def test_malformed_input_exits_with_its_code(case, tmp_path, trained, capfd, cap
 
 def test_malformed_input_prints_one_stderr_line(tmp_path):
     bad = _file(tmp_path, "nan.csv", _NAN_LABEL)
-    src = str(Path(labrr.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys; from labrr.cli import main; sys.exit(main())",
          "train", "--data", bad, "--out", str(tmp_path / "m.json"), "--B", "1e-3"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_labrr_env(), timeout=120,
     )
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
@@ -637,11 +659,9 @@ def test_log_env_does_not_break_commands(tmp_path, monkeypatch):
 @pytest.mark.parametrize("module", ["labrr", "labrr.cli"])
 def test_python_dash_m_entry_point(tmp_path, module):
     out = tmp_path / "cli.csv"
-    src = str(Path(labrr.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", module, "synth", "--fn", "f1", "--n", "6", "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_labrr_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert load_csv(out).n == 6

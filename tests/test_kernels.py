@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from labrr.kernels import (
+    _EXP_FLOOR,
     BandwidthSet,
     lab_entry,
     lab_matrix,
@@ -185,16 +186,18 @@ def test_lab_matrix_entries_in_unit_interval_and_one_at_coincident_points(inputs
 
 
 def _assert_floored_kernel(k, reference):
-    floor = np.exp(-700.0)
+    floor = np.exp(_EXP_FLOOR)
     assert bool(((k >= floor) & (k <= 1.0)).all())
-    assert k.min() >= np.finfo(float).tiny
+    # A product of two entries, as in an LU of the Gram, stays normal.
+    assert k.min() ** 2 >= np.finfo(float).tiny
     # Above the floor the entries are the kernel's own values.
     assert np.abs(k - np.maximum(reference, floor)).max() <= 1e-12
 
 
 def test_expanded_kernel_has_no_subnormal_or_zero_entries():
     # Exponents from 0 down to -1e4: exp underflows to subnormals near -708
-    # and to 0 near -745, and both are slow in exp and in BLAS.
+    # and to 0 near -745, slow in exp and in BLAS, and a product of two
+    # entries already underflows below about -354, slow in BLAS.
     rng = np.random.default_rng(9)
     rows = np.sqrt(np.linspace(0.0, 1e4, 4001))[:, None] * rng.uniform(0.5, 1.0, size=(1, 3))
     cols = np.zeros((1, 3)) + rng.uniform(-1e-3, 1e-3, size=(5, 3))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from labrr.data import NormMeta, ParseError, UnscalableData, apply_feature_scaling, normalize, synth
-from labrr.kernels import BandwidthSet, lab_matrix, rbf_matrix
+from labrr.kernels import _EXP_FLOOR, BandwidthSet, lab_matrix, rbf_matrix
 from labrr.numerics import DimensionMismatch, SingularSystem
 from labrr.ridgeless import (
     _PREDICT_BLOCK_ENTRIES,
@@ -113,6 +113,19 @@ def test_predict_matches_lab_matrix_on_narrow_bandwidths():
     single = predict(model, points[0])
     assert isinstance(single, float)
     assert single == pytest.approx(predict(model, points[:1])[0], rel=1e-12, abs=1e-15)
+
+
+def test_kernel_floor_does_not_move_the_fit():
+    # The criterion-8 shape (f2, d=6, bandwidths 10) at grow-large-support's
+    # final size: over half of the Gram lies below the kernel's floor, yet
+    # the fit matches a solve on the unfloored Gram.
+    ds = normalize(synth("f2", 290, 0.0, seed=1))
+    theta = np.full(ds.x.shape, 10.0)
+    gram = lab_matrix(ds.x, ds.x, theta)
+    assert np.mean(gram < np.exp(_EXP_FLOOR)) > 0.5
+    reference = np.linalg.solve(gram + 1e-5 * np.eye(len(gram)), ds.y)
+    alpha = fit_lab(ds.x, ds.y, theta, jitter=1e-5).alpha
+    assert np.abs(alpha - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def test_predict_never_forms_the_full_kernel():
