@@ -172,10 +172,10 @@ def _neg_coef(centered: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
     return np.hstack([-th_sq, 2.0 * c * th_sq, -(c * c * th_sq).sum(axis=1, keepdims=True)])
 
 
-def _expanded_kernel(features: np.ndarray, neg_coef: np.ndarray, out=None) -> np.ndarray:
+def _expanded_kernel(features: np.ndarray, neg_coef: np.ndarray) -> np.ndarray:
     """``exp(features @ neg_coef.T)`` with exponents clamped to
-    ``[_EXP_FLOOR, 0]``, written into ``out`` when given."""
-    neg_dist = np.matmul(features, neg_coef.T, out=out)
+    ``[_EXP_FLOOR, 0]``."""
+    neg_dist = features @ neg_coef.T
     # At the floor exp(-350) ~ 1e-152 neither an entry nor a product of two
     # entries is subnormal, and such an entry is as negligible in any sum as
     # a zero.

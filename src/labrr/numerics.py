@@ -5,9 +5,9 @@ finite and correctly shaped.  :class:`FactorizedMatrix` is the only code that
 adds the diagonal jitter and factors: a partial-pivot LU, because the Gram
 matrices built elsewhere in this package are asymmetric, so symmetric
 factorizations (Cholesky) are not an option.  It calls LAPACK's ``dgetrf``,
-``dgetrs`` and ``dlange`` directly, and can factor a caller's work buffer in
-place (``overwrite_a``).  A collapsed pivot raises :class:`SingularSystem`
-instead of letting garbage propagate into the fit.
+``dgetrs`` and ``dlange`` directly on a private copy, so no caller's matrix
+is ever changed.  A collapsed pivot raises :class:`SingularSystem` instead of
+letting garbage propagate into the fit.
 """
 
 from __future__ import annotations
@@ -81,12 +81,11 @@ class FactorizedMatrix:
     """Partial-pivot LU factorization of ``A + jitter * I``, reusable for
     solves against it and its transpose.
 
-    This is the one place that adds a jitter and factors.  By default it
-    takes one private Fortran-order copy of ``A``, adds the jitter to its
-    diagonal and factors that copy in place, so the caller's array is never
-    changed.  With ``overwrite_a=True``, as in scipy, a writeable
-    Fortran-order float64 ``A`` is itself jittered and factored in place
-    (it then holds the LU); any other ``A`` is still copied.  Factoring once
+    This is the one place that adds a jitter and factors.  It takes one
+    private Fortran-order copy of ``A``, adds the jitter to its diagonal and
+    factors that copy in place, so the caller's array is never changed.  The
+    Gram matrices factored here stay small (a few hundred points), so a
+    caller-owned work buffer would save no measurable time.  Factoring once
     and solving twice is the workhorse pattern of the bandwidth gradient,
     which needs both ``A x = b`` and ``A^T u = v`` for every mini-batch.
 
@@ -102,7 +101,7 @@ class FactorizedMatrix:
         factorization overwrites it).
     """
 
-    def __init__(self, a, jitter: float = 0.0, overwrite_a: bool = False) -> None:
+    def __init__(self, a, jitter: float = 0.0) -> None:
         a = as_matrix(a, "a")
         if not (0.0 <= jitter < np.inf):
             raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
@@ -111,11 +110,8 @@ class FactorizedMatrix:
             raise DimensionMismatch(f"matrix must be square, got {n}x{m}")
         if n == 0:
             raise DimensionMismatch("matrix must be non-empty")
-        # Fortran order lets LAPACK factor the array itself rather than a copy.
-        if overwrite_a and a.flags.f_contiguous and a.flags.writeable:
-            work = a
-        else:
-            work = np.array(a, order="F")
+        # Fortran order lets LAPACK factor the copy in place.
+        work = np.array(a, order="F")
         work.flat[:: n + 1] += jitter
         scale = dlange("I", work)
         lu, piv, _ = dgetrf(work, overwrite_a=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NormMeta, ParseError, UnscalableData
-from .kernels import BandwidthSet, _expanded_kernel, _neg_coef, _quadratic_features
+from .kernels import _EXP_FLOOR, BandwidthSet, _expanded_kernel, _neg_coef, _quadratic_features
 # ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
 # ``ridgeless.lab_matrix`` by name, so the name must stay importable.
 from .kernels import lab_matrix  # noqa: F401
@@ -24,6 +24,7 @@ from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_pair, a
 
 __all__ = [
     "DEFAULT_JITTER",
+    "MIN_BANDWIDTH",
     "AsymDualSolution",
     "LabModel",
     "SupportSystem",
@@ -39,6 +40,11 @@ __all__ = [
 #: Default diagonal regularization: small enough to keep the fit effectively
 #: interpolating, large enough to keep near-singular Gram matrices solvable.
 DEFAULT_JITTER = 1e-5
+
+#: Smallest bandwidth a model may hold: its square, 1e-300, is still a normal
+#: float, so no ``theta**2`` in the kernel underflows to 0 (which would turn
+#: an overflowed far-probe distance into ``inf * 0 = NaN``).
+MIN_BANDWIDTH = 1e-150
 
 #: Entries per row block of :func:`predict` (8 MB of float64): small enough
 #: to stay off the peak memory of a bulk predict, large enough that each
@@ -58,7 +64,7 @@ class LabModel:
     support_x : numpy.ndarray, shape (n_support, dim)
         Support inputs, in normalized space when ``norm_meta`` is set.
     theta : BandwidthSet
-        Per-support-point bandwidths.
+        Per-support-point bandwidths, each at least :data:`MIN_BANDWIDTH`.
     alpha : numpy.ndarray, shape (n_support,)
         Combination coefficients solving ``(K + jitter*I) alpha = y``.
     jitter : float
@@ -84,6 +90,8 @@ class LabModel:
                 f"bandwidths shape {self.theta.values.shape} does not match "
                 f"support shape {self.support_x.shape}"
             )
+        if not bool((self.theta.values >= MIN_BANDWIDTH).all()):
+            raise ValueError(f"bandwidths must be at least {MIN_BANDWIDTH:g}")
         if not (0.0 <= self.jitter < np.inf):
             raise ValueError(f"jitter must be finite and nonnegative, got {self.jitter}")
 
@@ -100,32 +108,29 @@ class SupportSystem:
     """The one builder of a support Gram, for the fit and every SGD step.
 
     Validates the support once and holds its mean (the expanded form's
-    origin), the centered points, their quadratic features, the C-order Gram
-    buffer that :meth:`build_gram` overwrites and a Fortran-order LU buffer
-    the SGD step factors in place; one system serves a whole SGD round.
+    origin), the centered points and their quadratic features; one system
+    serves a whole SGD round.  Each :meth:`build_gram` sets ``self.gram`` to
+    a fresh array.
     """
 
     def __init__(self, support_x, support_y, jitter: float) -> None:
         x, self.y = as_pair(support_x, support_y, "support_x", "support_y")
         if 0 in x.shape:
             raise DimensionMismatch(f"support_x must be non-empty, got {x.shape}")
-        n = x.shape[0]
         self.jitter = jitter
         self.origin = x.mean(axis=0)
         self.centered = x - self.origin
         self.features = _quadratic_features(x, self.origin)
-        self.gram = np.empty((n, n))
-        self.lu_work = np.empty((n, n), order="F")
 
     def build_gram(self, th: np.ndarray) -> np.ndarray:
-        """Write ``lab_matrix(x, x, th)``, to rounding, floored at ``exp(-350)``
-        ~ 1e-152 (so a product of two entries in its LU stays a normal float)
-        and with an exact unit diagonal, into ``self.gram``; return the right
+        """Set ``self.gram`` to ``lab_matrix(x, x, th)``, to rounding, floored
+        at ``exp(-350)`` ~ 1e-152 (so a product of two entries in its LU stays
+        a normal float) and with an exact unit diagonal; return the right
         factor of any cross-kernel against this support under ``th``."""
         if th.shape != self.centered.shape:
             raise DimensionMismatch(f"bandwidths {th.shape}, support {self.centered.shape}")
         neg_coef = _neg_coef(self.centered, th * th)
-        _expanded_kernel(self.features, neg_coef, out=self.gram)
+        self.gram = _expanded_kernel(self.features, neg_coef)
         np.fill_diagonal(self.gram, 1.0)
         return neg_coef
 
@@ -187,13 +192,18 @@ def predict(model: LabModel, t):
     block = max(1, _PREDICT_BLOCK_ENTRIES // max(model.n_support, 4 * model.dim + 1))
     values = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], block):
+        rows, out = points[lo:lo + block], values[lo:lo + block]
         # Block arrays stay unnamed, so each is freed before the next is built.
-        # A probe far from the support overflows its squared distance to
-        # inf, which the clamp correctly reads as the kernel's floor.
-        with np.errstate(over="ignore"):
-            values[lo:lo + block] = _expanded_kernel(
-                _quadratic_features(points[lo:lo + block], origin), neg_coef
-            ) @ model.alpha
+        # A far probe overflows its squared distance to -inf, which the clamp
+        # reads as the floor; where its cross term overflows to +inf instead,
+        # the product may sum the two into NaN, and only such rows are rebuilt
+        # with ``np.fmax``, which floors a NaN too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[:] = _expanded_kernel(_quadratic_features(rows, origin), neg_coef) @ model.alpha
+            far = np.isnan(out)
+            if far.any():
+                neg_dist = np.fmax(_quadratic_features(rows[far], origin) @ neg_coef.T, _EXP_FLOOR)
+                out[far] = np.exp(np.minimum(neg_dist, 0.0)) @ model.alpha
     return float(values[0]) if single else values
 
 

@@ -27,7 +27,7 @@ from .kernels import BandwidthSet, _expanded_kernel, _quadratic_features
 # ``trainer.lab_matrix`` by name, so the name must stay importable.
 from .kernels import lab_matrix  # noqa: F401
 from .numerics import DimensionMismatch, FactorizedMatrix, as_pair, as_vector
-from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, fit_lab, predict
+from .ridgeless import DEFAULT_JITTER, MIN_BANDWIDTH, LabModel, SupportSystem, fit_lab, predict
 
 __all__ = [
     "SELECTION_STRATEGIES",
@@ -68,9 +68,10 @@ class TrainConfig:
     batch_size : int
         Mini-batch size (capped at the number of non-support points).
     bandwidth_min, bandwidth_max : float
-        Bandwidths are clipped into this interval after every step.  At most
-        1e150, so that ``th**2`` and ``2 c th**2`` stay finite for the centered
-        coordinates ``|c| <= 2`` of normalized data.
+        Bandwidths are clipped into this interval after every step.  At least
+        ``MIN_BANDWIDTH`` (1e-150), so that ``th**2`` stays a normal float, and
+        at most 1e150, so that ``th**2`` and ``2 c th**2`` stay finite for the
+        centered coordinates ``|c| <= 2`` of normalized data.
     max_rounds : int
         Hard cap on outer rounds.
     max_support_ratio : float
@@ -114,9 +115,9 @@ class TrainConfig:
             raise ValueError(f"inner_steps must be nonnegative, got {self.inner_steps}")
         if self.initial_support < 1:
             raise ValueError(f"initial_support must be at least 1, got {self.initial_support}")
-        if not (0.0 < self.bandwidth_min <= self.bandwidth_max <= 1e150):
+        if not (MIN_BANDWIDTH <= self.bandwidth_min <= self.bandwidth_max <= 1e150):
             raise ValueError(
-                f"need 0 < bandwidth_min <= bandwidth_max <= 1e150, got "
+                f"need {MIN_BANDWIDTH:g} <= bandwidth_min <= bandwidth_max <= 1e150, got "
                 f"[{self.bandwidth_min}, {self.bandwidth_max}]"
             )
         if not (self.bandwidth_min <= self.init_bandwidth <= self.bandwidth_max):
@@ -283,8 +284,8 @@ def batch_loss_and_grad(
     cross-kernel and the weighted distances use the same expanded form: they
     match ``lab_matrix`` and the difference form to rounding, with kernel
     entries below ``exp(-350)`` ~ 1e-152 read as ``exp(-350)``, so a product
-    of two entries stays a normal float.  The Gram and its LU are written
-    into ``system``'s buffers.
+    of two entries stays a normal float.  The Gram is left in
+    ``system.gram``, and its LU is factored from a private copy.
 
     Returns
     -------
@@ -299,8 +300,7 @@ def batch_loss_and_grad(
     if bx.shape[1] != c.shape[1]:
         raise DimensionMismatch(f"batch {bx.shape} and support {c.shape} disagree in dim")
     neg_coef = system.build_gram(th)
-    np.copyto(system.lu_work, system.gram)
-    solver = FactorizedMatrix(system.lu_work, system.jitter, overwrite_a=True)
+    solver = FactorizedMatrix(system.gram, system.jitter)
     alpha = solver.solve(system.y)
 
     batch_features = _quadratic_features(bx, system.origin)
@@ -438,8 +438,9 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
         add_count = min(config.grow_count, room, remainder.shape[0])
         worst = grow_support(sq_errors, add_count)
         new_indices = remainder[worst]
-        # Newcomers inherit the current mean bandwidth profile.
-        mean_profile = theta.values.mean(axis=0)
+        # Newcomers inherit the current mean bandwidth profile; a mean of
+        # bandwidths at a bound can round one ulp past it.
+        mean_profile = np.clip(theta.values.mean(axis=0), config.bandwidth_min, config.bandwidth_max)
         theta = BandwidthSet(
             np.vstack([theta.values, np.tile(mean_profile, (new_indices.shape[0], 1))])
         )

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import labrr
 from labrr.cli import load_results, main
@@ -420,21 +422,26 @@ def test_predict_to_stdout(capsys, trained):
 
 
 def test_predict_far_probe_reads_the_label_midpoint_without_a_warning(tmp_path, trained):
-    # Both rows overflow the probe's squared distance to inf, which the
+    # Every row overflows the probe's squared distance to inf, which the
     # kernel's floor absorbs: the prediction is the label range's midpoint.
+    # Against bandwidths of 3 a lone 8e307 row also overflows its cross term
+    # to +inf, and the product of a one-row block sums the two into NaN.
     data, model_path = trained
-    probes = _file(tmp_path, "far.csv", "1e160,0.2\n1e200,0.2\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "labrr", *_predict(model_path, probes)],
-        capture_output=True, text=True, env=_labrr_env(), timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "prediction" and len(lines) == 3
-    assert lines[1] == lines[2]
     y = load_csv(data).y
-    assert float(lines[1]) == pytest.approx((y.min() + y.max()) / 2.0, rel=1e-12)
+    wide = _edited_model(tmp_path, model_path, lambda doc: doc.update(
+        bandwidths=[[3.0] * doc["dim"] for _ in doc["bandwidths"]]))
+    for model, rows in ((model_path, "1e160,0.2\n1e200,0.2\n"), (wide, "8e307,0.2\n")):
+        probes = _file(tmp_path, "far.csv", rows)
+        proc = subprocess.run(
+            [sys.executable, "-m", "labrr", *_predict(model, probes)],
+            capture_output=True, text=True, env=_labrr_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "prediction" and len(lines) == 1 + rows.count("\n")
+        assert len(set(lines[1:])) == 1
+        assert float(lines[1]) == pytest.approx((y.min() + y.max()) / 2.0, rel=1e-12)
 
 
 def test_predict_accepts_feature_only_csv(tmp_path, trained):
@@ -597,6 +604,9 @@ _BAD_INPUTS = {
         d, t, "--sigma0", "1e200", "--theta-min", "1e199", "--theta-max", "1e200"), 2),
     "model-with-overflowing-bandwidths": (lambda t, d, m: _predict(_edited_model(
         t, m, lambda doc: doc.update(bandwidths=[[1e200] * doc["dim"] for _ in doc["bandwidths"]])), d), 3),
+    "model-with-underflowing-bandwidth": (lambda t, d, m: _predict(_edited_model(
+        t, m, lambda doc: doc["bandwidths"][0].__setitem__(0, 1e-170)), _file(t, "far.csv", "1e160,0.2\n")), 3),
+    "bandwidths-below-the-floor-train": (lambda t, d, m: _train(d, t, "--sigma0", "1e-200", "--theta-min", "1e-200"), 2),
     "model-with-far-support-point": (lambda t, d, m: _predict(_edited_model(
         t, m, lambda doc: doc.update(support_x=[[1e200] * doc["dim"], *doc["support_x"][1:]])), d), 3),
     "overflowing-test-csv": (lambda t, d, m: [
@@ -638,6 +648,48 @@ def test_malformed_input_prints_one_stderr_line(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert "nan.csv" in proc.stderr and "row 3, column 3" in proc.stderr
+
+
+_MAGNITUDES = [10.0 ** k for k in range(-150, 151, 25)]
+_EXTREME_CELLS = [sign * v for v in (0.0, 5e-324, 1e-300, 1.0, 1e160, 8e307) for sign in (1.0, -1.0)]
+
+
+@pytest.fixture(scope="module")
+def f1_model_doc(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    data = _write_synth_csv(tmp / "d.csv")
+    model_path = tmp / "model.json"
+    assert main(_train_args(data, str(model_path), **{"--sigma0": 3.0})) == 0
+    return json.loads(model_path.read_text())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    scales=st.tuples(*[st.sampled_from(_MAGNITUDES)] * 3),
+    probes=st.lists(st.tuples(*[st.sampled_from(_EXTREME_CELLS)] * 2), min_size=1, max_size=3),
+)
+def test_predict_on_extreme_magnitudes_exits_cleanly(f1_model_doc, tmp_path, capfd, caplog, scales, probes):
+    x_scale, theta_scale, alpha_scale = scales
+    doc = dict(
+        f1_model_doc,
+        support_x=[[v * x_scale for v in row] for row in f1_model_doc["support_x"]],
+        bandwidths=[[v * theta_scale for v in row] for row in f1_model_doc["bandwidths"]],
+        alpha=[v * alpha_scale for v in f1_model_doc["alpha"]],
+    )
+    model = _file(tmp_path, "model.json", json.dumps(doc))
+    data = _file(tmp_path, "probes.csv", "".join(f"{a!r},{b!r}\n" for a, b in probes))
+    capfd.readouterr()
+    caplog.clear()
+    code = main(_predict(model, data))
+    out, err = capfd.readouterr()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and err.count("\n") <= 1
+    assert len([r for r in caplog.records if r.levelno >= logging.WARNING]) <= 1
+    if code == 0:
+        values = [float(v) for v in out.splitlines()[1:]]
+        assert len(values) == len(probes) and np.isfinite(values).all()
 
 
 # ---------------------------------------------------------------------------

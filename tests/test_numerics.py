@@ -151,45 +151,18 @@ def _jittered_systems(draw):
     if draw(st.booleans()):
         a = np.asfortranarray(a)
     jitter = draw(st.floats(0.0, 10.0))
-    return a, jitter, draw(arrays(np.float64, n, elements=entries)), draw(st.booleans())
+    return a, jitter, draw(arrays(np.float64, n, elements=entries))
 
 
 @settings(max_examples=200, deadline=None)
 @given(system=_jittered_systems())
 def test_jittered_solves_equal_lu_of_the_explicit_matrix_bit_for_bit(system):
-    a, jitter, b, overwrite_a = system
+    a, jitter, b = system
     before = a.copy()
-    fm = FactorizedMatrix(a, jitter, overwrite_a=overwrite_a)
+    fm = FactorizedMatrix(a, jitter)
     reference = lu_factor(before + jitter * np.eye(a.shape[0]))
-    copied = FactorizedMatrix(before, jitter)
     for trans in (0, 1):
-        x = fm.solve(b, transpose=bool(trans))
-        assert np.array_equal(x, lu_solve(reference, b, trans=trans))
-        assert np.array_equal(x, copied.solve(b, transpose=bool(trans)))
-    lu = fm._lu_piv[0]
-    if overwrite_a and a.flags.f_contiguous:
-        # A Fortran-order float64 input is factored in place: it now holds the LU.
-        assert np.shares_memory(lu, a)
-        assert np.array_equal(a, reference[0])
-    else:
-        assert not np.shares_memory(lu, a)
-        assert np.array_equal(a, before)  # the caller's matrix is never touched
-
-
-def test_overwrite_a_factors_fortran_input_in_place_and_copies_c_input():
-    rng = np.random.default_rng(19)
-    a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
-    b = rng.normal(size=6)
-    expected = FactorizedMatrix(a, 0.5).solve(b)
-
-    c_order = a.copy()
-    fm = FactorizedMatrix(c_order, 0.5, overwrite_a=True)
-    assert not np.shares_memory(fm._lu_piv[0], c_order)
-    assert np.array_equal(c_order, a)
-    assert np.array_equal(fm.solve(b), expected)
-
-    f_order = np.asfortranarray(a)
-    fm = FactorizedMatrix(f_order, 0.5, overwrite_a=True)
-    assert fm._lu_piv[0] is f_order
-    assert not np.array_equal(f_order, a)
-    assert np.array_equal(fm.solve(b), expected)
+        assert np.array_equal(fm.solve(b, transpose=bool(trans)), lu_solve(reference, b, trans=trans))
+    # C- or Fortran-order, the caller's matrix is never touched.
+    assert not np.shares_memory(fm._lu_piv[0], a)
+    assert np.array_equal(a, before)

@@ -15,6 +15,7 @@ from labrr.numerics import DimensionMismatch, SingularSystem
 from labrr.ridgeless import (
     _PREDICT_BLOCK_ENTRIES,
     DEFAULT_JITTER,
+    MIN_BANDWIDTH,
     LabModel,
     fit_asym_duals,
     fit_lab,
@@ -374,7 +375,7 @@ def test_load_rejects_boolean_counts(key):
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
-_positive = st.floats(min_value=1e-300, max_value=1e300)
+_positive = st.floats(min_value=MIN_BANDWIDTH, max_value=1e300)
 
 
 @st.composite

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from labrr import trainer
+from labrr import ridgeless, trainer
 from labrr.data import Dataset, InsufficientData, SplitSpec, normalize, split, synth
 from labrr.kernels import BandwidthSet, lab_matrix
 from labrr.metrics import sparsity_r0
 from labrr.numerics import DimensionMismatch, FactorizedMatrix
-from labrr.ridgeless import LabModel, SupportSystem, fit_lab, predict
+from labrr.ridgeless import MIN_BANDWIDTH, LabModel, SupportSystem, fit_lab, predict
 from labrr.trainer import (
     SELECTION_STRATEGIES,
     TrainConfig,
@@ -172,8 +172,8 @@ def _support_system_runs(draw):
 @settings(max_examples=100, deadline=None)
 @given(run=_support_system_runs())
 def test_reused_support_system_matches_a_fresh_one_bit_for_bit(run):
-    # Each step overwrites the system's Gram and LU buffers; nothing of an
-    # earlier step may reach a later one.
+    # Each step rebuilds the system's Gram; nothing of an earlier step may
+    # reach a later one.
     sx, sy, jitter, steps = run
     system = SupportSystem(sx, sy, jitter)
     for theta, bx, by in steps:
@@ -531,6 +531,43 @@ def test_train_support_only_grows():
     assert model.n_support == sizes[-1]
 
 
+def test_newcomers_at_the_bandwidth_floor_stay_inside_it():
+    # Without SGD steps nothing clips the newcomers' mean profile, and the
+    # mean of 20 bandwidths of 1e-150 rounds one ulp below 1e-150.
+    ds = normalize(synth("f1", 40, 0.0, seed=6))
+    config = TrainConfig(
+        error_budget=1e-14, initial_support=20, grow_count=5, inner_steps=0, max_rounds=2,
+        init_bandwidth=MIN_BANDWIDTH, bandwidth_min=MIN_BANDWIDTH,
+    )
+    model, _ = train(ds, config)
+    assert model.n_support == 25
+    assert model.theta.values.min() == MIN_BANDWIDTH
+
+
+def test_one_round_factors_through_the_names_the_tracer_counts(monkeypatch):
+    # The benchmark's tracer counts factorizations by rebinding
+    # ``trainer.FactorizedMatrix`` (every SGD step) and
+    # ``ridgeless.solve_regularized`` (the round's fit); a factorization that
+    # bypasses them would vanish from its counts.
+    counts = {"step": 0, "fit": 0}
+    step_factor, fit_solve = trainer.FactorizedMatrix, ridgeless.solve_regularized
+
+    def counting_step(*args, **kwargs):
+        counts["step"] += 1
+        return step_factor(*args, **kwargs)
+
+    def counting_fit(*args, **kwargs):
+        counts["fit"] += 1
+        return fit_solve(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "FactorizedMatrix", counting_step)
+    monkeypatch.setattr(ridgeless, "solve_regularized", counting_fit)
+    ds = normalize(synth("f1", 40, 0.0, seed=6))
+    config = TrainConfig(error_budget=1e-14, initial_support=10, inner_steps=7, max_rounds=1, batch_size=8)
+    train(ds, config)
+    assert counts == {"step": 7, "fit": 1}
+
+
 def test_train_is_bitwise_deterministic():
     ds = normalize(synth("f1", 70, 0.05, seed=9))
     config = TrainConfig(
@@ -635,6 +672,7 @@ def test_sgd_does_not_diverge_on_noisy_small_support_seed_9803_trial_5():
         {"init_bandwidth": float("nan")},
         {"bandwidth_max": 1e200},
         {"init_bandwidth": 1e200, "bandwidth_min": 1e199, "bandwidth_max": 1e200},
+        {"bandwidth_min": 1e-200},
     ],
 )
 def test_train_config_validation(overrides):
