@@ -4,8 +4,9 @@ Exit codes: 0 success; 1 a singular training solve, or every benchmark trial
 failed; 2 a bad argument or config-file value, or inputs that do not fit
 together (too few samples, mismatched dimensions); 3 a file that cannot be
 read or written, a malformed data or model file, or data whose scaling to
-[-1, 1], or a model's kernel, overflows float64.  :func:`main` alone maps
-file, data and solver errors to codes, logging one line and no traceback.
+[-1, 1], or a model's kernel, predictions or label range, overflows float64.
+:func:`main` alone maps file, data and solver errors to codes, logging one
+line and no traceback.
 ``LABRR_LOG`` (``quiet`` / ``info`` / ``debug``) controls stderr verbosity;
 results and summaries go to stdout or the requested output files.
 """
@@ -185,11 +186,9 @@ def _train_config(parser: argparse.ArgumentParser, settings: dict) -> TrainConfi
     if "error_budget" not in settings:
         parser.error("--B is required (or supply error_budget in --config)")
     try:
-        config = TrainConfig(**{k: v for k, v in settings.items() if k in _TRAIN_KEYS})
-        config.validate()
+        return TrainConfig(**{k: v for k, v in settings.items() if k in _TRAIN_KEYS})
     except ValueError as exc:
         parser.error(str(exc))
-    return config
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,9 @@ class InsufficientData(ValueError):
 
 
 class UnscalableData(ValueError):
-    """A column's range or values overflow float64 when scaled to [-1, 1], or
-    a model's bandwidths or support points overflow it in the kernel."""
+    """A column's range or values overflow float64 when scaled to [-1, 1] or
+    back, or a model's bandwidths, support points or coefficients overflow it
+    in the kernel or the prediction."""
 
 
 @dataclass(frozen=True)
@@ -362,12 +363,21 @@ def apply_label_scaling(meta: NormMeta, y) -> np.ndarray:
 
 
 def invert_label_scaling(meta: NormMeta, y_norm) -> np.ndarray:
-    """Map normalized labels back to original units (exact inverse)."""
+    """Map normalized labels back to original units (exact inverse).
+
+    Raises :class:`UnscalableData` when the recorded label range or a result
+    overflows float64.
+    """
     y_norm = as_vector(y_norm, "y_norm")
-    span = meta.label_max - meta.label_min
-    if span == 0.0:
-        return np.full_like(y_norm, meta.label_min)
-    return (y_norm + 1.0) / 2.0 * span + meta.label_min
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = meta.label_max - meta.label_min
+        if span == 0.0:
+            y = np.full_like(y_norm, meta.label_min)
+        else:
+            y = (y_norm + 1.0) / 2.0 * span + meta.label_min
+    if not np.isfinite(y).all():
+        raise UnscalableData("label range overflows float64 when mapped back to original units")
+    return y
 
 
 # ---------------------------------------------------------------------------

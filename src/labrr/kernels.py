@@ -27,6 +27,7 @@ import numpy as np
 from .numerics import DimensionMismatch, as_matrix, as_vector
 
 __all__ = [
+    "MIN_BANDWIDTH",
     "BandwidthSet",
     "lab_entry",
     "lab_matrix",
@@ -48,10 +49,16 @@ _ROW_BLOCK = 256
 #: those fill-ins underflow again.
 _EXP_FLOOR = -350.0
 
+#: Smallest bandwidth any kernel form accepts: its square, 1e-300, is still a
+#: normal float, so no ``theta**2`` underflows to 0 (which would turn an
+#: overflowed far-probe distance into ``inf * 0 = NaN``).
+MIN_BANDWIDTH = 1e-150
+
 
 @dataclass(frozen=True)
 class BandwidthSet:
-    """One strictly positive bandwidth vector per support point.
+    """One finite bandwidth vector per support point, each entry at least
+    :data:`MIN_BANDWIDTH`: the one owner of that rule for every kernel form.
 
     Attributes
     ----------
@@ -64,8 +71,8 @@ class BandwidthSet:
 
     def __post_init__(self) -> None:
         vals = as_matrix(self.values, "bandwidths").copy()
-        if not bool((vals > 0.0).all()):
-            raise ValueError("bandwidths must be strictly positive")
+        if not bool((vals >= MIN_BANDWIDTH).all()):
+            raise ValueError(f"bandwidths must be at least {MIN_BANDWIDTH:g}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -81,13 +88,12 @@ class BandwidthSet:
         """Constant bandwidths — the usual warm start before training."""
         if n_points < 1 or dim < 1:
             raise ValueError("n_points and dim must be at least 1")
-        if not (value > 0.0):
-            raise ValueError(f"bandwidth value must be positive, got {value}")
         return cls(np.full((n_points, dim), float(value)))
 
 
-def _bandwidth_values(theta, cols: np.ndarray) -> np.ndarray:
-    """Validate bandwidths (``BandwidthSet`` or raw array) against ``cols``."""
+def _bandwidth_set(theta, cols: np.ndarray) -> BandwidthSet:
+    """``theta`` (a ``BandwidthSet`` or raw array) as a ``BandwidthSet`` with
+    one row per support point of ``cols``."""
     if not isinstance(theta, BandwidthSet):
         theta = BandwidthSet(theta)
     if theta.values.shape != cols.shape:
@@ -95,7 +101,7 @@ def _bandwidth_values(theta, cols: np.ndarray) -> np.ndarray:
             f"bandwidths have shape {theta.values.shape}, "
             f"support points have shape {cols.shape}"
         )
-    return theta.values
+    return theta
 
 
 def lab_entry(t, x, theta) -> float:
@@ -110,8 +116,8 @@ def lab_entry(t, x, theta) -> float:
         raise DimensionMismatch(
             f"t, x, theta must share a shape; got {t.shape}, {x.shape}, {th.shape}"
         )
-    if not bool((th > 0.0).all()):
-        raise ValueError("bandwidths must be strictly positive")
+    if not bool((th >= MIN_BANDWIDTH).all()):
+        raise ValueError(f"bandwidths must be at least {MIN_BANDWIDTH:g}")
     diff = th * (t - x)
     return float(np.exp(-(diff @ diff)))
 
@@ -140,7 +146,7 @@ def lab_matrix(rows, cols, theta) -> np.ndarray:
         raise DimensionMismatch(
             f"rows have dim {rows.shape[1]} but support points have dim {cols.shape[1]}"
         )
-    th = _bandwidth_values(theta, cols)
+    th = _bandwidth_set(theta, cols).values
 
     n_rows = rows.shape[0]
     out = np.empty((n_rows, cols.shape[0]))
@@ -186,9 +192,9 @@ def _expanded_kernel(features: np.ndarray, neg_coef: np.ndarray) -> np.ndarray:
 def rbf_matrix(x1, x2, sigma) -> np.ndarray:
     """Classic RBF matrix: one bandwidth vector shared by every column.
 
-    ``sigma`` may be a positive scalar (replicated across dimensions) or a
-    positive vector of length ``dim``.  With ``x1 is x2`` the result is
-    symmetric with a unit diagonal.
+    ``sigma`` may be a scalar (replicated across dimensions) or a vector of
+    length ``dim``, each entry at least :data:`MIN_BANDWIDTH`.  With ``x1 is
+    x2`` the result is symmetric with a unit diagonal.
     """
     x2 = as_matrix(x2, "x2")
     sig = np.asarray(sigma, dtype=np.float64)
@@ -198,6 +204,4 @@ def rbf_matrix(x1, x2, sigma) -> np.ndarray:
         raise DimensionMismatch(
             f"sigma must be a scalar or length-{x2.shape[1]} vector, got shape {sig.shape}"
         )
-    if not bool((sig > 0.0).all()):
-        raise ValueError("sigma must be strictly positive")
     return lab_matrix(x1, x2, np.tile(sig, (x2.shape[0], 1)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NormMeta, ParseError, UnscalableData
-from .kernels import _EXP_FLOOR, BandwidthSet, _expanded_kernel, _neg_coef, _quadratic_features
+from .kernels import _EXP_FLOOR, BandwidthSet, _bandwidth_set, _expanded_kernel, _neg_coef, _quadratic_features
 # ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
 # ``ridgeless.lab_matrix`` by name, so the name must stay importable.
 from .kernels import lab_matrix  # noqa: F401
@@ -24,7 +24,6 @@ from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_pair, a
 
 __all__ = [
     "DEFAULT_JITTER",
-    "MIN_BANDWIDTH",
     "AsymDualSolution",
     "LabModel",
     "SupportSystem",
@@ -40,11 +39,6 @@ __all__ = [
 #: Default diagonal regularization: small enough to keep the fit effectively
 #: interpolating, large enough to keep near-singular Gram matrices solvable.
 DEFAULT_JITTER = 1e-5
-
-#: Smallest bandwidth a model may hold: its square, 1e-300, is still a normal
-#: float, so no ``theta**2`` in the kernel underflows to 0 (which would turn
-#: an overflowed far-probe distance into ``inf * 0 = NaN``).
-MIN_BANDWIDTH = 1e-150
 
 #: Entries per row block of :func:`predict` (8 MB of float64): small enough
 #: to stay off the peak memory of a bulk predict, large enough that each
@@ -64,7 +58,7 @@ class LabModel:
     support_x : numpy.ndarray, shape (n_support, dim)
         Support inputs, in normalized space when ``norm_meta`` is set.
     theta : BandwidthSet
-        Per-support-point bandwidths, each at least :data:`MIN_BANDWIDTH`.
+        Per-support-point bandwidths, each at least ``kernels.MIN_BANDWIDTH``.
     alpha : numpy.ndarray, shape (n_support,)
         Combination coefficients solving ``(K + jitter*I) alpha = y``.
     jitter : float
@@ -83,15 +77,7 @@ class LabModel:
         self.support_x, self.alpha = as_pair(self.support_x, self.alpha, "support_x", "alpha")
         if 0 in self.support_x.shape:
             raise DimensionMismatch(f"support_x must be non-empty, got {self.support_x.shape}")
-        if not isinstance(self.theta, BandwidthSet):
-            self.theta = BandwidthSet(self.theta)
-        if self.theta.values.shape != self.support_x.shape:
-            raise DimensionMismatch(
-                f"bandwidths shape {self.theta.values.shape} does not match "
-                f"support shape {self.support_x.shape}"
-            )
-        if not bool((self.theta.values >= MIN_BANDWIDTH).all()):
-            raise ValueError(f"bandwidths must be at least {MIN_BANDWIDTH:g}")
+        self.theta = _bandwidth_set(self.theta, self.support_x)
         if not (0.0 <= self.jitter < np.inf):
             raise ValueError(f"jitter must be finite and nonnegative, got {self.jitter}")
 
@@ -159,8 +145,7 @@ def fit_lab(
         degenerate bandwidth set.
     """
     system = SupportSystem(support_x, support_y, jitter)
-    if not isinstance(theta, BandwidthSet):
-        theta = BandwidthSet(theta)
+    theta = _bandwidth_set(theta, system.centered)
     system.build_gram(theta.values)
     alpha = solve_regularized(system.gram, system.y, jitter)
     return LabModel(support_x, theta, alpha, jitter, norm_meta)
@@ -173,7 +158,9 @@ def predict(model: LabModel, t):
     the model's own (normalized) input space.  The kernel is built in the
     expanded form of :class:`SupportSystem` one block of rows at a time, so
     the full points-by-support matrix is never formed; predictions match
-    ``lab_matrix(t, support_x, theta) @ alpha`` to rounding.
+    ``lab_matrix(t, support_x, theta) @ alpha`` to rounding.  Raises
+    :class:`~labrr.data.UnscalableData` when the kernel or a prediction
+    overflows float64.
     """
     arr = np.asarray(t, dtype=np.float64)
     single = arr.ndim == 1
@@ -204,6 +191,8 @@ def predict(model: LabModel, t):
             if far.any():
                 neg_dist = np.fmax(_quadratic_features(rows[far], origin) @ neg_coef.T, _EXP_FLOOR)
                 out[far] = np.exp(np.minimum(neg_dist, 0.0)) @ model.alpha
+    if not np.isfinite(values).all():
+        raise UnscalableData("model coefficients overflow float64 in the prediction")
     return float(values[0]) if single else values
 
 
@@ -291,7 +280,7 @@ def model_from_dict(doc) -> LabModel:
         norm = doc["normalization"]
         model = LabModel(
             support_x=np.asarray(doc["support_x"], dtype=np.float64),
-            theta=BandwidthSet(np.asarray(doc["bandwidths"], dtype=np.float64)),
+            theta=np.asarray(doc["bandwidths"], dtype=np.float64),
             alpha=np.asarray(doc["alpha"], dtype=np.float64),
             jitter=float(_typed(doc, "jitter", (int, float))),
             norm_meta=NormMeta.from_dict(norm) if norm is not None else None,

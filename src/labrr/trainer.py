@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, InsufficientData
-from .kernels import BandwidthSet, _expanded_kernel, _quadratic_features
+from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set, _expanded_kernel, _quadratic_features
 # ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
 # ``trainer.lab_matrix`` by name, so the name must stay importable.
 from .kernels import lab_matrix  # noqa: F401
 from .numerics import DimensionMismatch, FactorizedMatrix, as_pair, as_vector
-from .ridgeless import DEFAULT_JITTER, MIN_BANDWIDTH, LabModel, SupportSystem, fit_lab, predict
+from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, fit_lab, predict
 
 __all__ = [
     "SELECTION_STRATEGIES",
@@ -46,9 +46,10 @@ SELECTION_STRATEGIES = ("y_uniform", "x_kmeans", "extreme_y")
 _KMEANS_SWEEPS = 50
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """All knobs of the training loop.
+    """All knobs of the training loop, checked on construction (also by
+    ``dataclasses.replace``); a bad value raises ``ValueError``.
 
     Attributes
     ----------
@@ -104,7 +105,7 @@ class TrainConfig:
     jitter: float = DEFAULT_JITTER
     momentum: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.error_budget > 0.0):
             raise ValueError(f"error_budget must be positive, got {self.error_budget}")
         if self.grow_count < 1:
@@ -293,10 +294,8 @@ def batch_loss_and_grad(
         The scalar loss and a gradient with one row per support point.
     """
     bx, by = as_pair(batch_x, batch_y, "batch_x", "batch_y")
-    if not isinstance(theta, BandwidthSet):
-        theta = BandwidthSet(theta)
-    th = theta.values
     c = system.centered
+    th = _bandwidth_set(theta, c).values
     if bx.shape[1] != c.shape[1]:
         raise DimensionMismatch(f"batch {bx.shape} and support {c.shape} disagree in dim")
     neg_coef = system.build_gram(th)
@@ -388,7 +387,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
     round's fit, so the returned model is the fit of the final support set
     with the config jitter.
     """
-    config.validate()
     started = time.perf_counter()
     n = dataset.n
     support_cap = max(int(config.max_support_ratio * n), 1)

@@ -607,6 +607,10 @@ _BAD_INPUTS = {
     "model-with-underflowing-bandwidth": (lambda t, d, m: _predict(_edited_model(
         t, m, lambda doc: doc["bandwidths"][0].__setitem__(0, 1e-170)), _file(t, "far.csv", "1e160,0.2\n")), 3),
     "bandwidths-below-the-floor-train": (lambda t, d, m: _train(d, t, "--sigma0", "1e-200", "--theta-min", "1e-200"), 2),
+    "model-with-overflowing-alpha": (lambda t, d, m: _predict(_edited_model(
+        t, m, lambda doc: doc.update(alpha=[1e308] * len(doc["alpha"]))), d), 3),
+    "model-with-overflowing-label-range": (lambda t, d, m: _predict(_edited_model(
+        t, m, lambda doc: doc["normalization"].update(label_min=-1e308, label_max=1e308)), d), 3),
     "model-with-far-support-point": (lambda t, d, m: _predict(_edited_model(
         t, m, lambda doc: doc.update(support_x=[[1e200] * doc["dim"], *doc["support_x"][1:]])), d), 3),
     "overflowing-test-csv": (lambda t, d, m: [
@@ -652,6 +656,7 @@ def test_malformed_input_prints_one_stderr_line(tmp_path):
 
 _MAGNITUDES = [10.0 ** k for k in range(-150, 151, 25)]
 _EXTREME_CELLS = [sign * v for v in (0.0, 5e-324, 1e-300, 1.0, 1e160, 8e307) for sign in (1.0, -1.0)]
+_LABEL_BOUNDS = [sign * v for v in (0.0, 1.0, 1e308) for sign in (1.0, -1.0)]
 
 
 @pytest.fixture(scope="module")
@@ -667,13 +672,18 @@ def f1_model_doc(tmp_path_factory):
 @settings(max_examples=80, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
-    scales=st.tuples(*[st.sampled_from(_MAGNITUDES)] * 3),
+    scales=st.tuples(*[st.sampled_from(_MAGNITUDES)] * 2, st.sampled_from(_MAGNITUDES + [1e306, 1e308])),
+    label_bounds=st.tuples(*[st.sampled_from(_LABEL_BOUNDS)] * 2),
     probes=st.lists(st.tuples(*[st.sampled_from(_EXTREME_CELLS)] * 2), min_size=1, max_size=3),
 )
-def test_predict_on_extreme_magnitudes_exits_cleanly(f1_model_doc, tmp_path, capfd, caplog, scales, probes):
+def test_predict_on_extreme_magnitudes_exits_cleanly(
+    f1_model_doc, tmp_path, capfd, caplog, scales, label_bounds, probes
+):
     x_scale, theta_scale, alpha_scale = scales
+    label_min, label_max = label_bounds
     doc = dict(
         f1_model_doc,
+        normalization=dict(f1_model_doc["normalization"], label_min=label_min, label_max=label_max),
         support_x=[[v * x_scale for v in row] for row in f1_model_doc["support_x"]],
         bandwidths=[[v * theta_scale for v in row] for row in f1_model_doc["bandwidths"]],
         alpha=[v * alpha_scale for v in f1_model_doc["alpha"]],

@@ -49,6 +49,8 @@ def test_entry_shape_mismatch_rejected():
 def test_entry_nonpositive_bandwidth_rejected():
     with pytest.raises(ValueError):
         lab_entry([0.0], [1.0], [0.0])
+    with pytest.raises(ValueError):
+        lab_entry([0.0], [1.0], [1e-160])
 
 
 def test_square_matrix_uses_column_bandwidths():
@@ -116,6 +118,8 @@ def test_rbf_sigma_validation():
     x = np.zeros((3, 2))
     with pytest.raises(ValueError):
         rbf_matrix(x, x, 0.0)
+    with pytest.raises(ValueError):
+        rbf_matrix(x, x, 1e-160)
     with pytest.raises(DimensionMismatch):
         rbf_matrix(x, x, [1.0, 2.0, 3.0])
 
@@ -125,6 +129,8 @@ def test_bandwidth_set_requires_positive_entries():
         BandwidthSet(np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         BandwidthSet(np.array([[1.0, -2.0]]))
+    with pytest.raises(ValueError):
+        BandwidthSet(np.array([[1.0, 1e-160]]))
 
 
 def test_bandwidth_set_copies_its_input():
@@ -148,11 +154,8 @@ def test_bandwidth_uniform_factory():
         BandwidthSet.uniform(0, 2, 1.0)
     with pytest.raises(ValueError):
         BandwidthSet.uniform(2, 2, -1.0)
-
-
-def test_matrix_theta_shape_must_match_support():
-    with pytest.raises(DimensionMismatch):
-        lab_matrix(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        BandwidthSet.uniform(2, 2, 1e-160)
 
 
 # ---------------------------------------------------------------------------

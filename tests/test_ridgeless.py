@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from labrr.data import NormMeta, ParseError, UnscalableData, apply_feature_scaling, normalize, synth
-from labrr.kernels import _EXP_FLOOR, BandwidthSet, lab_matrix, rbf_matrix
+from labrr.kernels import _EXP_FLOOR, MIN_BANDWIDTH, BandwidthSet, lab_matrix, rbf_matrix
 from labrr.numerics import DimensionMismatch, SingularSystem
 from labrr.ridgeless import (
     _PREDICT_BLOCK_ENTRIES,
     DEFAULT_JITTER,
-    MIN_BANDWIDTH,
     LabModel,
     fit_asym_duals,
     fit_lab,

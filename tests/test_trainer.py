@@ -1,5 +1,7 @@
 """Unit tests for the bandwidth gradient, SGD round, and training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from labrr import ridgeless, trainer
 from labrr.data import Dataset, InsufficientData, SplitSpec, normalize, split, synth
-from labrr.kernels import BandwidthSet, lab_matrix
+from labrr.kernels import MIN_BANDWIDTH, BandwidthSet, lab_matrix
 from labrr.metrics import sparsity_r0
 from labrr.numerics import DimensionMismatch, FactorizedMatrix
-from labrr.ridgeless import MIN_BANDWIDTH, LabModel, SupportSystem, fit_lab, predict
+from labrr.ridgeless import LabModel, SupportSystem, fit_lab, predict
 from labrr.trainer import (
     SELECTION_STRATEGIES,
     TrainConfig,
@@ -678,11 +680,14 @@ def test_sgd_does_not_diverge_on_noisy_small_support_seed_9803_trial_5():
 def test_train_config_validation(overrides):
     kwargs = dict(error_budget=1e-3)
     kwargs.update(overrides)
-    config = TrainConfig(**kwargs)
     with pytest.raises(ValueError):
-        config.validate()
+        TrainConfig(**kwargs)
+    with pytest.raises(ValueError):
+        dataclasses.replace(TrainConfig(error_budget=1e-3), **overrides)
 
 
 def test_train_config_defaults_validate():
-    TrainConfig(error_budget=1e-3).validate()
-    TrainConfig(error_budget=1e-3, bandwidth_max=1e150).validate()
+    config = TrainConfig(error_budget=1e-3)
+    TrainConfig(error_budget=1e-3, bandwidth_max=1e150)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.momentum = 1.0
