@@ -107,7 +107,9 @@ def _bandwidth_set(theta, cols: np.ndarray) -> BandwidthSet:
 def lab_entry(t, x, theta) -> float:
     """Kernel value between one probe point and one support point.
 
-    Always in ``(0, 1]``, and exactly 1 when ``t == x``.
+    In ``[0, 1]``, and exactly 1 when ``t == x``.  This is the difference
+    form, which has no floor: far points underflow to exactly 0, where the
+    expanded form floors at ``exp(-350)``.
     """
     t = as_vector(t, "t")
     x = as_vector(x, "x")
@@ -138,7 +140,9 @@ def lab_matrix(rows, cols, theta) -> np.ndarray:
     -------
     numpy.ndarray, shape (n_rows, n_cols)
         Entry ``(i, j) = exp(-||theta_j * (rows_i - cols_j)||^2)``.
-        Column ``j`` depends only on ``theta_j``.
+        Column ``j`` depends only on ``theta_j``.  Entries of far pairs
+        underflow to exactly 0; only the expanded form floors at
+        ``exp(-350)``.
     """
     rows = as_matrix(rows, "rows")
     cols = as_matrix(cols, "cols")
@@ -165,8 +169,12 @@ def _quadratic_features(points: np.ndarray, origin: np.ndarray) -> np.ndarray:
     coordinates, so ``origin`` must lie near the data; the support mean keeps
     every term at the data's spread.
     """
-    p = points - origin
-    return np.hstack([p * p, p, np.ones((p.shape[0], 1))])
+    d = points.shape[1]
+    out = np.empty((points.shape[0], 2 * d + 1))
+    p = np.subtract(points, origin, out=out[:, d:2 * d])
+    np.multiply(p, p, out=out[:, :d])
+    out[:, 2 * d] = 1.0
+    return out
 
 
 def _neg_coef(centered: np.ndarray, th_sq: np.ndarray) -> np.ndarray:

@@ -112,9 +112,8 @@ class SupportSystem:
         """Set ``self.gram`` to ``lab_matrix(x, x, th)``, to rounding, floored
         at ``exp(-350)`` ~ 1e-152 (so a product of two entries in its LU stays
         a normal float) and with an exact unit diagonal; return the right
-        factor of any cross-kernel against this support under ``th``."""
-        if th.shape != self.centered.shape:
-            raise DimensionMismatch(f"bandwidths {th.shape}, support {self.centered.shape}")
+        factor of any cross-kernel against this support under ``th``.  Its
+        callers check that ``th`` has the support's shape."""
         neg_coef = _neg_coef(self.centered, th * th)
         self.gram = _expanded_kernel(self.features, neg_coef)
         np.fill_diagonal(self.gram, 1.0)

@@ -201,13 +201,23 @@ def _rank_spaced(order: np.ndarray, count: int) -> np.ndarray:
 
 
 def _kmeans_representatives(x: np.ndarray, count: int, seed: int) -> list[int]:
-    """Nearest data index to each center of a seeded fixed-sweep k-means."""
+    """Nearest data index to each center of a seeded k-means of at most
+    ``_KMEANS_SWEEPS`` Lloyd sweeps.
+
+    A sweep whose assignment equals the previous one's would set every center
+    to the value it already has, and so would every later sweep: stopping
+    there gives the capped run's centers bit for bit.
+    """
     rng = np.random.default_rng(seed)
     centers = x[rng.choice(x.shape[0], size=count, replace=False)].copy()
     x_sq = (x * x).sum(axis=1)
+    previous = None
     for _ in range(_KMEANS_SWEEPS):
         d2 = x_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
         assign = d2.argmin(axis=1)
+        if previous is not None and np.array_equal(assign, previous):
+            break
+        previous = assign
         counts = np.bincount(assign, minlength=count)
         sums = np.zeros_like(centers)
         np.add.at(sums, assign, x)
@@ -268,9 +278,10 @@ def _weighted_sq_dist(
 
 def batch_loss_and_grad(
     system: SupportSystem,
-    theta: BandwidthSet,
+    theta: BandwidthSet | np.ndarray,
     batch_x,
     batch_y,
+    batch_features: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
     """Batch squared error and its exact bandwidth gradient.
 
@@ -288,23 +299,33 @@ def batch_loss_and_grad(
     of two entries stays a normal float.  The Gram is left in
     ``system.gram``, and its LU is factored from a private copy.
 
+    A call checks the bandwidths against the support and the batch against
+    its labels and the support's dimension, and featurizes ``batch_x``.
+    :func:`sgd_round` makes those checks once per round and passes
+    ``batch_features`` instead: the batch's rows of its checked remainder's
+    quadratic features about ``system.origin``, with ``theta`` as the raw
+    array it keeps in bounds and ``batch_x`` as ``None``.  Nothing is then
+    checked again.
+
     Returns
     -------
     (float, numpy.ndarray)
         The scalar loss and a gradient with one row per support point.
     """
-    bx, by = as_pair(batch_x, batch_y, "batch_x", "batch_y")
     c = system.centered
-    th = _bandwidth_set(theta, c).values
-    if bx.shape[1] != c.shape[1]:
-        raise DimensionMismatch(f"batch {bx.shape} and support {c.shape} disagree in dim")
+    th = theta
+    if batch_features is None:
+        bx, batch_y = as_pair(batch_x, batch_y, "batch_x", "batch_y")
+        th = _bandwidth_set(theta, c).values
+        if bx.shape[1] != c.shape[1]:
+            raise DimensionMismatch(f"batch {bx.shape} and support {c.shape} disagree in dim")
+        batch_features = _quadratic_features(bx, system.origin)
     neg_coef = system.build_gram(th)
     solver = FactorizedMatrix(system.gram, system.jitter)
     alpha = solver.solve(system.y)
 
-    batch_features = _quadratic_features(bx, system.origin)
     cross = _expanded_kernel(batch_features, neg_coef)
-    resid = cross @ alpha - by
+    resid = cross @ alpha - batch_y
     loss = float(resid @ resid)
 
     # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
@@ -328,35 +349,43 @@ def sgd_round(
     """One round of ``inner_steps`` SGD updates on the bandwidths.
 
     The support is validated and featurized once, as one
-    :class:`SupportSystem`.  Each step samples a fresh mini-batch uniformly
-    without replacement from the remainder (non-support) points, descends
-    the exact gradient, and clips into the bandwidth bounds.  Returns the
-    updated bandwidths and the per-step loss curve.  With ``inner_steps=0``,
-    ``learning_rate=0``, or an empty remainder the bandwidths come back
-    unchanged.
+    :class:`SupportSystem`; the remainder (non-support) points and the
+    bandwidths are checked against it, and the remainder featurized about
+    its origin, once as well.  Each step samples a fresh mini-batch uniformly
+    without replacement from the remainder, descends the exact gradient, and
+    clips into the bandwidth bounds; a step whose update makes a bandwidth
+    NaN raises ``ValueError``.  Returns the updated bandwidths and the
+    per-step loss curve.  With ``inner_steps=0``, ``learning_rate=0``, or an
+    empty remainder the bandwidths come back unchanged.
     """
     remainder_x, remainder_y = as_pair(remainder_x, remainder_y, "remainder_x", "remainder_y")
     n_rem = remainder_x.shape[0]
-    th = theta.values.copy()
     losses: list[float] = []
     if n_rem == 0:
-        return BandwidthSet(th), losses
+        return theta, losses
     system = SupportSystem(support_x, support_y, config.jitter)
+    if remainder_x.shape[1] != system.centered.shape[1]:
+        raise DimensionMismatch(
+            f"remainder {remainder_x.shape} and support {system.centered.shape} disagree in dim"
+        )
+    th = _bandwidth_set(theta, system.centered).values.copy()
+    features = _quadratic_features(remainder_x, system.origin)
     velocity = np.zeros_like(th)
     batch = min(config.batch_size, n_rem)
-    for _ in range(config.inner_steps):
+    largest = np.finfo(float).max
+    for step in range(config.inner_steps):
         picks = rng.choice(n_rem, size=batch, replace=False)
-        loss, grad = batch_loss_and_grad(
-            system, BandwidthSet(th), remainder_x[picks], remainder_y[picks]
-        )
+        loss, grad = batch_loss_and_grad(system, th, None, remainder_y[picks], features[picks])
         losses.append(loss)
         # Heavy-ball; at momentum 0 plain SGD bit for bit (0 * v is +-0, +-0 - a
         # is -a).  An overflowed step is held finite, so 0 * v never makes a NaN.
         velocity *= config.momentum
         velocity -= config.learning_rate * grad
-        np.clip(velocity, -np.finfo(float).max, np.finfo(float).max, out=velocity)
+        np.minimum(np.maximum(velocity, -largest, out=velocity), largest, out=velocity)
         th += velocity
-        np.clip(th, config.bandwidth_min, config.bandwidth_max, out=th)
+        np.minimum(np.maximum(th, config.bandwidth_min, out=th), config.bandwidth_max, out=th)
+        if np.isnan(th).any():
+            raise ValueError(f"SGD step {step} made a bandwidth NaN")
     return BandwidthSet(th), losses
 
 

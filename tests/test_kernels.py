@@ -41,6 +41,20 @@ def test_entry_range_and_symmetry_in_sign():
         assert lab_entry(x, t, th) == pytest.approx(k, rel=1e-15)
 
 
+def test_difference_form_underflows_to_zero_on_far_points():
+    # exp(-100**2) is below the smallest subnormal; only the expanded form floors.
+    assert lab_entry([0.0], [100.0], [1.0]) == 0.0
+    assert lab_matrix([[0.0], [100.0]], [[100.0]], [[1.0]]).tolist() == [[0.0], [1.0]]
+
+
+def test_expanded_form_floors_far_points():
+    floor = np.exp(_EXP_FLOOR)
+    assert predict(LabModel([[100.0]], [[1.0]], [1.0]), [0.0]) == floor
+    system = SupportSystem([[0.0], [100.0]], [0.0, 0.0], 0.0)
+    system.build_gram(np.ones((2, 1)))
+    assert system.gram.tolist() == [[1.0, floor], [floor, 1.0]]
+
+
 def test_entry_shape_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         lab_entry([0.0, 0.0], [1.0], [1.0, 1.0])

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -247,12 +247,40 @@ def test_batch_loss_and_grad_checks_shapes():
         batch_loss_and_grad(system, th, np.ones((4, 2)), np.zeros(1))
     with pytest.raises(DimensionMismatch):
         batch_loss_and_grad(system, th, np.ones((2, 2)), np.zeros(3))
+    # The round checks its remainder and bandwidths once, for every step.
     rng = np.random.default_rng(5)
-    with pytest.raises(DimensionMismatch):
+    config = _round_config(inner_steps=2, batch_size=3, jitter=0.1)
+    for rem_x, rem_y, support_x in [
+        (rng.normal(size=(6, 2)), rng.normal(size=9), np.eye(3, 2)),
+        (rng.normal(size=(6, 1)), rng.normal(size=6), np.eye(3, 2)),
+        (rng.normal(size=(6, 3)), rng.normal(size=6), np.eye(3, 2)),
+        (rng.normal(size=(6, 2)), rng.normal(size=6), np.eye(4, 2)),
+    ]:
+        with pytest.raises(DimensionMismatch):
+            sgd_round(support_x, np.zeros(len(support_x)), th, rem_x, rem_y, config, rng)
+
+
+@pytest.mark.parametrize("bad_step", [0, 3])
+def test_sgd_round_raises_at_the_step_whose_update_makes_a_bandwidth_nan(monkeypatch, bad_step):
+    calls = []
+    step = trainer.batch_loss_and_grad
+
+    def nan_at_bad_step(*args):
+        loss, grad = step(*args)
+        if len(calls) == bad_step:
+            grad[0, 0] = np.nan
+        calls.append(loss)
+        return loss, grad
+
+    monkeypatch.setattr(trainer, "batch_loss_and_grad", nan_at_bad_step)
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match=f"step {bad_step} made a bandwidth NaN"):
         sgd_round(
-            np.eye(3, 2), np.zeros(3), th, rng.normal(size=(6, 2)), rng.normal(size=9),
-            _round_config(inner_steps=2, batch_size=3, jitter=0.1), rng,
+            rng.normal(size=(5, 2)), rng.normal(size=5), BandwidthSet.uniform(5, 2, 1.0),
+            rng.normal(size=(9, 2)), rng.normal(size=9),
+            _round_config(inner_steps=4, batch_size=3, jitter=1e-2), rng,
         )
+    assert len(calls) == bad_step + 1
 
 
 def test_batch_loss_is_zero_on_support_points():
@@ -449,6 +477,42 @@ def test_select_initial_support_kmeans_tops_up_collapsed_representatives():
         2: [4, 8, 0, 2, 6, 11],
         3: [0, 8, 4, 2, 6, 11],
     }
+
+
+def _kmeans_every_sweep(x, count, seed):
+    """``_kmeans_representatives`` without its fixed-point exit."""
+    rng = np.random.default_rng(seed)
+    centers = x[rng.choice(x.shape[0], size=count, replace=False)].copy()
+    x_sq = (x * x).sum(axis=1)
+    for _ in range(trainer._KMEANS_SWEEPS):
+        d2 = x_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
+        assign = d2.argmin(axis=1)
+        counts = np.bincount(assign, minlength=count)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, assign, x)
+        occupied = counts > 0
+        centers[occupied] = sums[occupied] / counts[occupied, None]
+    d2 = x_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
+    return [int(i) for i in d2.argmin(axis=0)]
+
+
+@st.composite
+def _kmeans_inputs(draw):
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    # Grid values make duplicate points, whose extra centers own empty clusters.
+    coords = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-3.0, 3.0))
+    x = draw(arrays(np.float64, (n, d), elements=coords))
+    count = draw(st.one_of(st.just(n), st.integers(1, n)))
+    return x, count, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs=_kmeans_inputs())
+# Six points on two locations, one center per point: four clusters stay empty.
+@example(inputs=(np.repeat([[0.0, 0.0], [1.0, 0.0]], 3, axis=0), 6, 0))
+def test_kmeans_fixed_point_exit_matches_every_sweep(inputs):
+    x, count, seed = inputs
+    assert trainer._kmeans_representatives(x, count, seed) == _kmeans_every_sweep(x, count, seed)
 
 
 def test_select_initial_support_validation():
