@@ -91,33 +91,48 @@ class LabModel:
 
 
 class SupportSystem:
-    """The one builder of a support Gram, for the fit and every SGD step.
+    """The one builder of a support Gram: a training round's support, for
+    its fit and every SGD step.
 
-    Validates the support once and holds its mean (the expanded form's
-    origin), the centered points and their quadratic features; one system
-    serves a whole SGD round.  Each :meth:`build_gram` sets ``self.gram`` to
-    a fresh array.
+    Validates the support once and holds its points, their mean (the
+    expanded form's origin), the centered points and their quadratic
+    features, but no per-step state.
     """
 
     def __init__(self, support_x, support_y, jitter: float) -> None:
-        x, self.y = as_pair(support_x, support_y, "support_x", "support_y")
-        if 0 in x.shape:
-            raise DimensionMismatch(f"support_x must be non-empty, got {x.shape}")
+        self.x, self.y = as_pair(support_x, support_y, "support_x", "support_y")
+        if 0 in self.x.shape:
+            raise DimensionMismatch(f"support_x must be non-empty, got {self.x.shape}")
         self.jitter = jitter
-        self.origin = x.mean(axis=0)
-        self.centered = x - self.origin
-        self.features = _quadratic_features(x, self.origin)
+        self.origin = self.x.mean(axis=0)
+        self.centered = self.x - self.origin
+        self.features = _quadratic_features(self.x, self.origin)
 
-    def build_gram(self, th: np.ndarray) -> np.ndarray:
-        """Set ``self.gram`` to ``lab_matrix(x, x, th)``, to rounding, floored
+    def featurize(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """Features about ``self.origin`` and labels of points checked against
+        this support: the one such check (``as_pair`` and the dimension)."""
+        x, y = as_pair(x, y, "x", "y")
+        if x.shape[1] != self.x.shape[1]:
+            raise DimensionMismatch(f"points {x.shape} and support {self.x.shape} disagree in dim")
+        return _quadratic_features(x, self.origin), y
+
+    def build_gram(self, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(gram, neg_coef)``: ``lab_matrix(x, x, th)``, to rounding, floored
         at ``exp(-350)`` ~ 1e-152 (so a product of two entries in its LU stays
-        a normal float) and with an exact unit diagonal; return the right
-        factor of any cross-kernel against this support under ``th``.  Its
-        callers check that ``th`` has the support's shape."""
+        a normal float) and with an exact unit diagonal; and the right factor
+        of any cross-kernel against this support under ``th``.  Its callers
+        check that ``th`` has the support's shape."""
         neg_coef = _neg_coef(self.centered, th * th)
-        self.gram = _expanded_kernel(self.features, neg_coef)
-        np.fill_diagonal(self.gram, 1.0)
-        return neg_coef
+        gram = _expanded_kernel(self.features, neg_coef)
+        np.fill_diagonal(gram, 1.0)
+        return gram, neg_coef
+
+    def fit(self, theta, norm_meta: NormMeta | None) -> LabModel:
+        """The interpolant of this support under ``theta``; see :func:`fit_lab`."""
+        theta = _bandwidth_set(theta, self.centered)
+        gram, _ = self.build_gram(theta.values)
+        alpha = solve_regularized(gram, self.y, self.jitter)
+        return LabModel(self.x, theta, alpha, self.jitter, norm_meta)
 
 
 def fit_lab(
@@ -143,11 +158,7 @@ def fit_lab(
         Propagated from the solve; signals duplicate support points or a
         degenerate bandwidth set.
     """
-    system = SupportSystem(support_x, support_y, jitter)
-    theta = _bandwidth_set(theta, system.centered)
-    system.build_gram(theta.values)
-    alpha = solve_regularized(system.gram, system.y, jitter)
-    return LabModel(support_x, theta, alpha, jitter, norm_meta)
+    return SupportSystem(support_x, support_y, jitter).fit(theta, norm_meta)
 
 
 def predict(model: LabModel, t):

@@ -16,18 +16,20 @@ fixed BLAS thread count a (dataset, config) pair reproduces the model bitwise.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, InsufficientData
-from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set, _expanded_kernel, _quadratic_features
-# ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
-# ``trainer.lab_matrix`` by name, so the name must stay importable.
+from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set, _expanded_kernel
+from .numerics import DimensionMismatch, FactorizedMatrix, as_vector
+from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, predict
+# Not called here, but the benchmark's tracer rebinds ``trainer.lab_matrix``
+# and ``trainer.fit_lab`` by name, so both names must stay importable.
 from .kernels import lab_matrix  # noqa: F401
-from .numerics import DimensionMismatch, FactorizedMatrix, as_pair, as_vector
-from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, fit_lab, predict
+from .ridgeless import fit_lab  # noqa: F401
 
 __all__ = [
     "SELECTION_STRATEGIES",
@@ -44,6 +46,10 @@ __all__ = [
 SELECTION_STRATEGIES = ("y_uniform", "x_kmeans", "extreme_y")
 
 _KMEANS_SWEEPS = 50
+
+#: ``TrainConfig`` fields that count or index something; a float or a bool
+#: there would fail only partway through ``train``.
+_INT_FIELDS = ("grow_count", "inner_steps", "initial_support", "batch_size", "max_rounds", "seed")
 
 
 @dataclass(frozen=True)
@@ -106,6 +112,10 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (self.error_budget > 0.0):
             raise ValueError(f"error_budget must be positive, got {self.error_budget}")
         if self.grow_count < 1:
@@ -278,10 +288,9 @@ def _weighted_sq_dist(
 
 def batch_loss_and_grad(
     system: SupportSystem,
-    theta: BandwidthSet | np.ndarray,
-    batch_x,
-    batch_y,
-    batch_features: np.ndarray | None = None,
+    th: np.ndarray,
+    batch_features: np.ndarray,
+    batch_y: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Batch squared error and its exact bandwidth gradient.
 
@@ -292,20 +301,16 @@ def batch_loss_and_grad(
     ``alpha`` on the support Gram matrix.  The latter is evaluated with one
     adjoint (transposed) solve instead of per-entry solves.
 
-    The Gram comes from ``system.build_gram``, as in ``fit_lab``, and the
+    The Gram comes from ``system.build_gram``, as in ``system.fit``, and the
     cross-kernel and the weighted distances use the same expanded form: they
     match ``lab_matrix`` and the difference form to rounding, with kernel
     entries below ``exp(-350)`` ~ 1e-152 read as ``exp(-350)``, so a product
-    of two entries stays a normal float.  The Gram is left in
-    ``system.gram``, and its LU is factored from a private copy.
+    of two entries stays a normal float.  The Gram's LU is factored from a
+    private copy.
 
-    A call checks the bandwidths against the support and the batch against
-    its labels and the support's dimension, and featurizes ``batch_x``.
-    :func:`sgd_round` makes those checks once per round and passes
-    ``batch_features`` instead: the batch's rows of its checked remainder's
-    quadratic features about ``system.origin``, with ``theta`` as the raw
-    array it keeps in bounds and ``batch_x`` as ``None``.  Nothing is then
-    checked again.
+    ``th`` is the raw bandwidth array and ``batch_features, batch_y`` what
+    ``system.featurize`` returns for the batch, where it is checked; the step
+    only checks that the shapes line up (else :class:`DimensionMismatch`).
 
     Returns
     -------
@@ -313,15 +318,12 @@ def batch_loss_and_grad(
         The scalar loss and a gradient with one row per support point.
     """
     c = system.centered
-    th = theta
-    if batch_features is None:
-        bx, batch_y = as_pair(batch_x, batch_y, "batch_x", "batch_y")
-        th = _bandwidth_set(theta, c).values
-        if bx.shape[1] != c.shape[1]:
-            raise DimensionMismatch(f"batch {bx.shape} and support {c.shape} disagree in dim")
-        batch_features = _quadratic_features(bx, system.origin)
-    neg_coef = system.build_gram(th)
-    solver = FactorizedMatrix(system.gram, system.jitter)
+    if th.shape != c.shape:
+        raise DimensionMismatch(f"bandwidths have shape {th.shape}, support points have shape {c.shape}")
+    if batch_features.shape[0] != batch_y.shape[0]:
+        raise DimensionMismatch(f"{batch_y.shape[0]} labels for {batch_features.shape[0]} batch rows")
+    gram, neg_coef = system.build_gram(th)
+    solver = FactorizedMatrix(gram, system.jitter)
     alpha = solver.solve(system.y)
 
     cross = _expanded_kernel(batch_features, neg_coef)
@@ -332,50 +334,42 @@ def batch_loss_and_grad(
     u = solver.solve(cross.T @ resid, transpose=True)
 
     grad = _weighted_sq_dist(resid, cross, batch_features, c)
-    grad -= _weighted_sq_dist(u, system.gram, system.features, c)
+    grad -= _weighted_sq_dist(u, gram, system.features, c)
     grad *= -4.0 * th * alpha[:, None]
     return loss, grad
 
 
 def sgd_round(
-    support_x,
-    support_y,
+    system: SupportSystem,
     theta: BandwidthSet,
     remainder_x,
     remainder_y,
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> tuple[BandwidthSet, list[float]]:
-    """One round of ``inner_steps`` SGD updates on the bandwidths.
+    """One round of ``inner_steps`` SGD updates on the bandwidths of ``system``.
 
-    The support is validated and featurized once, as one
-    :class:`SupportSystem`; the remainder (non-support) points and the
-    bandwidths are checked against it, and the remainder featurized about
-    its origin, once as well.  Each step samples a fresh mini-batch uniformly
-    without replacement from the remainder, descends the exact gradient, and
-    clips into the bandwidth bounds; a step whose update makes a bandwidth
-    NaN raises ``ValueError``.  Returns the updated bandwidths and the
-    per-step loss curve.  With ``inner_steps=0``, ``learning_rate=0``, or an
-    empty remainder the bandwidths come back unchanged.
+    The remainder (non-support) points are checked and featurized by
+    ``system.featurize``, and the bandwidths checked against the support,
+    once.  Each step samples a fresh mini-batch uniformly without
+    replacement from the remainder, descends the exact gradient, and clips
+    into the bandwidth bounds; a step whose update makes a bandwidth NaN
+    raises ``ValueError``.  Returns the updated bandwidths and the per-step
+    loss curve.  With ``inner_steps=0``, ``learning_rate=0``, or an empty
+    remainder the bandwidths come back unchanged.
     """
-    remainder_x, remainder_y = as_pair(remainder_x, remainder_y, "remainder_x", "remainder_y")
-    n_rem = remainder_x.shape[0]
+    features, remainder_y = system.featurize(remainder_x, remainder_y)
+    n_rem = features.shape[0]
     losses: list[float] = []
     if n_rem == 0:
         return theta, losses
-    system = SupportSystem(support_x, support_y, config.jitter)
-    if remainder_x.shape[1] != system.centered.shape[1]:
-        raise DimensionMismatch(
-            f"remainder {remainder_x.shape} and support {system.centered.shape} disagree in dim"
-        )
     th = _bandwidth_set(theta, system.centered).values.copy()
-    features = _quadratic_features(remainder_x, system.origin)
     velocity = np.zeros_like(th)
     batch = min(config.batch_size, n_rem)
     largest = np.finfo(float).max
     for step in range(config.inner_steps):
         picks = rng.choice(n_rem, size=batch, replace=False)
-        loss, grad = batch_loss_and_grad(system, th, None, remainder_y[picks], features[picks])
+        loss, grad = batch_loss_and_grad(system, th, features[picks], remainder_y[picks])
         losses.append(loss)
         # Heavy-ball; at momentum 0 plain SGD bit for bit (0 * v is +-0, +-0 - a
         # is -a).  An overflowed step is held finite, so 0 * v never makes a NaN.
@@ -433,14 +427,9 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
     stop_reason = "max_rounds"
     for round_index in range(config.max_rounds):
         remainder = np.flatnonzero(~in_support)
-        theta, losses = sgd_round(
-            dataset.x[support], dataset.y[support], theta,
-            dataset.x[remainder], dataset.y[remainder], config, rng,
-        )
-        model = fit_lab(
-            dataset.x[support], dataset.y[support], theta,
-            config.jitter, dataset.norm_meta,
-        )
+        system = SupportSystem(dataset.x[support], dataset.y[support], config.jitter)
+        theta, losses = sgd_round(system, theta, dataset.x[remainder], dataset.y[remainder], config, rng)
+        model = system.fit(theta, dataset.norm_meta)
         # Error check per the growth rule: non-support points, or the support
         # itself once everything has been absorbed.
         eval_idx = remainder if remainder.shape[0] else np.asarray(support)

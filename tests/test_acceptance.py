@@ -99,15 +99,16 @@ def test_criterion_01_gradient_matches_finite_differences():
         by = rng.normal(size=4)
         th = rng.uniform(0.1, 5.0, size=(5, 3))
         system = SupportSystem(sx, sy, DEFAULT_JITTER)
-        _, grad = batch_loss_and_grad(system, BandwidthSet(th), bx, by)
+        batch = system.featurize(bx, by)
+        _, grad = batch_loss_and_grad(system, BandwidthSet(th).values, *batch)
         fd = np.empty_like(grad)
         for j in range(5):
             for m in range(3):
                 bumped = th.copy()
                 bumped[j, m] = th[j, m] + step
-                up, _ = batch_loss_and_grad(system, BandwidthSet(bumped), bx, by)
+                up, _ = batch_loss_and_grad(system, BandwidthSet(bumped).values, *batch)
                 bumped[j, m] = th[j, m] - step
-                down, _ = batch_loss_and_grad(system, BandwidthSet(bumped), bx, by)
+                down, _ = batch_loss_and_grad(system, BandwidthSet(bumped).values, *batch)
                 fd[j, m] = (up - down) / (2.0 * step)
         rel = float(np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-30))
         worst = max(worst, rel)

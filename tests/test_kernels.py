@@ -50,9 +50,8 @@ def test_difference_form_underflows_to_zero_on_far_points():
 def test_expanded_form_floors_far_points():
     floor = np.exp(_EXP_FLOOR)
     assert predict(LabModel([[100.0]], [[1.0]], [1.0]), [0.0]) == floor
-    system = SupportSystem([[0.0], [100.0]], [0.0, 0.0], 0.0)
-    system.build_gram(np.ones((2, 1)))
-    assert system.gram.tolist() == [[1.0, floor], [floor, 1.0]]
+    gram, _ = SupportSystem([[0.0], [100.0]], [0.0, 0.0], 0.0).build_gram(np.ones((2, 1)))
+    assert gram.tolist() == [[1.0, floor], [floor, 1.0]]
 
 
 def test_entry_shape_mismatch_rejected():
@@ -231,8 +230,7 @@ def test_expanded_kernel_has_no_subnormal_or_zero_entries():
     # same exponents, from 0 on the diagonal down to about -1e4.
     support = rows[::40]
     theta = np.sqrt(rng.uniform(0.2, 1.0, size=support.shape))
-    system = SupportSystem(support, np.zeros(len(support)), 0.0)
-    system.build_gram(theta)
+    gram, _ = SupportSystem(support, np.zeros(len(support)), 0.0).build_gram(theta)
     reference = lab_matrix(support, support, theta)
     assert reference.min() == 0.0
-    _assert_floored_kernel(system.gram, reference)
+    _assert_floored_kernel(gram, reference)

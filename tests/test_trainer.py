@@ -28,9 +28,8 @@ from labrr.trainer import (
 def test_batch_loss_and_grad_hand_values():
     # One support point at the origin with label 1 and bandwidth 1, one batch
     # point at distance 1 with label 0: loss = exp(-2), d/dtheta = -4 exp(-2).
-    loss, grad = batch_loss_and_grad(
-        SupportSystem([[0.0]], [1.0], 0.0), BandwidthSet([[1.0]]), [[1.0]], [0.0]
-    )
+    system = SupportSystem([[0.0]], [1.0], 0.0)
+    loss, grad = batch_loss_and_grad(system, BandwidthSet([[1.0]]).values, *system.featurize([[1.0]], [0.0]))
     assert loss == pytest.approx(0.1353352832366127, rel=1e-12)
     assert grad.shape == (1, 1)
     assert grad[0, 0] == pytest.approx(-0.5413411329464508, rel=1e-12)
@@ -38,8 +37,9 @@ def test_batch_loss_and_grad_hand_values():
 
 def test_batch_loss_and_grad_accepts_raw_theta():
     system = SupportSystem([[0.0]], [1.0], 0.0)
-    loss_a, grad_a = batch_loss_and_grad(system, np.array([[1.0]]), [[1.0]], [0.0])
-    loss_b, grad_b = batch_loss_and_grad(system, BandwidthSet([[1.0]]), [[1.0]], [0.0])
+    batch = system.featurize([[1.0]], [0.0])
+    loss_a, grad_a = batch_loss_and_grad(system, np.array([[1.0]]), *batch)
+    loss_b, grad_b = batch_loss_and_grad(system, BandwidthSet([[1.0]]).values, *batch)
     assert loss_a == loss_b
     assert np.array_equal(grad_a, grad_b)
 
@@ -52,15 +52,16 @@ def _assert_grad_matches_finite_differences(rng, n_support, n_batch, dim):
     by = rng.normal(size=n_batch)
     th = rng.uniform(0.3, 3.0, size=(n_support, dim))
     system = SupportSystem(sx, sy, 1e-6)
-    _, grad = batch_loss_and_grad(system, BandwidthSet(th), bx, by)
+    batch = system.featurize(bx, by)
+    _, grad = batch_loss_and_grad(system, th, *batch)
     fd = np.empty_like(grad)
     for j in range(n_support):
         for m in range(dim):
             bumped = th.copy()
             bumped[j, m] = th[j, m] + step
-            up, _ = batch_loss_and_grad(system, BandwidthSet(bumped), bx, by)
+            up, _ = batch_loss_and_grad(system, bumped, *batch)
             bumped[j, m] = th[j, m] - step
-            down, _ = batch_loss_and_grad(system, BandwidthSet(bumped), bx, by)
+            down, _ = batch_loss_and_grad(system, bumped, *batch)
             fd[j, m] = (up - down) / (2.0 * step)
     rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12)
     assert rel <= 1e-4
@@ -105,7 +106,8 @@ def test_batch_loss_and_grad_matches_difference_form(offset):
     bx = rng.uniform(0.0, 1.0, size=(128, 6)) + offset
     by = rng.normal(size=128)
     th = rng.uniform(0.5, 5.0, size=(290, 6))
-    loss, grad = batch_loss_and_grad(SupportSystem(sx, sy, 1e-2), BandwidthSet(th), bx, by)
+    system = SupportSystem(sx, sy, 1e-2)
+    loss, grad = batch_loss_and_grad(system, th, *system.featurize(bx, by))
     ref_loss, ref_grad = _difference_form_loss_and_grad(sx, sy, th, 1e-2, bx, by)
     assert loss == pytest.approx(ref_loss, rel=1e-9)
     assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max()
@@ -130,9 +132,8 @@ def test_expanded_kernel_matches_lab_matrix(inputs):
     # with a unit vector is exact).
     expanded = np.column_stack([predict(LabModel(cols, theta, e), rows) for e in np.eye(len(cols))])
     assert np.abs(expanded - lab_matrix(rows, cols, theta)).max() <= 1e-12
-    system = SupportSystem(cols, np.zeros(len(cols)), 0.0)
-    system.build_gram(theta)
-    assert np.abs(system.gram - lab_matrix(cols, cols, theta)).max() <= 1e-12
+    gram, _ = SupportSystem(cols, np.zeros(len(cols)), 0.0).build_gram(theta)
+    assert np.abs(gram - lab_matrix(cols, cols, theta)).max() <= 1e-12
 
 
 def test_sgd_step_gram_has_exact_unit_diagonal(monkeypatch):
@@ -147,7 +148,7 @@ def test_sgd_step_gram_has_exact_unit_diagonal(monkeypatch):
     sx = rng.uniform(0.0, 1.0, size=(40, 3)) + 1e3
     th = rng.uniform(0.5, 8.0, size=(40, 3))
     system = SupportSystem(sx, rng.normal(size=40), 1e-2)
-    batch_loss_and_grad(system, th, sx[:7] + 0.01, rng.normal(size=7))
+    batch_loss_and_grad(system, th, *system.featurize(sx[:7] + 0.01, rng.normal(size=7)))
     (gram,) = grams
     assert np.all(np.diagonal(gram) == 1.0)
     assert np.abs(gram - lab_matrix(sx, sx, th)).max() <= 1e-12
@@ -179,8 +180,9 @@ def test_reused_support_system_matches_a_fresh_one_bit_for_bit(run):
     sx, sy, jitter, steps = run
     system = SupportSystem(sx, sy, jitter)
     for theta, bx, by in steps:
-        loss, grad = batch_loss_and_grad(system, theta, bx, by)
-        fresh_loss, fresh_grad = batch_loss_and_grad(SupportSystem(sx, sy, jitter), theta, bx, by)
+        loss, grad = batch_loss_and_grad(system, theta, *system.featurize(bx, by))
+        fresh = SupportSystem(sx, sy, jitter)
+        fresh_loss, fresh_grad = batch_loss_and_grad(fresh, theta, *fresh.featurize(bx, by))
         assert loss == fresh_loss
         assert np.array_equal(grad, fresh_grad)
 
@@ -204,49 +206,61 @@ def test_fit_lab_solves_for_the_alpha_of_the_sgd_step(run):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "FactorizedMatrix", Recording)
         for theta, bx, by in steps:
-            batch_loss_and_grad(system, theta, bx, by)
+            batch_loss_and_grad(system, theta, *system.featurize(bx, by))
     assert len(step_alphas) == len(steps)
     for (theta, _, _), alpha in zip(steps, step_alphas):
         assert np.array_equal(fit_lab(sx, sy, theta, jitter).alpha, alpha)
 
 
-def test_sgd_round_builds_one_system_and_looks_up_the_step_by_name(monkeypatch):
+def test_train_builds_one_support_system_per_round_and_looks_up_the_step_by_name(monkeypatch):
+    # A round's SGD steps and its fit share one system, built by ``train``.
     # The benchmark's tracer rebinds ``trainer.batch_loss_and_grad``; every
-    # step must go through that name, on the round's one system.
-    systems = []
+    # step must go through that name, on its round's system.
+    built, stepped = [], []
     step = trainer.batch_loss_and_grad
 
+    class Counting(SupportSystem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
     def recording(system, *args):
-        systems.append(system)
+        stepped.append(system)
         return step(system, *args)
 
+    monkeypatch.setattr(trainer, "SupportSystem", Counting)
+    monkeypatch.setattr(ridgeless, "SupportSystem", Counting)
     monkeypatch.setattr(trainer, "batch_loss_and_grad", recording)
-    rng = np.random.default_rng(4)
-    sgd_round(
-        rng.normal(size=(5, 2)), rng.normal(size=5), BandwidthSet.uniform(5, 2, 1.0),
-        rng.normal(size=(9, 2)), rng.normal(size=9),
-        _round_config(inner_steps=4, batch_size=3, jitter=1e-2), rng,
+    ds = normalize(synth("f1", 40, 0.0, seed=6))
+    config = TrainConfig(
+        error_budget=1e-14, initial_support=10, grow_count=5, inner_steps=4, max_rounds=3, batch_size=8,
     )
-    assert len(systems) == 4
-    assert all(system is systems[0] for system in systems)
+    _, trace = train(ds, config)
+    assert trace.n_rounds == 3
+    assert len(built) == 3
+    assert len(stepped) == 12
+    assert all(system is built[k // 4] for k, system in enumerate(stepped))
 
 
 def test_batch_loss_and_grad_checks_shapes():
     th = BandwidthSet(np.ones((3, 2)))
+    # A batch of another dimension than the support.
     with pytest.raises(DimensionMismatch):
-        batch_loss_and_grad(
-            SupportSystem(np.zeros((3, 2)), np.zeros(3), 0.1), th, np.zeros((2, 1)), np.zeros(2)
-        )
+        SupportSystem(np.zeros((3, 2)), np.zeros(3), 0.1).featurize(np.zeros((2, 1)), np.zeros(2))
+    # Bandwidths for 3 points against 4 support points.
+    system = SupportSystem(np.zeros((4, 2)), np.zeros(4), 0.1)
     with pytest.raises(DimensionMismatch):
-        batch_loss_and_grad(
-            SupportSystem(np.zeros((4, 2)), np.zeros(4), 0.1), th, np.zeros((2, 2)), np.zeros(2)
-        )
+        batch_loss_and_grad(system, th.values, *system.featurize(np.zeros((2, 2)), np.zeros(2)))
     # One label per batch row: neither a broadcast label nor extra labels.
     system = SupportSystem(np.eye(3, 2), np.zeros(3), 0.1)
-    with pytest.raises(DimensionMismatch):
-        batch_loss_and_grad(system, th, np.ones((4, 2)), np.zeros(1))
-    with pytest.raises(DimensionMismatch):
-        batch_loss_and_grad(system, th, np.ones((2, 2)), np.zeros(3))
+    for n_rows, n_labels in [(4, 1), (2, 3)]:
+        with pytest.raises(DimensionMismatch):
+            system.featurize(np.ones((n_rows, 2)), np.zeros(n_labels))
+        features, _ = system.featurize(np.ones((n_rows, 2)), np.zeros(n_rows))
+        with pytest.raises(DimensionMismatch):
+            batch_loss_and_grad(system, th.values, features, np.zeros(n_labels))
+    with pytest.raises(ValueError):
+        system.featurize([[np.nan, 0.0]], [0.0])
     # The round checks its remainder and bandwidths once, for every step.
     rng = np.random.default_rng(5)
     config = _round_config(inner_steps=2, batch_size=3, jitter=0.1)
@@ -256,8 +270,9 @@ def test_batch_loss_and_grad_checks_shapes():
         (rng.normal(size=(6, 3)), rng.normal(size=6), np.eye(3, 2)),
         (rng.normal(size=(6, 2)), rng.normal(size=6), np.eye(4, 2)),
     ]:
+        system = SupportSystem(support_x, np.zeros(len(support_x)), config.jitter)
         with pytest.raises(DimensionMismatch):
-            sgd_round(support_x, np.zeros(len(support_x)), th, rem_x, rem_y, config, rng)
+            sgd_round(system, th, rem_x, rem_y, config, rng)
 
 
 @pytest.mark.parametrize("bad_step", [0, 3])
@@ -274,11 +289,12 @@ def test_sgd_round_raises_at_the_step_whose_update_makes_a_bandwidth_nan(monkeyp
 
     monkeypatch.setattr(trainer, "batch_loss_and_grad", nan_at_bad_step)
     rng = np.random.default_rng(6)
+    config = _round_config(inner_steps=4, batch_size=3, jitter=1e-2)
     with pytest.raises(ValueError, match=f"step {bad_step} made a bandwidth NaN"):
         sgd_round(
-            rng.normal(size=(5, 2)), rng.normal(size=5), BandwidthSet.uniform(5, 2, 1.0),
-            rng.normal(size=(9, 2)), rng.normal(size=9),
-            _round_config(inner_steps=4, batch_size=3, jitter=1e-2), rng,
+            SupportSystem(rng.normal(size=(5, 2)), rng.normal(size=5), config.jitter),
+            BandwidthSet.uniform(5, 2, 1.0),
+            rng.normal(size=(9, 2)), rng.normal(size=9), config, rng,
         )
     assert len(calls) == bad_step + 1
 
@@ -290,7 +306,8 @@ def test_batch_loss_is_zero_on_support_points():
     sx = rng.normal(size=(5, 2))
     sy = rng.normal(size=5)
     th = BandwidthSet(rng.uniform(0.5, 2.0, size=(5, 2)))
-    loss, _ = batch_loss_and_grad(SupportSystem(sx, sy, 0.0), th, sx, sy)
+    system = SupportSystem(sx, sy, 0.0)
+    loss, _ = batch_loss_and_grad(system, th.values, *system.featurize(sx, sy))
     assert loss <= 1e-18
 
 
@@ -309,9 +326,10 @@ def _round_config(**overrides):
 
 
 def test_sgd_round_single_step_hand_value():
+    config = _round_config()
     theta, losses = sgd_round(
-        [[0.0]], [1.0], BandwidthSet([[1.0]]),
-        [[1.0]], [0.0], _round_config(), np.random.default_rng(0),
+        SupportSystem([[0.0]], [1.0], config.jitter), BandwidthSet([[1.0]]),
+        [[1.0]], [0.0], config, np.random.default_rng(0),
     )
     assert losses == [pytest.approx(0.1353352832366127, rel=1e-12)]
     assert theta.values[0, 0] == pytest.approx(1.0541341132946451, rel=1e-12)
@@ -328,7 +346,7 @@ def test_sgd_round_respects_bounds():
         bandwidth_min=0.5, bandwidth_max=2.0, init_bandwidth=1.0,
     )
     theta, losses = sgd_round(
-        sx, sy, BandwidthSet.uniform(4, 2, 1.0), rem_x, rem_y, config, rng,
+        SupportSystem(sx, sy, config.jitter), BandwidthSet.uniform(4, 2, 1.0), rem_x, rem_y, config, rng,
     )
     assert len(losses) == 5
     assert np.all(theta.values >= 0.5)
@@ -337,9 +355,10 @@ def test_sgd_round_respects_bounds():
 
 def test_sgd_round_empty_remainder_is_identity():
     start = BandwidthSet([[1.3, 0.7]])
+    config = _round_config(inner_steps=10)
     theta, losses = sgd_round(
-        [[0.0, 0.0]], [1.0], start,
-        np.zeros((0, 2)), np.zeros(0), _round_config(inner_steps=10), np.random.default_rng(0),
+        SupportSystem([[0.0, 0.0]], [1.0], config.jitter), start,
+        np.zeros((0, 2)), np.zeros(0), config, np.random.default_rng(0),
     )
     assert losses == []
     assert np.array_equal(theta.values, start.values)
@@ -347,9 +366,10 @@ def test_sgd_round_empty_remainder_is_identity():
 
 def test_sgd_round_zero_steps_is_identity():
     start = BandwidthSet([[2.0]])
+    config = _round_config(inner_steps=0)
     theta, losses = sgd_round(
-        [[0.0]], [1.0], start, [[1.0]], [0.0],
-        _round_config(inner_steps=0), np.random.default_rng(0),
+        SupportSystem([[0.0]], [1.0], config.jitter), start, [[1.0]], [0.0],
+        config, np.random.default_rng(0),
     )
     assert losses == []
     assert np.array_equal(theta.values, start.values)
@@ -357,9 +377,10 @@ def test_sgd_round_zero_steps_is_identity():
 
 def test_sgd_round_zero_learning_rate_records_losses_only():
     start = BandwidthSet([[2.0]])
+    config = _round_config(learning_rate=0.0, inner_steps=3)
     theta, losses = sgd_round(
-        [[0.0]], [1.0], start, [[1.0]], [0.0],
-        _round_config(learning_rate=0.0, inner_steps=3), np.random.default_rng(0),
+        SupportSystem([[0.0]], [1.0], config.jitter), start, [[1.0]], [0.0],
+        config, np.random.default_rng(0),
     )
     assert len(losses) == 3
     assert np.array_equal(theta.values, start.values)
@@ -380,15 +401,15 @@ def test_sgd_round_at_momentum_zero_is_plain_sgd_bit_for_bit(label_scale, learni
         learning_rate=learning_rate, inner_steps=6, batch_size=5, jitter=1e-3,
         bandwidth_min=0.1, bandwidth_max=10.0,
     )
-    theta, losses = sgd_round(sx, sy, start, rem_x, rem_y, config, np.random.default_rng(7))
+    system = SupportSystem(sx, sy, config.jitter)
+    theta, losses = sgd_round(system, start, rem_x, rem_y, config, np.random.default_rng(7))
 
     draws = np.random.default_rng(7)
-    system = SupportSystem(sx, sy, config.jitter)
     th = start.values.copy()
     plain_losses = []
     for _ in range(config.inner_steps):
         picks = draws.choice(rem_x.shape[0], size=config.batch_size, replace=False)
-        loss, grad = batch_loss_and_grad(system, BandwidthSet(th), rem_x[picks], rem_y[picks])
+        loss, grad = batch_loss_and_grad(system, BandwidthSet(th).values, *system.featurize(rem_x[picks], rem_y[picks]))
         plain_losses.append(loss)
         th -= config.learning_rate * grad
         np.clip(th, config.bandwidth_min, config.bandwidth_max, out=th)
@@ -400,7 +421,7 @@ def test_sgd_round_momentum_accumulates():
     # The gradient at this configuration is negative for any theta > 0, so
     # heavy-ball momentum must travel at least as far as plain SGD.
     kwargs = dict(
-        support_x=[[0.0]], support_y=[1.0],
+        system=SupportSystem([[0.0]], [1.0], _round_config().jitter),
         remainder_x=[[1.0]], remainder_y=[0.0],
     )
     plain, _ = sgd_round(
@@ -727,6 +748,14 @@ def test_sgd_does_not_diverge_on_noisy_small_support_seed_9803_trial_5():
         {"max_support_ratio": 1.5},
         {"selection": "bogus"},
         {"seed": -1},
+        {"grow_count": 2.0},
+        {"inner_steps": 2.5},
+        {"initial_support": 10.0},
+        {"batch_size": 8.0},
+        {"max_rounds": 3.0},
+        {"seed": 1.5},
+        {"inner_steps": True},
+        {"seed": False},
         {"jitter": -1e-9},
         {"momentum": 1.0},
         {"momentum": -0.1},
@@ -753,5 +782,6 @@ def test_train_config_validation(overrides):
 def test_train_config_defaults_validate():
     config = TrainConfig(error_budget=1e-3)
     TrainConfig(error_budget=1e-3, bandwidth_max=1e150)
+    TrainConfig(error_budget=1e-3, inner_steps=np.int32(3), seed=np.int64(2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.momentum = 1.0
