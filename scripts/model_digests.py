@@ -21,8 +21,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Before numpy loads, as in perfbench/run.py: trained models depend on the
-# BLAS thread count.
+# Before numpy loads, as in perfbench/run.py, so every BLAS call runs at the
+# benchmark's thread count; ``train`` pins one thread itself, nothing else does.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

@@ -24,6 +24,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .data import (
+    _WRITE_BLOCK_ROWS,
     Dataset,
     EmptyDataset,
     InsufficientData,
@@ -41,7 +42,7 @@ from .data import (
     synth,
 )
 from .metrics import make_report, project, sparsity_r0
-from .numerics import SingularSystem
+from .numerics import SingularSystem, one_blas_thread
 from .ridgeless import load_model, predict, save_model
 from .trainer import TrainConfig, train
 
@@ -351,13 +352,15 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
                 train_ds, test_ds = split(
                     dataset, SplitSpec(base_seed, trial, train_fraction)
                 )
-            model, trace = train(train_ds, config)
-            preds = predict(model, test_ds.x)
+            with one_blas_thread():
+                model, trace = train(train_ds, config)
+                preds = predict(model, test_ds.x)
+                max_train_sq_error = _max_train_sq_error(model, train_ds)
             if clip is not None:
                 preds = project(preds, float(clip))
             report = make_report(
                 test_ds.y, preds, model,
-                max_train_sq_error=_max_train_sq_error(model, train_ds),
+                max_train_sq_error=max_train_sq_error,
                 wall_clock_seconds=time.perf_counter() - started,
             )
             row = {
@@ -431,21 +434,30 @@ def cmd_predict(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         )
         return EXIT_ARGS
 
+    del matrix  # ``features`` keeps it alive only while it is unscaled
     if model.norm_meta is not None:
         features = apply_feature_scaling(model.norm_meta, features)
     values = predict(model, features)
+    del features
     if args.clip is not None:
         values = project(values, args.clip)
     if model.norm_meta is not None:
         values = invert_label_scaling(model.norm_meta, values)
 
-    text = "\n".join(["prediction", *map(repr, values.tolist())]) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_predictions(fh, values)
     else:
-        sys.stdout.write(text)
+        _write_predictions(sys.stdout, values)
     return EXIT_OK
+
+
+def _write_predictions(fh, values: np.ndarray) -> None:
+    """A ``prediction`` header, then one ``repr`` per line, formatted and
+    written ``_WRITE_BLOCK_ROWS`` values at a time."""
+    fh.write("prediction\n")
+    for lo in range(0, values.shape[0], _WRITE_BLOCK_ROWS):
+        fh.write("".join([repr(v) + "\n" for v in values[lo:lo + _WRITE_BLOCK_ROWS].tolist()]))
 
 
 def main(argv: list[str] | None = None) -> int:

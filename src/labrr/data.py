@@ -282,8 +282,8 @@ def load_csv(path, name: str | None = None) -> Dataset:
     return Dataset(matrix[:, :-1], matrix[:, -1], None, name or str(path))
 
 
-# Rows formatted per write: one join per block, so the text of a large file is
-# never held in memory at once.
+# Rows formatted per write: one join per block, so neither the text of a large
+# file nor a full-size copy of its values is held in memory at once.
 _WRITE_BLOCK_ROWS = 4096
 
 
@@ -293,11 +293,11 @@ def save_csv(dataset: Dataset, path) -> None:
     Floats are written with ``repr`` so a reload reproduces them bit-exactly.
     Lines end in CRLF, as :mod:`csv`'s default dialect writes them.
     """
-    table = np.column_stack([dataset.x, dataset.y])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join([f"x{j + 1}" for j in range(dataset.dim)] + ["y"]) + "\r\n")
-        for lo in range(0, table.shape[0], _WRITE_BLOCK_ROWS):
-            rows = table[lo : lo + _WRITE_BLOCK_ROWS].tolist()
+        for lo in range(0, dataset.n, _WRITE_BLOCK_ROWS):
+            block = slice(lo, lo + _WRITE_BLOCK_ROWS)
+            rows = np.column_stack([dataset.x[block], dataset.y[block]]).tolist()
             fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
 
 
@@ -309,12 +309,19 @@ def _scale_columns(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, names: li
     """Affine map ``v -> 2(v - lo)/(hi - lo) - 1``; constant columns go to 0.
 
     Raises :class:`UnscalableData` naming the first column (``names[j]``)
-    whose range or values overflow float64 on the way.
+    whose range or values overflow float64 on the way.  The result is built
+    in place in one output array, with the operations in the order of
+    ``2.0 * (values - lo) / safe - 1.0``, so no second full-size array is held.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         span = hi - lo
-        safe = np.where(span == 0.0, 1.0, span)
-        scaled = np.where(span == 0.0, 0.0, 2.0 * (values - lo) / safe - 1.0)
+        constant = span == 0.0
+        safe = np.where(constant, 1.0, span)
+        scaled = np.subtract(values, lo)
+        scaled *= 2.0
+        scaled /= safe
+        scaled -= 1.0
+        scaled[:, constant] = 0.0
     bad = np.flatnonzero(~np.isfinite(scaled).all(axis=0))
     if bad.size:
         raise UnscalableData(f"{names[bad[0]]}: values overflow float64 when scaled to [-1, 1]")

@@ -7,12 +7,20 @@ matrices built elsewhere in this package are asymmetric, so symmetric
 factorizations (Cholesky) are not an option.  It calls LAPACK's ``dgetrf``,
 ``dgetrs`` and ``dlange`` directly on a private copy, so no caller's matrix
 is ever changed.  A collapsed pivot raises :class:`SingularSystem` instead of
-letting garbage propagate into the fit.
+letting garbage propagate into the fit.  :func:`one_blas_thread` runs a block
+with both bundled OpenBLAS thread pools at one thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import logging
+from pathlib import Path
+
 import numpy as np
+import scipy
 from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 
 __all__ = [
@@ -22,8 +30,19 @@ __all__ = [
     "as_matrix",
     "as_pair",
     "as_vector",
+    "one_blas_thread",
     "solve_regularized",
 ]
+
+LOG = logging.getLogger(__name__)
+
+#: The OpenBLAS builds bundled with numpy's and scipy's wheels: a library
+#: pattern next to the package and the suffix of its thread-count symbols.
+#: numpy's runs the matrix products, scipy's the LAPACK calls.
+_BLAS_POOLS = (
+    (np, "numpy.libs", "libscipy_openblas64_*.so", "64_"),
+    (scipy, "scipy.libs", "libscipy_openblas-*.so", ""),
+)
 
 #: A pivot smaller than this fraction of the largest absolute row sum marks
 #: the system as numerically singular.
@@ -143,3 +162,45 @@ def solve_regularized(a, b, jitter: float = 0.0) -> np.ndarray:
     Raises what :class:`FactorizedMatrix` and its ``solve`` raise.
     """
     return FactorizedMatrix(a, jitter).solve(b)
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """``(get, set)`` thread-count functions of each bundled OpenBLAS pool,
+    or ``()`` when any of them is not found (another BLAS build)."""
+    controls = []
+    for package, libs, pattern, suffix in _BLAS_POOLS:
+        found = sorted((Path(package.__file__).parent.parent / libs).glob(pattern))
+        try:
+            lib = ctypes.CDLL(str(found[0]))  # already loaded: the same handle
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (IndexError, OSError, AttributeError) as exc:
+            LOG.debug("BLAS threads left as they are: no OpenBLAS thread control in %s (%s)", libs, exc)
+            return ()
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with numpy's and scipy's OpenBLAS pools at one thread
+    each, and restore their previous counts on exit.
+
+    Trained models then do not depend on the host's BLAS thread count, and
+    small products and LUs do not pay for two pools contending for the
+    cores.  The counts are process-wide, so the pin covers every thread
+    while the block runs.  Without both pools' thread controls it does
+    nothing.
+    """
+    controls = _blas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)

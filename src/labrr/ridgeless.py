@@ -21,6 +21,7 @@ from .kernels import _EXP_FLOOR, BandwidthSet, _bandwidth_set, _expanded_kernel,
 # ``ridgeless.lab_matrix`` by name, so the name must stay importable.
 from .kernels import lab_matrix  # noqa: F401
 from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_pair, as_vector, solve_regularized
+from .numerics import one_blas_thread
 
 __all__ = [
     "DEFAULT_JITTER",
@@ -40,10 +41,15 @@ __all__ = [
 #: interpolating, large enough to keep near-singular Gram matrices solvable.
 DEFAULT_JITTER = 1e-5
 
-#: Entries per row block of :func:`predict` (8 MB of float64): small enough
-#: to stay off the peak memory of a bulk predict, large enough that each
-#: block is one efficient matrix product.
-_PREDICT_BLOCK_ENTRIES = 1 << 20
+#: Entries per row block of :func:`predict` (1 MB of float64).  A block's
+#: kernel then stays in the 2 MB per-core L2 cache of a 2-core Xeon host
+#: while its ``exp`` and its product with ``alpha`` read it, and a bulk
+#: predict's peak memory is its inputs and outputs, not a block.  A
+#: 100k x 500, d=6 predict at one BLAS thread there, median of 12
+#: alternating runs per size: 0.128 s at 1 MB, 0.129 s at 0.5 MB, 0.133 s at
+#: 2 MB, 0.153 s at 8 MB; smaller blocks pay more per-block overhead
+#: (0.141 s at 0.25 MB, 0.196 s at 0.125 MB).
+_PREDICT_BLOCK_ENTRIES = 1 << 17
 
 _MODEL_FORMAT = "labrr.model"
 _MODEL_VERSION = 1
@@ -135,6 +141,7 @@ class SupportSystem:
         return LabModel(self.x, theta, alpha, self.jitter, norm_meta)
 
 
+@one_blas_thread()
 def fit_lab(
     support_x,
     support_y,
@@ -149,6 +156,7 @@ def fit_lab(
     bandwidths, built by :class:`SupportSystem` as in the SGD step, which
     solves for this ``alpha`` bit for bit.  With ``jitter=0`` and a
     nonsingular ``K`` the model interpolates the support labels exactly.
+    Runs at one BLAS thread per pool, as :func:`~labrr.trainer.train` does.
 
     Raises
     ------

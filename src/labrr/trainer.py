@@ -10,8 +10,9 @@ residual drops below the error budget ``B``:
 2. A growth step that promotes the ``k`` worst-predicted non-support points
    into the support set.
 
-Support only ever grows.  All randomness flows from the config seed, so at a
-fixed BLAS thread count a (dataset, config) pair reproduces the model bitwise.
+Support only ever grows.  All randomness flows from the config seed, and
+:func:`train` runs at one BLAS thread, so a (dataset, config) pair reproduces
+the model bitwise.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .data import Dataset, InsufficientData
 from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set, _expanded_kernel
-from .numerics import DimensionMismatch, FactorizedMatrix, as_vector
+from .numerics import DimensionMismatch, FactorizedMatrix, as_vector, one_blas_thread
 from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, predict
 # Not called here, but the benchmark's tracer rebinds ``trainer.lab_matrix``
 # and ``trainer.fit_lab`` by name, so both names must stay importable.
@@ -217,24 +218,36 @@ def _kmeans_representatives(x: np.ndarray, count: int, seed: int) -> list[int]:
     A sweep whose assignment equals the previous one's would set every center
     to the value it already has, and so would every later sweep: stopping
     there gives the capped run's centers bit for bit.
+
+    The squared distances ``x_sq + c_sq - 2.0 * (x @ centers.T)`` are built
+    in two points-by-centers buffers allocated once, in that order, and each
+    cluster's sum is a ``bincount`` per column, which adds its points in the
+    order ``np.add.at`` does.
     """
     rng = np.random.default_rng(seed)
     centers = x[rng.choice(x.shape[0], size=count, replace=False)].copy()
     x_sq = (x * x).sum(axis=1)
+    d2 = np.empty((x.shape[0], count))
+    cross = np.empty_like(d2)
+    sums = np.empty_like(centers)
+
+    def distances() -> np.ndarray:
+        np.add(x_sq[:, None], (centers * centers).sum(axis=1)[None, :], out=d2)
+        np.multiply(2.0, np.matmul(x, centers.T, out=cross), out=cross)
+        return np.subtract(d2, cross, out=d2)
+
     previous = None
     for _ in range(_KMEANS_SWEEPS):
-        d2 = x_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
-        assign = d2.argmin(axis=1)
+        assign = distances().argmin(axis=1)
         if previous is not None and np.array_equal(assign, previous):
             break
         previous = assign
         counts = np.bincount(assign, minlength=count)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assign, x)
+        for m in range(x.shape[1]):
+            sums[:, m] = np.bincount(assign, weights=x[:, m], minlength=count)
         occupied = counts > 0
         centers[occupied] = sums[occupied] / counts[occupied, None]
-    d2 = x_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
-    return [int(i) for i in d2.argmin(axis=0)]
+    return [int(i) for i in distances().argmin(axis=0)]
 
 
 def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: int) -> np.ndarray:
@@ -400,6 +413,7 @@ def grow_support(sq_errors, count: int) -> np.ndarray:
 # The outer loop
 
 
+@one_blas_thread()
 def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
     """Run the full loop: select support, learn bandwidths, grow, refit.
 
@@ -408,7 +422,9 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
     ratio cap, or running out of non-support points stop early with
     ``converged=False`` flagged in the trace.  Every stop comes right after a
     round's fit, so the returned model is the fit of the final support set
-    with the config jitter.
+    with the config jitter.  Runs at one BLAS thread per pool
+    (:func:`~labrr.numerics.one_blas_thread`), so the model's bytes do not
+    depend on the host's thread count.
     """
     started = time.perf_counter()
     n = dataset.n

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
+import hashlib
 import json
 import logging
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,9 @@ from hypothesis import strategies as st
 
 import labrr
 from labrr.cli import load_results, main
-from labrr.data import load_csv, synth, save_csv
+from labrr.data import apply_feature_scaling, invert_label_scaling, load_csv, normalize, save_csv, synth
 from labrr.kernels import BandwidthSet
-from labrr.ridgeless import LabModel, load_model, model_to_dict
+from labrr.ridgeless import LabModel, fit_lab, load_model, model_to_dict, predict, save_model
 
 
 def _labrr_env():
@@ -442,6 +444,54 @@ def test_predict_far_probe_reads_the_label_midpoint_without_a_warning(tmp_path, 
         assert lines[0] == "prediction" and len(lines) == 1 + rows.count("\n")
         assert len(set(lines[1:])) == 1
         assert float(lines[1]) == pytest.approx((y.min() + y.max()) / 2.0, rel=1e-12)
+
+
+def test_bulk_predict_holds_no_full_size_temporaries(tmp_path):
+    # Besides the parsed matrix, the scaled features and the predictions,
+    # only fixed-size blocks are held: 1 MB kernel blocks in ``predict`` and
+    # ``_WRITE_BLOCK_ROWS`` lines of text.  The parsed matrix is dropped once
+    # scaled.  Joining every line at once while it is still held (about
+    # 11 MB here) or building 8 MB kernel blocks (about 14 MB) breaks the bound.
+    n_rows = 50_000
+    train_set = normalize(synth("f2", 500, 0.0, seed=40))
+    theta = np.random.default_rng(41).uniform(0.5, 40.0, size=train_set.x.shape)
+    model = fit_lab(train_set.x, train_set.y, theta, norm_meta=train_set.norm_meta)
+    model_path, probes_path, out = tmp_path / "model.json", tmp_path / "probes.csv", tmp_path / "preds.csv"
+    save_model(model, model_path)
+    probes = synth("f2", n_rows, 0.0, seed=42)
+    save_csv(probes, probes_path)
+    tracemalloc.start()
+    try:
+        rc = main(["predict", "--model", str(model_path), "--data", str(probes_path), "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    arrays = n_rows * (model.dim + 1) * 8 + n_rows * model.dim * 8 + n_rows * 8
+    assert peak < arrays + (1 << 20)
+    # Written in blocks, with the bytes of one join of every line.
+    meta = model.norm_meta
+    values = invert_label_scaling(meta, predict(model, apply_feature_scaling(meta, probes.x)))
+    expected = "".join(f"{line}\n" for line in ["prediction", *map(repr, values.tolist())])
+    assert out.read_bytes() == expected.encode("ascii")
+
+
+def test_train_model_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # At this size two OpenBLAS threads factor and multiply in another order
+    # than one; ``train`` runs at one thread per pool whatever the host sets.
+    data = _write_synth_csv(tmp_path / "d.csv", fn="f2", n=300, seed=3)
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"model-{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "labrr", "train", "--data", data, "--out", str(out), "--B", "1e-4",
+             "--seed", "1", "--max-outer", "1", "--n0", "150", "--batch", "128", "--L", "5"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(_labrr_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_predict_accepts_feature_only_csv(tmp_path, trained):

@@ -1,6 +1,7 @@
 """Unit tests for CSV ingestion, scaling, splitting, and synthetic data."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from labrr.data import (
     Dataset,
     EmptyDataset,
     InsufficientData,
+    NormMeta,
     ParseError,
     SplitSpec,
     UnknownFunction,
@@ -156,6 +158,37 @@ def test_overflowing_new_values_are_a_typed_error():
         apply_feature_scaling(meta, np.array([[1e308, 0.0]]))
     with pytest.raises(UnscalableData, match="label"):
         apply_label_scaling(meta, np.array([-1e308]))
+
+
+def test_feature_scaling_matches_the_one_expression_map_bit_for_bit():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(500, 5)) * 10.0 ** rng.integers(-150, 150, size=(500, 5))
+    x[:, 1] = -2.5  # a constant column
+    meta = NormMeta(x.min(axis=0), x.max(axis=0), -3.0, 4.0)
+    span = meta.feature_max - meta.feature_min
+    safe = np.where(span == 0.0, 1.0, span)
+    reference = np.where(span == 0.0, 0.0, 2.0 * (x - meta.feature_min) / safe - 1.0)
+    assert apply_feature_scaling(meta, x).tobytes() == reference.tobytes()
+    y = x[:, 0] / 10.0 ** 140
+    assert apply_label_scaling(meta, y).tobytes() == (2.0 * (y + 3.0) / 7.0 - 1.0).tobytes()
+
+
+def test_feature_scaling_holds_one_output_array():
+    # The scaled matrix is built in place: besides it, only the finiteness
+    # check's booleans (an eighth of it) are held.  Computing the map as one
+    # expression holds a second full-size array at once.
+    rng = np.random.default_rng(30)
+    x = rng.uniform(-5.0, 5.0, size=(100_000, 6))
+    x[:, 3] = 1.5  # a constant column
+    meta = NormMeta(x.min(axis=0), x.max(axis=0), 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        scaled = apply_feature_scaling(meta, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * scaled.nbytes
+    assert np.all(scaled[:, 3] == 0.0)
 
 
 def test_feature_scaling_checks_dimension():

@@ -1,5 +1,7 @@
 """Unit tests for the dense solver substrate."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,11 @@ from labrr.numerics import (
     as_matrix,
     as_pair,
     as_vector,
+    one_blas_thread,
     solve_regularized,
 )
+from labrr import numerics
+from labrr.numerics import _blas_thread_controls
 
 
 def test_identity_solve_returns_rhs():
@@ -166,3 +171,36 @@ def test_jittered_solves_equal_lu_of_the_explicit_matrix_bit_for_bit(system):
     # C- or Fortran-order, the caller's matrix is never touched.
     assert not np.shares_memory(fm._lu_piv[0], a)
     assert np.array_equal(a, before)
+
+
+def test_one_blas_thread_pins_both_pools_and_restores_their_counts():
+    controls = _blas_thread_controls()
+    if not controls:
+        pytest.skip("no bundled OpenBLAS thread control in this install")
+    before = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        with one_blas_thread():
+            assert [get() for get, _ in controls] == [1, 1]
+        assert [get() for get, _ in controls] == [2, 2]
+        with pytest.raises(RuntimeError), one_blas_thread():
+            raise RuntimeError
+        assert [get() for get, _ in controls] == [2, 2]
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
+
+
+def test_one_blas_thread_without_thread_controls_does_nothing_and_says_so(monkeypatch, caplog):
+    monkeypatch.setattr(numerics, "_BLAS_POOLS", ((np, "numpy.libs", "no-such-blas-*.so", ""),))
+    _blas_thread_controls.cache_clear()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="labrr.numerics"), one_blas_thread():
+            assert solve_regularized(np.eye(2), np.ones(2)).tolist() == [1.0, 1.0]
+        with one_blas_thread():
+            pass
+    finally:
+        _blas_thread_controls.cache_clear()
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "no OpenBLAS thread control in numpy.libs" in caplog.records[0].getMessage()
