@@ -84,11 +84,14 @@ def _assert_predict_matches_lab_matrix(model, points):
 
 
 _N_SUPPORT = 300
-_BLOCK = _PREDICT_BLOCK_ENTRIES // _N_SUPPORT
+# Rows per block at the current block size and at the earlier 8 MB one
+# (1 << 20 entries): the latter's boundaries stay as multi-block cases.
+_BLOCKS = (_PREDICT_BLOCK_ENTRIES // _N_SUPPORT, (1 << 20) // _N_SUPPORT)
+_BLOCK_ROWS = sorted({0, 1} | {n for b in _BLOCKS for n in (b - 1, b, b + 1, 3 * b + 7)})
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
-@pytest.mark.parametrize("n_rows", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("n_rows", _BLOCK_ROWS)
 def test_blocked_predict_matches_lab_matrix(n_rows, offset):
     # Row counts around the block boundaries; far from the origin the
     # expanded form stays accurate only because it centers the points.
