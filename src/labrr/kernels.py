@@ -181,9 +181,15 @@ def _neg_coef(centered: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
     """Rows ``[-th_sq, 2 c th_sq, -sum_m c**2 th_sq]`` of centered columns ``c``:
     the right factor of every expanded squared distance ``sum_m th_sq[j, m] *
     (r[i, m] - c[j, m])**2 = (r**2) @ th_sq.T - 2 r @ (c * th_sq).T + sum_m
-    c**2 * th_sq``, negated.  Agrees with the difference form to rounding."""
+    c**2 * th_sq``, negated, filled into one array.  Agrees with the
+    difference form to rounding."""
     c = centered
-    return np.hstack([-th_sq, 2.0 * c * th_sq, -(c * c * th_sq).sum(axis=1, keepdims=True)])
+    d = c.shape[1]
+    out = np.empty((c.shape[0], 2 * d + 1))
+    np.negative(th_sq, out=out[:, :d])
+    np.multiply(2.0 * c, th_sq, out=out[:, d:2 * d])
+    np.negative((c * c * th_sq).sum(axis=1), out=out[:, 2 * d])
+    return out
 
 
 def _expanded_kernel(features: np.ndarray, neg_coef: np.ndarray) -> np.ndarray:

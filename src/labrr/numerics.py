@@ -1,7 +1,8 @@
 """Dense linear-algebra substrate shared by the kernel solvers.
 
 Everything operates on plain float64 numpy arrays, validated on entry to be
-finite and correctly shaped.  :class:`FactorizedMatrix` is the only code that
+finite and correctly shaped (:class:`FactorizedMatrix` folds the finiteness
+check into its row-sum norm).  :class:`FactorizedMatrix` is the only code that
 adds the diagonal jitter and factors: a partial-pivot LU, because the Gram
 matrices built elsewhere in this package are asymmetric, so symmetric
 factorizations (Cholesky) are not an option.  It calls LAPACK's ``dgetrf``,
@@ -102,26 +103,36 @@ class FactorizedMatrix:
 
     This is the one place that adds a jitter and factors.  It takes one
     private Fortran-order copy of ``A``, adds the jitter to its diagonal and
-    factors that copy in place, so the caller's array is never changed.  The
-    Gram matrices factored here stay small (a few hundred points), so a
-    caller-owned work buffer would save no measurable time.  Factoring once
-    and solving twice is the workhorse pattern of the bandwidth gradient,
-    which needs both ``A x = b`` and ``A^T u = v`` for every mini-batch.
+    factors that copy in place, so the caller's array is never changed.  ``A``
+    may have any layout; the copy is cheapest when each column of ``A`` is
+    contiguous, as in a Fortran-order array or a transposed column block
+    ``wide[:, :n].T`` of a C-order array, which is how the Gram comes from
+    ``SupportSystem``: the copy then moves whole columns instead of
+    transposing.  Factoring once and solving twice is the workhorse pattern
+    of the bandwidth gradient, which needs both ``A x = b`` and ``A^T u = v``
+    for every mini-batch.
+
+    Finiteness is checked without a pass of its own: a NaN or infinite
+    entry makes the ``dlange('I')`` row-sum norm of the copy non-finite, and
+    only then is ``A`` scanned entry by entry.
 
     Raises
     ------
     ValueError
-        If ``jitter`` is negative, infinite or NaN.
+        If ``jitter`` is negative, infinite or NaN, or ``A`` has a NaN or
+        infinite entry.
     DimensionMismatch
         If ``A`` is not square and non-empty.
     SingularSystem
         If a pivot falls below ``PIVOT_RTOL`` times the largest absolute row
         sum of ``A + jitter * I`` (LAPACK ``dlange('I')``, taken before the
-        factorization overwrites it).
+        factorization overwrites it), also when that sum overflows.
     """
 
     def __init__(self, a, jitter: float = 0.0) -> None:
-        a = as_matrix(a, "a")
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2:
+            raise DimensionMismatch(f"a must be 2-d, got shape {a.shape}")
         if not (0.0 <= jitter < np.inf):
             raise ValueError(f"jitter must be finite and nonnegative, got {jitter}")
         n, m = a.shape
@@ -131,8 +142,11 @@ class FactorizedMatrix:
             raise DimensionMismatch("matrix must be non-empty")
         # Fortran order lets LAPACK factor the copy in place.
         work = np.array(a, order="F")
-        work.flat[:: n + 1] += jitter
+        diagonal = work.ravel(order="F")[:: n + 1]  # a view: the copy is contiguous
+        diagonal += jitter
         scale = dlange("I", work)
+        if not np.isfinite(scale):
+            as_matrix(a, "a")  # a NaN or inf entry raises; finite overflow is singular below
         lu, piv, _ = dgetrf(work, overwrite_a=True)
         pivots = np.abs(np.diagonal(lu))
         if scale == 0.0 or bool((pivots < PIVOT_RTOL * scale).any()):

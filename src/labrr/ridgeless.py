@@ -127,11 +127,32 @@ class SupportSystem:
         at ``exp(-350)`` ~ 1e-152 (so a product of two entries in its LU stays
         a normal float) and with an exact unit diagonal; and the right factor
         of any cross-kernel against this support under ``th``.  Its callers
-        check that ``th`` has the support's shape."""
+        check that ``th`` has the support's shape.
+
+        The Gram is the Fortran-order transpose of :meth:`kernel_t` without a
+        batch, the layout LAPACK factors, and equals the Gram block of every
+        SGD step's ``kernel_t`` bit for bit."""
+        kt, neg_coef = self.kernel_t(th, self.features[:0])
+        return kt.T, neg_coef
+
+    def kernel_t(self, th: np.ndarray, batch_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(kt, neg_coef)`` with ``kt = exp(clamp(neg_coef @ [features;
+        batch_features].T))``, an ``n x (n + B)`` C-order array.
+
+        ``kt[:, :n]`` is the Gram transposed, so ``kt[:, :n].T`` is the Gram
+        in Fortran layout, with an exact unit diagonal; ``kt[:, n:]`` is the
+        cross-kernel of the batch rows (``featurize`` output) transposed.
+        Each block is its own product, written in place, so the Gram's bits
+        do not depend on the batch; one clamp and one ``exp`` cover both."""
+        n = self.x.shape[0]
         neg_coef = _neg_coef(self.centered, th * th)
-        gram = _expanded_kernel(self.features, neg_coef)
-        np.fill_diagonal(gram, 1.0)
-        return gram, neg_coef
+        kt = np.empty((n, n + batch_features.shape[0]))
+        np.matmul(neg_coef, self.features.T, out=kt[:, :n])
+        np.matmul(neg_coef, batch_features.T, out=kt[:, n:])
+        np.clip(kt, _EXP_FLOOR, 0.0, out=kt)
+        np.exp(kt, out=kt)
+        kt.ravel()[:: kt.shape[1] + 1] = 1.0  # the Gram block's diagonal, n entries
+        return kt, neg_coef
 
     def fit(self, theta, norm_meta: NormMeta | None) -> LabModel:
         """The interpolant of this support under ``theta``; see :func:`fit_lab`."""

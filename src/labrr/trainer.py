@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, InsufficientData
-from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set, _expanded_kernel
+from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set
 from .numerics import DimensionMismatch, FactorizedMatrix, as_vector, one_blas_thread
 from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, predict
 # Not called here, but the benchmark's tracer rebinds ``trainer.lab_matrix``
@@ -283,22 +283,6 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 # The gradient
 
 
-def _weighted_sq_dist(
-    v: np.ndarray, kernel: np.ndarray, features: np.ndarray, centered: np.ndarray
-) -> np.ndarray:
-    """``sum_i v[i] * kernel[i, j] * (rows[i, m] - cols[j, m])**2`` for every ``(j, m)``.
-
-    ``features`` are the rows' quadratic features and ``centered`` the
-    columns, both about the same origin.  With ``w = v[:, None] * kernel``
-    this is ``w.T @ r**2 - 2 c * (w.T @ r) + c**2 * colsum(w)``, taken as one
-    product with ``kernel.T`` so that ``w`` is never formed.
-    """
-    c = centered
-    d = c.shape[1]
-    sums = kernel.T @ (v[:, None] * features)
-    return sums[:, :d] - 2.0 * c * sums[:, d:2 * d] + c * c * sums[:, 2 * d:]
-
-
 def batch_loss_and_grad(
     system: SupportSystem,
     th: np.ndarray,
@@ -314,12 +298,17 @@ def batch_loss_and_grad(
     ``alpha`` on the support Gram matrix.  The latter is evaluated with one
     adjoint (transposed) solve instead of per-entry solves.
 
-    The Gram comes from ``system.build_gram``, as in ``system.fit``, and the
-    cross-kernel and the weighted distances use the same expanded form: they
-    match ``lab_matrix`` and the difference form to rounding, with kernel
-    entries below ``exp(-350)`` ~ 1e-152 read as ``exp(-350)``, so a product
-    of two entries stays a normal float.  The Gram's LU is factored from a
-    private copy.
+    Both kernels come from one ``system.kernel_t(th, batch_features)``: the
+    stacked, transposed product ``exp(clamp(neg_coef @ [support_features;
+    batch_features].T))``, whose first ``n`` columns are the Gram already in
+    the Fortran layout LAPACK factors (as ``system.fit`` builds it, so the
+    fit solves for this step's ``alpha`` bit for bit) and whose last ``B``
+    columns are the cross-kernel transposed.  Both weighted-distance terms
+    then come from one non-transposed product with ``kt``.  The kernels
+    match ``lab_matrix`` and the difference form to rounding, with entries
+    below ``exp(-350)`` ~ 1e-152 read as ``exp(-350)``, so a product of two
+    entries stays a normal float.  The Gram's LU is factored from a private
+    copy; nothing the step is given is changed.
 
     ``th`` is the raw bandwidth array and ``batch_features, batch_y`` what
     ``system.featurize`` returns for the batch, where it is checked; the step
@@ -335,19 +324,26 @@ def batch_loss_and_grad(
         raise DimensionMismatch(f"bandwidths have shape {th.shape}, support points have shape {c.shape}")
     if batch_features.shape[0] != batch_y.shape[0]:
         raise DimensionMismatch(f"{batch_y.shape[0]} labels for {batch_features.shape[0]} batch rows")
-    gram, neg_coef = system.build_gram(th)
-    solver = FactorizedMatrix(gram, system.jitter)
+    n, d = c.shape
+    kt, _ = system.kernel_t(th, batch_features)
+    cross_t = kt[:, n:]
+    solver = FactorizedMatrix(kt[:, :n].T, system.jitter)
     alpha = solver.solve(system.y)
 
-    cross = _expanded_kernel(batch_features, neg_coef)
-    resid = cross @ alpha - batch_y
+    resid = alpha @ cross_t - batch_y
     loss = float(resid @ resid)
 
     # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
-    u = solver.solve(cross.T @ resid, transpose=True)
+    u = solver.solve(cross_t @ resid, transpose=True)
 
-    grad = _weighted_sq_dist(resid, cross, batch_features, c)
-    grad -= _weighted_sq_dist(u, gram, system.features, c)
+    # sum_i v[i] * kt[j, i] * (rows[i, m] - c[j, m])**2 over the support rows
+    # (v = -u) and the batch rows (v = resid) at once: with w = kt * v, it is
+    # w @ r**2 - 2 c * (w @ r) + c**2 * rowsum(w), one product with kt.
+    weighted = np.empty((kt.shape[1], 2 * d + 1))
+    np.multiply(system.features, -u[:, None], out=weighted[:n])
+    np.multiply(batch_features, resid[:, None], out=weighted[n:])
+    sums = kt @ weighted
+    grad = sums[:, :d] - 2.0 * c * sums[:, d:2 * d] + c * c * sums[:, 2 * d:]
     grad *= -4.0 * th * alpha[:, None]
     return loss, grad
 
@@ -365,10 +361,11 @@ def sgd_round(
     The remainder (non-support) points are checked and featurized by
     ``system.featurize``, and the bandwidths checked against the support,
     once.  Each step samples a fresh mini-batch uniformly without
-    replacement from the remainder, descends the exact gradient, and clips
-    into the bandwidth bounds; a step whose update makes a bandwidth NaN
-    raises ``ValueError``.  Returns the updated bandwidths and the per-step
-    loss curve.  With ``inner_steps=0``, ``learning_rate=0``, or an empty
+    replacement from the remainder, gathers it into buffers the round
+    allocates once, descends the exact gradient, and clips into the
+    bandwidth bounds; a step whose update makes a bandwidth NaN raises
+    ``ValueError``.  Returns the updated bandwidths and the per-step loss
+    curve.  With ``inner_steps=0``, ``learning_rate=0``, or an empty
     remainder the bandwidths come back unchanged.
     """
     features, remainder_y = system.featurize(remainder_x, remainder_y)
@@ -379,19 +376,25 @@ def sgd_round(
     th = _bandwidth_set(theta, system.centered).values.copy()
     velocity = np.zeros_like(th)
     batch = min(config.batch_size, n_rem)
+    batch_features = np.empty((batch, features.shape[1]))
+    batch_y = np.empty(batch)
     largest = np.finfo(float).max
     for step in range(config.inner_steps):
         picks = rng.choice(n_rem, size=batch, replace=False)
-        loss, grad = batch_loss_and_grad(system, th, features[picks], remainder_y[picks])
+        # The picks are in range; "clip" only spares ``take`` a buffered copy.
+        np.take(features, picks, axis=0, out=batch_features, mode="clip")
+        np.take(remainder_y, picks, out=batch_y, mode="clip")
+        loss, grad = batch_loss_and_grad(system, th, batch_features, batch_y)
         losses.append(loss)
         # Heavy-ball; at momentum 0 plain SGD bit for bit (0 * v is +-0, +-0 - a
         # is -a).  An overflowed step is held finite, so 0 * v never makes a NaN.
         velocity *= config.momentum
-        velocity -= config.learning_rate * grad
-        np.minimum(np.maximum(velocity, -largest, out=velocity), largest, out=velocity)
+        grad *= config.learning_rate
+        velocity -= grad
+        np.clip(velocity, -largest, largest, out=velocity)
         th += velocity
-        np.minimum(np.maximum(th, config.bandwidth_min, out=th), config.bandwidth_max, out=th)
-        if np.isnan(th).any():
+        np.clip(th, config.bandwidth_min, config.bandwidth_max, out=th)
+        if np.isnan(th.max()):  # max propagates a NaN
             raise ValueError(f"SGD step {step} made a bandwidth NaN")
     return BandwidthSet(th), losses
 

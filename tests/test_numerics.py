@@ -153,8 +153,15 @@ def _jittered_systems(draw):
     n = draw(st.integers(1, 8))
     entries = st.floats(-1.0, 1.0, allow_nan=False)
     a = draw(arrays(np.float64, (n, n), elements=entries)) + (n + 1) * np.eye(n)  # strictly dominant
-    if draw(st.booleans()):
+    layout = draw(st.sampled_from(["C", "F", "column block"]))
+    if layout == "F":
         a = np.asfortranarray(a)
+    elif layout == "column block":
+        # The SGD step's layout: the Gram is the transposed first n columns of
+        # a wide C-order array whose other columns hold the cross-kernel.
+        wide = draw(arrays(np.float64, (n, n + draw(st.integers(0, 5))), elements=entries))
+        wide[:, :n] = a.T
+        a = wide[:, :n].T
     jitter = draw(st.floats(0.0, 10.0))
     return a, jitter, draw(arrays(np.float64, n, elements=entries))
 
@@ -171,6 +178,37 @@ def test_jittered_solves_equal_lu_of_the_explicit_matrix_bit_for_bit(system):
     # C- or Fortran-order, the caller's matrix is never touched.
     assert not np.shares_memory(fm._lu_piv[0], a)
     assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (2, 1), (3, 3)])
+@pytest.mark.parametrize("layout", ["C", "F", "column block"])
+def test_non_finite_entries_raise_value_error(bad, where, layout):
+    # The finiteness check rides on the dlange row-sum norm: a non-finite entry
+    # makes it non-finite, also beside entries that would otherwise dominate.
+    a = np.eye(4) + 1e300 * np.ones((4, 4))
+    a[where] = bad
+    if layout == "F":
+        a = np.asfortranarray(a)
+    elif layout == "column block":
+        wide = np.zeros((4, 6))
+        wide[:, :4] = a.T
+        a = wide[:, :4].T
+    with pytest.raises(ValueError, match="contains non-finite entries"):
+        FactorizedMatrix(a, 1e-2)
+    with pytest.raises(ValueError, match="contains non-finite entries"):
+        solve_regularized(a, np.ones(4))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_finite_matrix_whose_row_sums_overflow_is_singular(sign):
+    # Every entry is finite, so nothing is rejected as non-finite, but the
+    # row-sum norm overflows to inf and no pivot can clear it.
+    a = sign * np.array([[1e308, 1e308, -1e308], [1e308, -1e308, 1e308], [-1e308, 1e308, 1e308]])
+    with pytest.raises(SingularSystem):
+        FactorizedMatrix(a)
+    with pytest.raises(SingularSystem):
+        solve_regularized(a, np.ones(3), jitter=1.0)
 
 
 def test_one_blas_thread_pins_both_pools_and_restores_their_counts():

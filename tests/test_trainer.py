@@ -212,6 +212,47 @@ def test_fit_lab_solves_for_the_alpha_of_the_sgd_step(run):
         assert np.array_equal(fit_lab(sx, sy, theta, jitter).alpha, alpha)
 
 
+@settings(max_examples=100, deadline=None)
+@given(run=_support_system_runs())
+def test_sgd_step_changes_nothing_it_was_given(run):
+    # The step factors a private copy and builds its kernel in arrays of its
+    # own: the system, the batch and the bandwidths come back as they went in.
+    sx, sy, jitter, steps = run
+    system = SupportSystem(sx, sy, jitter)
+    kept = {name: getattr(system, name).copy() for name in ("x", "y", "centered", "features")}
+    for theta, bx, by in steps:
+        features, labels = system.featurize(bx, by)
+        inputs = (theta.copy(), features.copy(), labels.copy())
+        _, grad = batch_loss_and_grad(system, theta, features, labels)
+        for before, after in zip(inputs, (theta, features, labels)):
+            assert np.array_equal(before, after)
+        for name, before in kept.items():
+            assert np.array_equal(getattr(system, name), before)
+        for given_array in (theta, features, labels, *(getattr(system, name) for name in kept)):
+            assert not np.shares_memory(grad, given_array)
+
+
+def test_sgd_round_gradient_shares_no_memory_with_its_buffers(monkeypatch):
+    # The round scales each returned gradient in place, so the gradient must
+    # not alias the round's batch buffers or its bandwidths.
+    step = trainer.batch_loss_and_grad
+    seen = []
+
+    def recording(system, th, batch_features, batch_y):
+        loss, grad = step(system, th, batch_features, batch_y)
+        seen.append([np.shares_memory(grad, a) for a in (th, batch_features, batch_y)])
+        return loss, grad
+
+    monkeypatch.setattr(trainer, "batch_loss_and_grad", recording)
+    rng = np.random.default_rng(12)
+    config = _round_config(inner_steps=3, batch_size=4, jitter=1e-2)
+    sgd_round(
+        SupportSystem(rng.normal(size=(5, 2)), rng.normal(size=5), config.jitter),
+        BandwidthSet.uniform(5, 2, 1.0), rng.normal(size=(9, 2)), rng.normal(size=9), config, rng,
+    )
+    assert seen == [[False, False, False]] * 3
+
+
 def test_train_builds_one_support_system_per_round_and_looks_up_the_step_by_name(monkeypatch):
     # A round's SGD steps and its fit share one system, built by ``train``.
     # The benchmark's tracer rebinds ``trainer.batch_loss_and_grad``; every
