@@ -48,6 +48,12 @@ SELECTION_STRATEGIES = ("y_uniform", "x_kmeans", "extreme_y")
 
 _KMEANS_SWEEPS = 50
 
+#: Trust region of one SGD step: after the heavy-ball update the whole step
+#: is scaled down until no bandwidth moves by more than this fraction of
+#: itself.  Healthy runs stay well inside it (their largest relative step
+#: is about 0.1-0.26); a diverging run jumps past it in its first steps.
+MAX_RELATIVE_STEP = 0.5
+
 #: ``TrainConfig`` fields that count or index something; a float or a bool
 #: there would fail only partway through ``train``.
 _INT_FIELDS = ("grow_count", "inner_steps", "initial_support", "batch_size", "max_rounds", "seed")
@@ -362,8 +368,10 @@ def sgd_round(
     ``system.featurize``, and the bandwidths checked against the support,
     once.  Each step samples a fresh mini-batch uniformly without
     replacement from the remainder, gathers it into buffers the round
-    allocates once, descends the exact gradient, and clips into the
-    bandwidth bounds; a step whose update makes a bandwidth NaN raises
+    allocates once, and descends the exact gradient.  The heavy-ball step
+    is scaled down, as a whole, so that no bandwidth moves by more than
+    ``MAX_RELATIVE_STEP`` of itself, and the bandwidths are then clipped
+    into their bounds; a step whose update makes a bandwidth NaN raises
     ``ValueError``.  Returns the updated bandwidths and the per-step loss
     curve.  With ``inner_steps=0``, ``learning_rate=0``, or an empty
     remainder the bandwidths come back unchanged.
@@ -378,7 +386,7 @@ def sgd_round(
     batch = min(config.batch_size, n_rem)
     batch_features = np.empty((batch, features.shape[1]))
     batch_y = np.empty(batch)
-    largest = np.finfo(float).max
+    relative = np.empty_like(th)
     for step in range(config.inner_steps):
         picks = rng.choice(n_rem, size=batch, replace=False)
         # The picks are in range; "clip" only spares ``take`` a buffered copy.
@@ -387,11 +395,16 @@ def sgd_round(
         loss, grad = batch_loss_and_grad(system, th, batch_features, batch_y)
         losses.append(loss)
         # Heavy-ball; at momentum 0 plain SGD bit for bit (0 * v is +-0, +-0 - a
-        # is -a).  An overflowed step is held finite, so 0 * v never makes a NaN.
+        # is -a).  An overflowed step is held finite, so 0 * v never makes a NaN;
+        # a step beyond bandwidth_max is past the trust region anyway, and held
+        # there its relative size stays finite.
         velocity *= config.momentum
         grad *= config.learning_rate
         velocity -= grad
-        np.clip(velocity, -largest, largest, out=velocity)
+        np.clip(velocity, -config.bandwidth_max, config.bandwidth_max, out=velocity)
+        largest_relative = np.abs(np.divide(velocity, th, out=relative), out=relative).max()
+        if largest_relative > MAX_RELATIVE_STEP:
+            velocity *= MAX_RELATIVE_STEP / largest_relative
         th += velocity
         np.clip(th, config.bandwidth_min, config.bandwidth_max, out=th)
         if np.isnan(th.max()):  # max propagates a NaN
