@@ -148,8 +148,8 @@ class FactorizedMatrix:
         if not np.isfinite(scale):
             as_matrix(a, "a")  # a NaN or inf entry raises; finite overflow is singular below
         lu, piv, _ = dgetrf(work, overwrite_a=True)
-        pivots = np.abs(np.diagonal(lu))
-        if scale == 0.0 or bool((pivots < PIVOT_RTOL * scale).any()):
+        # Written so that a NaN pivot also counts as collapsed.
+        if scale == 0.0 or not np.abs(lu.diagonal()).min() >= PIVOT_RTOL * scale:
             raise SingularSystem(
                 f"pivot below {PIVOT_RTOL:g} * max row sum {scale:g}; "
                 "matrix is numerically singular"

@@ -149,7 +149,7 @@ class SupportSystem:
         kt = np.empty((n, n + batch_features.shape[0]))
         np.matmul(neg_coef, self.features.T, out=kt[:, :n])
         np.matmul(neg_coef, batch_features.T, out=kt[:, n:])
-        np.clip(kt, _EXP_FLOOR, 0.0, out=kt)
+        kt.clip(_EXP_FLOOR, 0.0, out=kt)
         np.exp(kt, out=kt)
         kt.ravel()[:: kt.shape[1] + 1] = 1.0  # the Gram block's diagonal, n entries
         return kt, neg_coef

@@ -401,14 +401,16 @@ def sgd_round(
         velocity *= config.momentum
         grad *= config.learning_rate
         velocity -= grad
-        np.clip(velocity, -config.bandwidth_max, config.bandwidth_max, out=velocity)
+        velocity.clip(-config.bandwidth_max, config.bandwidth_max, out=velocity)
         largest_relative = np.abs(np.divide(velocity, th, out=relative), out=relative).max()
+        # th is finite and velocity held finite, so th + velocity has a NaN
+        # exactly when velocity does, and then so does this max.
+        if np.isnan(largest_relative):
+            raise ValueError(f"SGD step {step} made a bandwidth NaN")
         if largest_relative > MAX_RELATIVE_STEP:
             velocity *= MAX_RELATIVE_STEP / largest_relative
         th += velocity
-        np.clip(th, config.bandwidth_min, config.bandwidth_max, out=th)
-        if np.isnan(th.max()):  # max propagates a NaN
-            raise ValueError(f"SGD step {step} made a bandwidth NaN")
+        th.clip(config.bandwidth_min, config.bandwidth_max, out=th)
     return BandwidthSet(th), losses
 
 
