@@ -10,12 +10,23 @@ a refactor that must not move model bits is checked with::
 
 run in each checkout and compared with ``diff``.  The workloads come from
 ``perfbench/workloads.py``, imported as is.
+
+A change that is allowed to move bits reports how far instead.  ``--keep
+DIR`` keeps the hashed files in ``DIR``, and ``--against DIR`` then prints,
+for each model, the largest relative change in ``alpha`` and in the
+bandwidths against the files another checkout kept there (``max |new -
+old| / max |old|`` over the entries)::
+
+    python3 scripts/model_digests.py --seed 4243 --keep ../parent-files   # in the parent
+    python3 scripts/model_digests.py --seed 4243 --against ../parent-files  # in the change
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -31,6 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import labrr.cli  # noqa: E402
 import labrr.trainer  # noqa: E402
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from labrr.ridgeless import save_model  # noqa: E402
 
@@ -41,12 +53,37 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _relative_change(new, old) -> str:
+    """``max |new - old| / max |old|`` of two coefficient lists, or their shapes."""
+    new, old = np.asarray(new), np.asarray(old)
+    if new.shape != old.shape:
+        return f"shape {old.shape} -> {new.shape}"
+    return f"{np.abs(new - old).max() / np.abs(old).max():.3g}"
+
+
+def _drift(name: str, path: Path, kept: Path) -> str:
+    """Largest relative changes of the model at ``path`` from its namesake in ``kept``."""
+    if not kept.exists():
+        return f"drift {name}: no {kept}"
+    new, old = (json.loads(p.read_text(encoding="utf-8")) for p in (path, kept))
+    support = "same support" if new["support_x"] == old["support_x"] else "support differs"
+    return (f"drift {name}: alpha {_relative_change(new['alpha'], old['alpha'])}, "
+            f"bandwidths {_relative_change(new['bandwidths'], old['bandwidths'])}, {support}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True, help="the benchmark seed of every workload")
+    parser.add_argument("--keep", type=Path, help="keep the hashed files in this directory")
+    parser.add_argument("--against", type=Path, help="print each model's drift from the files kept here")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        workdir = Path(tmp)
+    with contextlib.ExitStack() as stack:
+        if args.keep is None:
+            workdir = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        else:
+            workdir = args.keep.resolve()
+            workdir.mkdir(parents=True, exist_ok=True)
+        models = []
         for name in TRAINING:
             workload = workloads.make(name, "full", args.seed, workdir)
             workload.setup()
@@ -55,6 +92,7 @@ def main(argv=None) -> int:
                 path = workdir / f"{name}-model-{t}.json"
                 save_model(model, path)
                 print(_sha256(path), path.name)
+                models.append((path.name, path))
         bulk = workloads.make("cli-predict-bulk", "full", args.seed, workdir)
         bulk.setup()
         exit_code = bulk.call(0, labrr.cli.main)
@@ -63,6 +101,10 @@ def main(argv=None) -> int:
             return 1
         print(_sha256(bulk.model_path), "cli-predict-bulk-model.json")
         print(_sha256(bulk.out_path), "cli-predict-bulk-predictions.csv")
+        if args.against is not None:
+            models.append(("cli-predict-bulk-model.json", bulk.model_path))
+            for name, path in models:
+                print(_drift(name, path, args.against.resolve() / path.name))
     return 0
 
 

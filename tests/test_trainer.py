@@ -212,7 +212,7 @@ def test_fit_lab_solves_for_the_alpha_of_the_sgd_step(run):
         assert np.array_equal(fit_lab(sx, sy, theta, jitter).alpha, alpha)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(run=_support_system_runs())
 def test_sgd_step_changes_nothing_it_was_given(run):
     # The step factors a private copy and builds its kernel in arrays of its
