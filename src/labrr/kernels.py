@@ -15,7 +15,8 @@ Kernel matrices come in two forms.  ``lab_matrix`` is the reference: it
 evaluates every entry from explicit differences; ``rbf_matrix`` and the tests
 use it.  Training, fitting and prediction use only the expanded form, the
 same entries to rounding from one product of ``_quadratic_features`` and
-``_neg_coef``, and take every support Gram from ``ridgeless.SupportSystem``.
+``_neg_coef`` passed through ``_clamped_exp``, the one clamp-and-exp, and
+take every support Gram from ``ridgeless.SupportSystem.kernel_t``.
 """
 
 from __future__ import annotations
@@ -192,15 +193,11 @@ def _neg_coef(centered: np.ndarray, th_sq: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expanded_kernel(features: np.ndarray, neg_coef: np.ndarray) -> np.ndarray:
-    """``exp(features @ neg_coef.T)`` with exponents clamped to
-    ``[_EXP_FLOOR, 0]``."""
-    neg_dist = features @ neg_coef.T
-    # At the floor exp(-350) ~ 1e-152 neither an entry nor a product of two
-    # entries is subnormal, and such an entry is as negligible in any sum as
-    # a zero.
-    np.clip(neg_dist, _EXP_FLOOR, 0.0, out=neg_dist)
-    return np.exp(neg_dist, out=neg_dist)
+def _clamped_exp(exponents: np.ndarray) -> np.ndarray:
+    """``exp`` of ``exponents`` clamped to ``[_EXP_FLOOR, 0]``, in place: the
+    one clamp-and-exp of every expanded-form kernel.  A NaN stays NaN."""
+    exponents.clip(_EXP_FLOOR, 0.0, out=exponents)
+    return np.exp(exponents, out=exponents)
 
 
 def rbf_matrix(x1, x2, sigma) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NormMeta, ParseError, UnscalableData
-from .kernels import _EXP_FLOOR, BandwidthSet, _bandwidth_set, _expanded_kernel, _neg_coef, _quadratic_features
+from .kernels import _EXP_FLOOR, BandwidthSet, _bandwidth_set, _clamped_exp, _neg_coef, _quadratic_features
 # ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
 # ``ridgeless.lab_matrix`` by name, so the name must stay importable.
 from .kernels import lab_matrix  # noqa: F401
@@ -122,43 +122,30 @@ class SupportSystem:
             raise DimensionMismatch(f"points {x.shape} and support {self.x.shape} disagree in dim")
         return _quadratic_features(x, self.origin), y
 
-    def build_gram(self, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(gram, neg_coef)``: ``lab_matrix(x, x, th)``, to rounding, floored
-        at ``exp(-350)`` ~ 1e-152 (so a product of two entries in its LU stays
-        a normal float) and with an exact unit diagonal; and the right factor
-        of any cross-kernel against this support under ``th``.  Its callers
-        check that ``th`` has the support's shape.
+    def kernel_t(self, th: np.ndarray, batch_features: np.ndarray) -> np.ndarray:
+        """``kt = exp(clamp(neg_coef @ [features; batch_features].T))``, an
+        ``n x (n + B)`` C-order array; its callers check ``th``'s shape.
 
-        The Gram is the Fortran-order transpose of :meth:`kernel_t` without a
-        batch, the layout LAPACK factors, and equals the Gram block of every
-        SGD step's ``kernel_t`` bit for bit."""
-        kt, neg_coef = self.kernel_t(th, self.features[:0])
-        return kt.T, neg_coef
-
-    def kernel_t(self, th: np.ndarray, batch_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(kt, neg_coef)`` with ``kt = exp(clamp(neg_coef @ [features;
-        batch_features].T))``, an ``n x (n + B)`` C-order array.
-
-        ``kt[:, :n]`` is the Gram transposed, so ``kt[:, :n].T`` is the Gram
-        in Fortran layout, with an exact unit diagonal; ``kt[:, n:]`` is the
-        cross-kernel of the batch rows (``featurize`` output) transposed.
-        Each block is its own product, written in place, so the Gram's bits
-        do not depend on the batch; one clamp and one ``exp`` cover both."""
+        ``kt[:, :n].T`` is ``lab_matrix(x, x, th)`` to rounding, floored at
+        ``exp(-350)`` (so a product of two entries in its LU stays normal),
+        with an exact unit diagonal, in the Fortran layout LAPACK factors.
+        ``kt[:, n:]`` is the cross-kernel of the batch rows (``featurize``
+        output) transposed.  Each block is its own product, written in place,
+        so the Gram's bits do not depend on the batch (a fit passes
+        ``features[:0]``); one ``_clamped_exp`` covers both."""
         n = self.x.shape[0]
         neg_coef = _neg_coef(self.centered, th * th)
         kt = np.empty((n, n + batch_features.shape[0]))
         np.matmul(neg_coef, self.features.T, out=kt[:, :n])
         np.matmul(neg_coef, batch_features.T, out=kt[:, n:])
-        kt.clip(_EXP_FLOOR, 0.0, out=kt)
-        np.exp(kt, out=kt)
+        _clamped_exp(kt)
         kt.ravel()[:: kt.shape[1] + 1] = 1.0  # the Gram block's diagonal, n entries
-        return kt, neg_coef
+        return kt
 
     def fit(self, theta, norm_meta: NormMeta | None) -> LabModel:
         """The interpolant of this support under ``theta``; see :func:`fit_lab`."""
         theta = _bandwidth_set(theta, self.centered)
-        gram, _ = self.build_gram(theta.values)
-        alpha = solve_regularized(gram, self.y, self.jitter)
+        alpha = solve_regularized(self.kernel_t(theta.values, self.features[:0]).T, self.y, self.jitter)
         return LabModel(self.x, theta, alpha, self.jitter, norm_meta)
 
 
@@ -225,11 +212,11 @@ def predict(model: LabModel, t):
         # the product may sum the two into NaN, and only such rows are rebuilt
         # with ``np.fmax``, which floors a NaN too.
         with np.errstate(over="ignore", invalid="ignore"):
-            out[:] = _expanded_kernel(_quadratic_features(rows, origin), neg_coef) @ model.alpha
+            out[:] = _clamped_exp(_quadratic_features(rows, origin) @ neg_coef.T) @ model.alpha
             far = np.isnan(out)
             if far.any():
                 neg_dist = np.fmax(_quadratic_features(rows[far], origin) @ neg_coef.T, _EXP_FLOOR)
-                out[far] = np.exp(np.minimum(neg_dist, 0.0)) @ model.alpha
+                out[far] = _clamped_exp(neg_dist) @ model.alpha
     if not np.isfinite(values).all():
         raise UnscalableData("model coefficients overflow float64 in the prediction")
     return float(values[0]) if single else values

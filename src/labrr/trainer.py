@@ -331,7 +331,7 @@ def batch_loss_and_grad(
     if batch_features.shape[0] != batch_y.shape[0]:
         raise DimensionMismatch(f"{batch_y.shape[0]} labels for {batch_features.shape[0]} batch rows")
     n, d = c.shape
-    kt, _ = system.kernel_t(th, batch_features)
+    kt = system.kernel_t(th, batch_features)
     cross_t = kt[:, n:]
     solver = FactorizedMatrix(kt[:, :n].T, system.jitter)
     alpha = solver.solve(system.y)

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from labrr.kernels import (
     _EXP_FLOOR,
     BandwidthSet,
+    _clamped_exp,
     lab_entry,
     lab_matrix,
     rbf_matrix,
@@ -50,8 +51,21 @@ def test_difference_form_underflows_to_zero_on_far_points():
 def test_expanded_form_floors_far_points():
     floor = np.exp(_EXP_FLOOR)
     assert predict(LabModel([[100.0]], [[1.0]], [1.0]), [0.0]) == floor
-    gram, _ = SupportSystem([[0.0], [100.0]], [0.0, 0.0], 0.0).build_gram(np.ones((2, 1)))
+    system = SupportSystem([[0.0], [100.0]], [0.0, 0.0], 0.0)
+    gram = system.kernel_t(np.ones((2, 1)), system.features[:0]).T
     assert gram.tolist() == [[1.0, floor], [floor, 1.0]]
+
+
+def test_clamped_exp_clamps_in_place_and_keeps_nan():
+    floor = np.exp(_EXP_FLOOR)
+    exponents = np.array([0.5, 1e300, np.inf, -351.0, -1e300, -np.inf, np.nan])
+    out = _clamped_exp(exponents)
+    assert out is exponents
+    assert out[:3].tolist() == [1.0] * 3
+    assert out[3:6].tolist() == [floor] * 3
+    # A NaN exponent stays NaN, so ``predict`` floors far rows with
+    # ``np.fmax`` before the clamp.
+    assert np.isnan(out[6])
 
 
 def test_entry_shape_mismatch_rejected():
@@ -230,7 +244,8 @@ def test_expanded_kernel_has_no_subnormal_or_zero_entries():
     # same exponents, from 0 on the diagonal down to about -1e4.
     support = rows[::40]
     theta = np.sqrt(rng.uniform(0.2, 1.0, size=support.shape))
-    gram, _ = SupportSystem(support, np.zeros(len(support)), 0.0).build_gram(theta)
+    system = SupportSystem(support, np.zeros(len(support)), 0.0)
+    gram = system.kernel_t(theta, system.features[:0]).T
     reference = lab_matrix(support, support, theta)
     assert reference.min() == 0.0
     _assert_floored_kernel(gram, reference)

@@ -132,7 +132,8 @@ def test_expanded_kernel_matches_lab_matrix(inputs):
     # with a unit vector is exact).
     expanded = np.column_stack([predict(LabModel(cols, theta, e), rows) for e in np.eye(len(cols))])
     assert np.abs(expanded - lab_matrix(rows, cols, theta)).max() <= 1e-12
-    gram, _ = SupportSystem(cols, np.zeros(len(cols)), 0.0).build_gram(theta)
+    system = SupportSystem(cols, np.zeros(len(cols)), 0.0)
+    gram = system.kernel_t(theta, system.features[:0]).T
     assert np.abs(gram - lab_matrix(cols, cols, theta)).max() <= 1e-12
 
 
