@@ -1,10 +1,13 @@
-"""Print a sha256 of every model and predictions file the benchmark makes.
+"""Print a sha256 of every model, predictions and probe file the benchmark makes.
 
 Trains every trial of perfbench's two training workloads and runs the
 cli-predict-bulk set-up and predict, all at one BLAS thread in a temporary
-directory, and prints one line per file: its sha256 and a name.  Two
-checkouts that print the same lines train and predict byte-identically, so
-a refactor that must not move model bits is checked with::
+directory, and prints one line per file: its sha256 and a name.  The files
+are each training trial's model, and cli-predict-bulk's model, its probe CSV
+(written by ``save_csv``) and its predictions (written by ``labrr
+predict``).  Two checkouts that print the same lines train, write CSV and
+predict byte-identically, so a refactor that must not move model or CSV
+bits is checked with::
 
     python3 scripts/model_digests.py --seed 4243 > after.txt
 
@@ -100,6 +103,7 @@ def main(argv=None) -> int:
             print(f"labrr predict exited with {exit_code}", file=sys.stderr)
             return 1
         print(_sha256(bulk.model_path), "cli-predict-bulk-model.json")
+        print(_sha256(bulk.probe_path), "cli-predict-bulk-probes.csv")
         print(_sha256(bulk.out_path), "cli-predict-bulk-predictions.csv")
         if args.against is not None:
             models.append(("cli-predict-bulk-model.json", bulk.model_path))

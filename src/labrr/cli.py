@@ -14,6 +14,7 @@ results and summaries go to stdout or the requested output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -24,13 +25,13 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .data import (
-    _WRITE_BLOCK_ROWS,
     Dataset,
     EmptyDataset,
     InsufficientData,
     ParseError,
     SplitSpec,
     UnscalableData,
+    _write_rows,
     apply_feature_scaling,
     apply_label_scaling,
     invert_label_scaling,
@@ -227,9 +228,7 @@ def cmd_train(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     save_model(model, args.out)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for record in trace.rounds:
-                fh.write(json.dumps(record.to_dict()) + "\n")
+        _write_jsonl(args.trace, [record.to_dict() for record in trace.rounds])
 
     if not trace.converged:
         LOG.warning("did not reach the error budget (stop reason: %s)", trace.stop_reason)
@@ -264,6 +263,14 @@ def _aggregate(trials: list[dict]) -> dict:
             mean_r0=float(np.mean([t["r0"] for t in good])),
         )
     return agg
+
+
+def _write_jsonl(path, records: list[dict]) -> None:
+    """Write one JSON object per line: the ``--trace`` and ``benchmark --out``
+    format, which ``load_results`` reads back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record) + "\n")
 
 
 def load_results(path) -> tuple[dict | None, list[dict], dict]:
@@ -389,11 +396,8 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         records.append(row)
 
     aggregate = _aggregate(records)
-    lines = [effective, *records, aggregate]
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(json.dumps(line) + "\n")
+        _write_jsonl(args.out, [effective, *records, aggregate])
 
     good = [r for r in records if "error" not in r]
     print(f"# {dataset.name}: {len(good)}/{trials} trials ok")
@@ -444,20 +448,9 @@ def cmd_predict(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     if model.norm_meta is not None:
         values = invert_label_scaling(model.norm_meta, values)
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            _write_predictions(fh, values)
-    else:
-        _write_predictions(sys.stdout, values)
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        _write_rows(fh, ["prediction"], [values], "\n")
     return EXIT_OK
-
-
-def _write_predictions(fh, values: np.ndarray) -> None:
-    """A ``prediction`` header, then one ``repr`` per line, formatted and
-    written ``_WRITE_BLOCK_ROWS`` values at a time."""
-    fh.write("prediction\n")
-    for lo in range(0, values.shape[0], _WRITE_BLOCK_ROWS):
-        fh.write("".join([repr(v) + "\n" for v in values[lo:lo + _WRITE_BLOCK_ROWS].tolist()]))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -287,18 +287,25 @@ def load_csv(path, name: str | None = None) -> Dataset:
 _WRITE_BLOCK_ROWS = 4096
 
 
+def _write_rows(fh, header: list[str], columns: list[np.ndarray], newline: str) -> None:
+    """The one float-CSV writer of ``synth`` and ``predict``: the header, then a
+    row per index of ``columns``, ``repr`` per value so a reload is bit-exact,
+    every line ending in ``newline``."""
+    fh.write(",".join(header) + newline)
+    for lo in range(0, columns[0].shape[0], _WRITE_BLOCK_ROWS):
+        cells = zip(*[map(repr, c[lo:lo + _WRITE_BLOCK_ROWS].tolist()) for c in columns])
+        fh.write(newline.join(map(",".join, cells)) + newline)
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset as CSV with an ``x1..xd,y`` header.
 
     Floats are written with ``repr`` so a reload reproduces them bit-exactly.
     Lines end in CRLF, as :mod:`csv`'s default dialect writes them.
     """
+    header = [f"x{j + 1}" for j in range(dataset.dim)] + ["y"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join([f"x{j + 1}" for j in range(dataset.dim)] + ["y"]) + "\r\n")
-        for lo in range(0, dataset.n, _WRITE_BLOCK_ROWS):
-            block = slice(lo, lo + _WRITE_BLOCK_ROWS)
-            rows = np.column_stack([dataset.x[block], dataset.y[block]]).tolist()
-            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in rows]))
+        _write_rows(fh, header, [*dataset.x.T, dataset.y], "\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -119,8 +119,7 @@ def lab_entry(t, x, theta) -> float:
         raise DimensionMismatch(
             f"t, x, theta must share a shape; got {t.shape}, {x.shape}, {th.shape}"
         )
-    if not bool((th >= MIN_BANDWIDTH).all()):
-        raise ValueError(f"bandwidths must be at least {MIN_BANDWIDTH:g}")
+    _bandwidth_set(th[None, :], x[None, :])  # the floor, checked by its one owner
     diff = th * (t - x)
     return float(np.exp(-(diff @ diff)))
 

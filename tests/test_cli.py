@@ -423,6 +423,25 @@ def test_predict_to_stdout(capsys, trained):
     assert len(lines) == 31
 
 
+@pytest.mark.parametrize("n_rows", [1, 4096, 4097, 8195])
+def test_predict_writes_one_repr_per_line_across_write_blocks(tmp_path, capsys, trained, n_rows):
+    # Rows are formatted 4096 at a time; a block boundary adds or drops no
+    # line, and ``--out`` and stdout carry the same bytes.
+    _, model_path = trained
+    probes = tmp_path / "probes.csv"
+    save_csv(synth("f1", n_rows, 0.0, seed=7), probes)
+    model = load_model(model_path)
+    meta = model.norm_meta
+    expected = invert_label_scaling(meta, predict(model, apply_feature_scaling(meta, load_csv(probes).x)))
+    text = "prediction\n" + "".join(repr(v) + "\n" for v in expected.tolist())
+    out = tmp_path / "preds.csv"
+    capsys.readouterr()  # drain the fixture's training summary
+    assert main(_predict(model_path, str(probes), "--out", str(out))) == 0
+    assert out.read_bytes() == text.encode("ascii")
+    assert main(_predict(model_path, str(probes))) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_predict_far_probe_reads_the_label_midpoint_without_a_warning(tmp_path, trained):
     # Every row overflows the probe's squared distance to inf, which the
     # kernel's floor absorbs: the prediction is the label range's midpoint.

@@ -74,9 +74,9 @@ def test_entry_shape_mismatch_rejected():
 
 
 def test_entry_nonpositive_bandwidth_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bandwidths must be at least"):
         lab_entry([0.0], [1.0], [0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bandwidths must be at least"):
         lab_entry([0.0], [1.0], [1e-160])
 
 
