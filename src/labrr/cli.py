@@ -1,12 +1,13 @@
 """Command-line interface: ``synth | train | benchmark | predict``.
 
-Exit codes: 0 success; 1 a singular training solve, or every benchmark trial
-failed; 2 a bad argument or config-file value, or inputs that do not fit
-together (too few samples, mismatched dimensions); 3 a file that cannot be
-read or written, a malformed data or model file, or data whose scaling to
-[-1, 1], or a model's kernel, predictions or label range, overflows float64.
-:func:`main` alone maps file, data and solver errors to codes, logging one
-line and no traceback.
+Exit codes: 0 success; 1 a singular training solve (``SingularSystem``), or
+every benchmark trial failed; 2 a bad argument or setting (``InvalidSetting``),
+or inputs that do not fit together (``InsufficientData``, ``DimensionMismatch``);
+3 a file that cannot be read or written (``OSError``), a malformed data or model
+file (``ParseError``, ``EmptyDataset``), or data whose scaling, or a model's
+kernel, predictions or label range, overflows float64 (``UnscalableData``).
+:func:`main` alone maps library errors to codes, by type, in one line on stderr
+(argparse's ``error:`` line for exit 2) and no traceback.
 ``LABRR_LOG`` (``quiet`` / ``info`` / ``debug``) controls stderr verbosity;
 results and summaries go to stdout or the requested output files.
 """
@@ -20,7 +21,8 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+import typing
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .data import (
     Dataset,
     EmptyDataset,
     InsufficientData,
+    InvalidSetting,
     ParseError,
     SplitSpec,
     UnscalableData,
@@ -43,7 +46,7 @@ from .data import (
     synth,
 )
 from .metrics import make_report, project, sparsity_r0
-from .numerics import SingularSystem, one_blas_thread
+from .numerics import DimensionMismatch, SingularSystem, one_blas_thread
 from .ridgeless import load_model, predict, save_model
 from .trainer import TrainConfig, train
 
@@ -53,35 +56,34 @@ LOG = logging.getLogger("labrr")
 
 EXIT_OK = 0
 EXIT_FAILED = 1
-EXIT_ARGS = 2
 EXIT_IO = 3
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
 
-# (flag, TrainConfig field, type, help) — defaults live in TrainConfig itself.
+# (flag, TrainConfig field, help) — types and defaults live in TrainConfig itself.
 _TRAIN_FLAGS = [
-    ("--B", "error_budget", float, "squared-error budget that stops training"),
-    ("--k", "grow_count", int, "support points added per growth step"),
-    ("--eta", "learning_rate", float, "SGD learning rate for the bandwidths"),
-    ("--L", "inner_steps", int, "SGD steps per round"),
-    ("--n0", "initial_support", int, "initial support size"),
-    ("--sigma0", "init_bandwidth", float, "initial bandwidth value"),
-    ("--batch", "batch_size", int, "mini-batch size"),
-    ("--theta-min", "bandwidth_min", float, "lower bandwidth clip"),
-    ("--theta-max", "bandwidth_max", float, "upper bandwidth clip"),
-    ("--max-outer", "max_rounds", int, "cap on outer rounds"),
-    ("--max-support-ratio", "max_support_ratio", float, "support cap as a fraction of training size"),
-    ("--selection", "selection", str, "initial support strategy (y_uniform|x_kmeans|extreme_y)"),
-    ("--jitter", "jitter", float, "diagonal regularization of every solve"),
-    ("--momentum", "momentum", float, "heavy-ball coefficient (0 = plain SGD)"),
+    ("--B", "error_budget", "squared-error budget that stops training"),
+    ("--k", "grow_count", "support points added per growth step"),
+    ("--eta", "learning_rate", "SGD learning rate for the bandwidths"),
+    ("--L", "inner_steps", "SGD steps per round"),
+    ("--n0", "initial_support", "initial support size"),
+    ("--sigma0", "init_bandwidth", "initial bandwidth value"),
+    ("--batch", "batch_size", "mini-batch size"),
+    ("--theta-min", "bandwidth_min", "lower bandwidth clip"),
+    ("--theta-max", "bandwidth_max", "upper bandwidth clip"),
+    ("--max-outer", "max_rounds", "cap on outer rounds"),
+    ("--max-support-ratio", "max_support_ratio", "support cap as a fraction of training size"),
+    ("--selection", "selection", "initial support strategy (y_uniform|x_kmeans|extreme_y)"),
+    ("--jitter", "jitter", "diagonal regularization of every solve"),
+    ("--momentum", "momentum", "heavy-ball coefficient (0 = plain SGD)"),
 ]
 
-# JSON types a config file may give each setting; a float also takes an integer.
-_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
-_FLAG_KEYS = {dest: _JSON_TYPES[typ] for _, dest, typ, _ in _TRAIN_FLAGS}
-_TRAIN_KEYS = _FLAG_KEYS | {"seed": (int,)}
-_BENCH_KEYS = _FLAG_KEYS | {"trials": (int,), "train_fraction": (int, float), "base_seed": (int,),
-                            "clip": (int, float, type(None))}
+_TRAIN_TYPES = typing.get_type_hints(TrainConfig)
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+# JSON types of the benchmark-only settings; TrainConfig checks its own.
+_BENCH_TYPES = {"trials": (int,), "train_fraction": (int, float), "base_seed": (int,),
+                "clip": (int, float, type(None))}
+_BENCH_KEYS = _TRAIN_KEYS - {"seed"} | _BENCH_TYPES.keys()
 
 
 def _configure_logging() -> None:
@@ -94,8 +96,8 @@ def _configure_logging() -> None:
 
 
 def _add_train_flags(sp: argparse.ArgumentParser, with_seed: bool) -> None:
-    for flag, dest, typ, help_text in _TRAIN_FLAGS:
-        sp.add_argument(flag, dest=dest, type=typ, default=None, help=help_text)
+    for flag, dest, help_text in _TRAIN_FLAGS:
+        sp.add_argument(flag, dest=dest, type=_TRAIN_TYPES[dest], default=None, help=help_text)
     if with_seed:
         sp.add_argument("--seed", dest="seed", type=int, default=None,
                         help="seed for selection and batch sampling")
@@ -158,11 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
 # Config assembly
 
 
-def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace, keys: dict) -> dict:
+def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace, keys: set) -> dict:
     """Config-file values with the flags the user gave laid over them.
 
-    ``keys`` maps every setting the command takes to the JSON types a config
-    file may give it; any fault in the file is an argument error (exit 2).
+    ``keys`` names every setting the command takes; ``TrainConfig`` checks
+    the types and ranges of its own.
     """
     doc: dict = {}
     if args.config is not None:
@@ -170,14 +172,14 @@ def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace, keys: d
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-            parser.error(f"cannot read config file {args.config}: {exc}")
+            raise InvalidSetting(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(doc, dict):
             parser.error("config file must hold a JSON object")
     for key, value in doc.items():
         if key not in keys:
             hint = "; trial t runs with seed base_seed + t, so set base_seed" if key == "seed" else ""
             parser.error(f"unknown config key {key!r}{hint}")
-        if isinstance(value, bool) or not isinstance(value, keys[key]):
+        if key in _BENCH_TYPES and (isinstance(value, bool) or not isinstance(value, _BENCH_TYPES[key])):
             parser.error(f"config key {key!r} has the wrong type: {value!r}")
     flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     return doc | flags
@@ -187,25 +189,15 @@ def _train_config(parser: argparse.ArgumentParser, settings: dict) -> TrainConfi
     """The TrainConfig of the merged settings, over TrainConfig's own defaults."""
     if "error_budget" not in settings:
         parser.error("--B is required (or supply error_budget in --config)")
-    try:
-        return TrainConfig(**{k: v for k, v in settings.items() if k in _TRAIN_KEYS})
-    except ValueError as exc:
-        parser.error(str(exc))
+    return TrainConfig(**{k: v for k, v in settings.items() if k in _TRAIN_KEYS})
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _synth(parser: argparse.ArgumentParser, args: argparse.Namespace, seed: int) -> Dataset:
-    try:
-        return synth(args.fn, args.n, args.noise, seed)
-    except ValueError as exc:  # an unknown function id, a bad count or noise ratio
-        parser.error(str(exc))
-
-
 def cmd_synth(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    dataset = _synth(parser, args, args.seed)
+    dataset = synth(args.fn, args.n, args.noise, args.seed)
     save_csv(dataset, args.out)
     print(
         f"wrote {args.out}: n={dataset.n} d={dataset.dim} "
@@ -221,10 +213,7 @@ def _max_train_sq_error(model, dataset: Dataset) -> float:
 def cmd_train(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = _train_config(parser, _settings(parser, args, _TRAIN_KEYS))
     dataset = normalize(load_csv(args.data))
-    try:
-        model, trace = train(dataset, config)
-    except InsufficientData as exc:
-        parser.error(f"insufficient data: {exc}")
+    model, trace = train(dataset, config)
 
     save_model(model, args.out)
     if args.trace:
@@ -308,10 +297,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         parser.error(f"trials must be at least 1, got {trials}")
     if clip is not None and not (clip > 0.0):
         parser.error(f"clip must be positive, got {clip}")
-    try:
-        SplitSpec(base_seed, 0, train_fraction)
-    except ValueError as exc:
-        parser.error(str(exc))
+    SplitSpec(base_seed, 0, train_fraction)  # checks base_seed and train_fraction
     base_config = _train_config(parser, settings)
 
     if args.data is not None:
@@ -319,7 +305,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     elif args.n is None:
         parser.error("--fn needs --n")
     else:
-        raw = _synth(parser, args, base_seed)
+        raw = synth(args.fn, args.n, args.noise, base_seed)
     dataset = normalize(raw)
     fixed_test = None
     if args.test_csv is not None:
@@ -432,11 +418,10 @@ def cmd_predict(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     elif matrix.shape[1] == model.dim + 1:
         features = matrix[:, :-1]  # trailing label column, ignored
     else:
-        LOG.error(
-            "%s has %d columns; model needs %d features (or %d with a label column)",
-            args.data, matrix.shape[1], model.dim, model.dim + 1,
+        raise DimensionMismatch(
+            f"{args.data} has {matrix.shape[1]} columns; model needs {model.dim} features "
+            f"(or {model.dim + 1} with a label column)"
         )
-        return EXIT_ARGS
 
     del matrix  # ``features`` keeps it alive only while it is unscaled
     if model.norm_meta is not None:
@@ -465,6 +450,8 @@ def main(argv: list[str] | None = None) -> int:
     except SingularSystem as exc:
         LOG.error("training failed: %s", exc)
         return EXIT_FAILED
+    except (InvalidSetting, InsufficientData, DimensionMismatch) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

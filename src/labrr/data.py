@@ -15,17 +15,19 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .numerics import as_matrix, as_pair, as_vector
+from .numerics import DimensionMismatch, as_matrix, as_pair, as_vector
 
 __all__ = [
     "Dataset",
     "EmptyDataset",
     "InsufficientData",
+    "InvalidSetting",
     "NormMeta",
     "ParseError",
     "SplitSpec",
@@ -64,7 +66,11 @@ class EmptyDataset(ValueError):
     """The file contains no data rows."""
 
 
-class UnknownFunction(ValueError):
+class InvalidSetting(ValueError):
+    """A setting has the wrong type or lies outside its range."""
+
+
+class UnknownFunction(InvalidSetting):
     """The requested synthetic function id does not exist."""
 
 
@@ -361,7 +367,7 @@ def apply_feature_scaling(meta: NormMeta, x) -> np.ndarray:
     """Apply recorded feature ranges to (possibly new) raw feature rows."""
     x = as_matrix(x, "x")
     if x.shape[1] != meta.feature_min.shape[0]:
-        raise ValueError(
+        raise DimensionMismatch(
             f"features have dim {x.shape[1]}, normalization has dim {meta.feature_min.shape[0]}"
         )
     names = [f"feature column {j + 1}" for j in range(x.shape[1])]
@@ -408,9 +414,9 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            raise InvalidSetting(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.seed < 0 or self.trial_index < 0:
-            raise ValueError("seed and trial_index must be nonnegative")
+            raise InvalidSetting("seed and trial_index must be nonnegative")
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -466,18 +472,26 @@ def synth(function_id: str, n: int, noise_ratio: float = 0.0, seed: int = 0) -> 
     clean function values plus zero-mean Gaussian noise whose variance is
     ``noise_ratio`` times the variance of the clean labels.  Fully
     deterministic for a fixed seed (features drawn first, then noise).
+
+    Raises :class:`InvalidSetting` for an unknown ``function_id``
+    (:class:`UnknownFunction`), an ``n`` or ``seed`` that is not an integer of
+    at least 1 or 0, or a negative or non-finite ``noise_ratio``, or one whose
+    noise variance overflows float64.
     """
     if function_id not in _SYNTH_FUNCTIONS:
         raise UnknownFunction(f"unknown function: {function_id!r} (choose from f1, f2, f3)")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if noise_ratio < 0.0:
-        raise ValueError(f"noise_ratio must be nonnegative, got {noise_ratio}")
+    for name, value, low in (("n", n, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise InvalidSetting(f"{name} must be an integer of at least {low}, got {value!r}")
+    if not (0.0 <= noise_ratio < math.inf):
+        raise InvalidSetting(f"noise_ratio must be finite and nonnegative, got {noise_ratio}")
     fn, lo, hi, dim = _SYNTH_FUNCTIONS[function_id]
     rng = np.random.default_rng(seed)
     x = rng.uniform(lo, hi, size=(n, dim))
     y = fn(x)
     if noise_ratio > 0.0:
         std = math.sqrt(noise_ratio * float(np.var(y)))
+        if std == math.inf:
+            raise InvalidSetting(f"noise_ratio {noise_ratio} makes the noise variance overflow float64")
         y = y + rng.normal(0.0, std, size=n)
     return Dataset(x, y, None, function_id)

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, InsufficientData
+from .data import Dataset, InsufficientData, InvalidSetting
 from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set
 from .numerics import DimensionMismatch, FactorizedMatrix, as_vector, one_blas_thread
 from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, predict
@@ -54,15 +54,15 @@ _KMEANS_SWEEPS = 50
 #: is about 0.1-0.26); a diverging run jumps past it in its first steps.
 MAX_RELATIVE_STEP = 0.5
 
-#: ``TrainConfig`` fields that count or index something; a float or a bool
-#: there would fail only partway through ``train``.
-_INT_FIELDS = ("grow_count", "inner_steps", "initial_support", "batch_size", "max_rounds", "seed")
+#: What each ``TrainConfig`` annotation accepts; no field accepts a bool.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """All knobs of the training loop, checked on construction (also by
-    ``dataclasses.replace``); a bad value raises ``ValueError``.
+    ``dataclasses.replace``); a value of the wrong type or out of range raises
+    :class:`~labrr.data.InvalidSetting`, a ``ValueError``.
 
     Attributes
     ----------
@@ -119,49 +119,47 @@ class TrainConfig:
     momentum: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise InvalidSetting(f"{f.name} must be of type {f.type}, got {value!r}")
         if not (self.error_budget > 0.0):
-            raise ValueError(f"error_budget must be positive, got {self.error_budget}")
+            raise InvalidSetting(f"error_budget must be positive, got {self.error_budget}")
         if self.grow_count < 1:
-            raise ValueError(f"grow_count must be at least 1, got {self.grow_count}")
+            raise InvalidSetting(f"grow_count must be at least 1, got {self.grow_count}")
         if not (0.0 <= self.learning_rate < np.inf):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+            raise InvalidSetting(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.inner_steps < 0:
-            raise ValueError(f"inner_steps must be nonnegative, got {self.inner_steps}")
+            raise InvalidSetting(f"inner_steps must be nonnegative, got {self.inner_steps}")
         if self.initial_support < 1:
-            raise ValueError(f"initial_support must be at least 1, got {self.initial_support}")
+            raise InvalidSetting(f"initial_support must be at least 1, got {self.initial_support}")
         if not (MIN_BANDWIDTH <= self.bandwidth_min <= self.bandwidth_max <= 1e150):
-            raise ValueError(
+            raise InvalidSetting(
                 f"need {MIN_BANDWIDTH:g} <= bandwidth_min <= bandwidth_max <= 1e150, got "
                 f"[{self.bandwidth_min}, {self.bandwidth_max}]"
             )
         if not (self.bandwidth_min <= self.init_bandwidth <= self.bandwidth_max):
-            raise ValueError(
+            raise InvalidSetting(
                 f"init_bandwidth {self.init_bandwidth} outside "
                 f"[{self.bandwidth_min}, {self.bandwidth_max}]"
             )
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+            raise InvalidSetting(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be at least 1, got {self.max_rounds}")
+            raise InvalidSetting(f"max_rounds must be at least 1, got {self.max_rounds}")
         if not (0.0 < self.max_support_ratio <= 1.0):
-            raise ValueError(
-                f"max_support_ratio must be in (0, 1], got {self.max_support_ratio}"
-            )
+            raise InvalidSetting(f"max_support_ratio must be in (0, 1], got {self.max_support_ratio}")
         if self.selection not in SELECTION_STRATEGIES:
-            raise ValueError(
+            raise InvalidSetting(
                 f"unknown selection strategy {self.selection!r}; "
                 f"choose from {', '.join(SELECTION_STRATEGIES)}"
             )
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise InvalidSetting(f"seed must be nonnegative, got {self.seed}")
         if not (0.0 <= self.jitter < np.inf):
-            raise ValueError(f"jitter must be finite and nonnegative, got {self.jitter}")
+            raise InvalidSetting(f"jitter must be finite and nonnegative, got {self.jitter}")
         if not (0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise InvalidSetting(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 @dataclass

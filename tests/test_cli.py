@@ -549,14 +549,6 @@ def test_predict_invalid_clip_exits_2(trained):
     assert err.value.code == 2
 
 
-def test_predict_wrong_column_count_returns_2(tmp_path, trained):
-    _, model_path = trained
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c,d,e\n1,2,3,4,5\n")
-    rc = main(["predict", "--model", str(model_path), "--data", str(bad)])
-    assert rc == 2
-
-
 def test_predict_corrupt_model_returns_3(tmp_path, trained):
     data, _ = trained
     broken = tmp_path / "broken.json"
@@ -611,6 +603,10 @@ def _predict(model, data, *extra):
     return ["predict", "--model", str(model), "--data", data, *extra]
 
 
+def _synth(tmp_path, fn, *extra):
+    return ["synth", "--fn", fn, "--n", "10", "--out", str(tmp_path / "s.csv"), *extra]
+
+
 # name -> (argv builder over (tmp_path, training CSV, model path), exit code)
 _BAD_INPUTS = {
     "nan-label-train": (lambda t, d, m: _train(_file(t, "nan.csv", _NAN_LABEL), t), 3),
@@ -644,6 +640,14 @@ _BAD_INPUTS = {
         "--max-support-ratio", "1.0", "--jitter", "0", "--L", "0"], 3),
     "unwritable-predict-out": (lambda t, d, m: _predict(m, d, "--out", str(t)), 3),
     "benchmark-negative-n": (lambda t, d, m: ["benchmark", "--fn", "f1", "--n", "-5", "--B", "1e-3"], 2),
+    "benchmark-nan-noise": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "30", "--noise", "nan", "--B", "1e-3"], 2),
+    "synth-nan-noise": (lambda t, d, m: _synth(t, "f1", "--noise", "nan"), 2),
+    "synth-infinite-noise": (lambda t, d, m: _synth(t, "f1", "--noise", "inf"), 2),
+    "synth-overflowing-noise": (lambda t, d, m: _synth(t, "f2", "--noise", "1e308"), 2),
+    "synth-negative-seed": (lambda t, d, m: _synth(t, "f1", "--seed", "-1"), 2),
+    "wrong-column-count-predict": (lambda t, d, m: _predict(
+        m, _file(t, "wide.csv", "a,b,c,d,e\n1,2,3,4,5\n")), 2),
     "benchmark-negative-noise": (lambda t, d, m: [
         "benchmark", "--fn", "f1", "--n", "30", "--noise", "-1", "--B", "1e-3"], 2),
     "benchmark-negative-base-seed": (lambda t, d, m: [

@@ -13,6 +13,7 @@ from labrr.data import (
     Dataset,
     EmptyDataset,
     InsufficientData,
+    InvalidSetting,
     NormMeta,
     ParseError,
     SplitSpec,
@@ -30,6 +31,7 @@ from labrr.data import (
 )
 from labrr.data import _WRITE_BLOCK_ROWS, _read_fast, _read_numeric_table, _read_strict
 from labrr.data import _synth_f1, _synth_f2, _synth_f3
+from labrr.numerics import DimensionMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +98,19 @@ def test_synth_noise_variance_calibration():
 def test_synth_rejects_bad_arguments():
     with pytest.raises(UnknownFunction):
         synth("f9", 10)
-    with pytest.raises(ValueError):
-        synth("f1", 0)
-    with pytest.raises(ValueError):
-        synth("f1", 10, noise_ratio=-0.1)
+    assert issubclass(UnknownFunction, InvalidSetting)
+    # 1e308 times f2's label variance overflows float64.
+    for bad in ({"n": 0}, {"n": 10.0}, {"n": True}, {"seed": -1}, {"seed": 1.5}, {"noise_ratio": -0.1},
+                {"noise_ratio": float("nan")}, {"noise_ratio": float("inf")}, {"noise_ratio": 1e308}):
+        with pytest.raises(InvalidSetting):
+            synth(**{"function_id": "f2", "n": 10, **bad})
+
+
+def test_split_spec_raises_invalid_setting():
+    with pytest.raises(InvalidSetting):
+        SplitSpec(-1)
+    with pytest.raises(InvalidSetting):
+        SplitSpec(0, 0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +204,7 @@ def test_feature_scaling_holds_one_output_array():
 
 def test_feature_scaling_checks_dimension():
     norm = normalize(synth("f1", 10, seed=1))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         apply_feature_scaling(norm.norm_meta, np.zeros((3, 5)))
 
 

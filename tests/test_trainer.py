@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from labrr import ridgeless, trainer
-from labrr.data import Dataset, InsufficientData, SplitSpec, normalize, split, synth
+from labrr.data import Dataset, InsufficientData, InvalidSetting, SplitSpec, normalize, split, synth
 from labrr.kernels import MIN_BANDWIDTH, BandwidthSet, lab_matrix
 from labrr.metrics import sparsity_r0
 from labrr.numerics import DimensionMismatch, FactorizedMatrix
@@ -813,12 +813,17 @@ def test_sgd_does_not_diverge_on_noisy_small_support_seed_9803_trial_5():
         {"bandwidth_max": 1e200},
         {"init_bandwidth": 1e200, "bandwidth_min": 1e199, "bandwidth_max": 1e200},
         {"bandwidth_min": 1e-200},
+        {"error_budget": "1e-3"},
+        {"learning_rate": True},
+        {"jitter": None},
+        {"selection": 3},
+        {"momentum": "0"},
     ],
 )
 def test_train_config_validation(overrides):
     kwargs = dict(error_budget=1e-3)
     kwargs.update(overrides)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSetting):  # a ValueError, and the type the CLI maps to exit 2
         TrainConfig(**kwargs)
     with pytest.raises(ValueError):
         dataclasses.replace(TrainConfig(error_budget=1e-3), **overrides)
