@@ -36,7 +36,7 @@ import tempfile
 from pathlib import Path
 
 # Before numpy loads, as in perfbench/run.py, so every BLAS call runs at the
-# benchmark's thread count; ``train`` pins one thread itself, nothing else does.
+# benchmark's thread count; ``train``, ``fit_lab`` and ``predict`` also pin one.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

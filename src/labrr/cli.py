@@ -1,11 +1,13 @@
 """Command-line interface: ``synth | train | benchmark | predict``.
 
-Exit codes: 0 success; 1 a singular training solve (``SingularSystem``), or
-every benchmark trial failed; 2 a bad argument or setting (``InvalidSetting``),
-or inputs that do not fit together (``InsufficientData``, ``DimensionMismatch``);
-3 a file that cannot be read or written (``OSError``), a malformed data or model
-file (``ParseError``, ``EmptyDataset``), or data whose scaling, or a model's
-kernel, predictions or label range, overflows float64 (``UnscalableData``).
+Exit codes: 0 success; 1 a singular training solve (``SingularSystem``),
+exhausted memory (``MemoryError``), or every benchmark trial failed; 2 a bad
+argument or setting (``InvalidSetting``), or inputs that do not fit together
+(``DimensionMismatch``, and ``InsufficientData``, which ``benchmark`` meets in
+its first trial); 3 a file that cannot be read or written (``OSError``), a
+malformed data or model file (``ParseError``, ``EmptyDataset``), or data whose
+scaling, or a model's kernel, predictions or label range, overflows float64
+(``UnscalableData``).
 :func:`main` alone maps library errors to codes, by type, in one line on stderr
 (argparse's ``error:`` line for exit 2) and no traceback.
 ``LABRR_LOG`` (``quiet`` / ``info`` / ``debug``) controls stderr verbosity;
@@ -46,7 +48,7 @@ from .data import (
     synth,
 )
 from .metrics import make_report, project, sparsity_r0
-from .numerics import DimensionMismatch, SingularSystem, one_blas_thread
+from .numerics import DimensionMismatch, SingularSystem
 from .ridgeless import load_model, predict, save_model
 from .trainer import TrainConfig, train
 
@@ -132,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--data", default=None, help="dataset CSV (last column = label)")
     sp.add_argument("--fn", default=None, help="synthetic function id instead of --data")
     sp.add_argument("--n", type=int, default=None, help="synthetic sample count")
-    sp.add_argument("--noise", type=float, default=0.0, help="synthetic noise ratio")
+    sp.add_argument("--noise", type=float, default=None, help="synthetic noise ratio (default 0)")
     sp.add_argument("--trials", type=int, default=None, help="number of trials (default 50)")
     sp.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
     sp.add_argument("--base-seed", dest="base_seed", type=int, default=None)
@@ -289,6 +291,8 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     settings = _settings(parser, args, _BENCH_KEYS)
     if (args.data is None) == (args.fn is None):
         parser.error("give exactly one of --data or --fn")
+    if args.data is not None and (args.n is not None or args.noise is not None):
+        parser.error("--n and --noise apply only to --fn")
     trials = settings.get("trials", 50)
     train_fraction = float(settings.get("train_fraction", 0.8))
     base_seed = settings.get("base_seed", 0)
@@ -305,7 +309,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     elif args.n is None:
         parser.error("--fn needs --n")
     else:
-        raw = synth(args.fn, args.n, args.noise, base_seed)
+        raw = synth(args.fn, args.n, 0.0 if args.noise is None else args.noise, base_seed)
     dataset = normalize(raw)
     fixed_test = None
     if args.test_csv is not None:
@@ -345,10 +349,9 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
                 train_ds, test_ds = split(
                     dataset, SplitSpec(base_seed, trial, train_fraction)
                 )
-            with one_blas_thread():
-                model, trace = train(train_ds, config)
-                preds = predict(model, test_ds.x)
-                max_train_sq_error = _max_train_sq_error(model, train_ds)
+            model, trace = train(train_ds, config)
+            preds = predict(model, test_ds.x)
+            max_train_sq_error = _max_train_sq_error(model, train_ds)
             if clip is not None:
                 preds = project(preds, float(clip))
             report = make_report(
@@ -370,6 +373,8 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
                 "trial %d: r2=%.5f support=%d rounds=%d stop=%s",
                 trial, report.r_squared, report.n_support, trace.n_rounds, trace.stop_reason,
             )
+        except InsufficientData:  # sizes alone decide it, so every trial would fail alike
+            raise
         except (SingularSystem, ValueError) as exc:  # the trial fails, the run goes on
             row = {
                 "record": "trial",
@@ -449,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except SingularSystem as exc:
         LOG.error("training failed: %s", exc)
+        return EXIT_FAILED
+    except MemoryError as exc:
+        LOG.error("out of memory: %s", exc)
         return EXIT_FAILED
     except (InvalidSetting, InsufficientData, DimensionMismatch) as exc:
         parser.error(str(exc))

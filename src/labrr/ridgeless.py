@@ -177,6 +177,7 @@ def fit_lab(
     return SupportSystem(support_x, support_y, jitter).fit(theta, norm_meta)
 
 
+@one_blas_thread()
 def predict(model: LabModel, t):
     """Evaluate the interpolant at one point ``(dim,)`` or a batch ``(m, dim)``.
 
@@ -184,7 +185,9 @@ def predict(model: LabModel, t):
     the model's own (normalized) input space.  The kernel is built in the
     expanded form of :class:`SupportSystem` one block of rows at a time, so
     the full points-by-support matrix is never formed; predictions match
-    ``lab_matrix(t, support_x, theta) @ alpha`` to rounding.  Raises
+    ``lab_matrix(t, support_x, theta) @ alpha`` to rounding.  Runs at one
+    BLAS thread per pool, as :func:`fit_lab` does, so the predictions' bits
+    do not depend on the host's thread count.  Raises
     :class:`~labrr.data.UnscalableData` when the kernel or a prediction
     overflows float64.
     """

@@ -223,22 +223,16 @@ def _kmeans_representatives(x: np.ndarray, count: int, seed: int) -> list[int]:
     to the value it already has, and so would every later sweep: stopping
     there gives the capped run's centers bit for bit.
 
-    The squared distances ``x_sq + c_sq - 2.0 * (x @ centers.T)`` are built
-    in two points-by-centers buffers allocated once, in that order, and each
-    cluster's sum is a ``bincount`` per column, which adds its points in the
-    order ``np.add.at`` does.
+    The squared distances are ``x_sq + c_sq - 2.0 * (x @ centers.T)``, and
+    each cluster's sum is a ``bincount`` per column, which adds its points
+    in the order ``np.add.at`` does.
     """
     rng = np.random.default_rng(seed)
     centers = x[rng.choice(x.shape[0], size=count, replace=False)].copy()
     x_sq = (x * x).sum(axis=1)
-    d2 = np.empty((x.shape[0], count))
-    cross = np.empty_like(d2)
-    sums = np.empty_like(centers)
 
     def distances() -> np.ndarray:
-        np.add(x_sq[:, None], (centers * centers).sum(axis=1)[None, :], out=d2)
-        np.multiply(2.0, np.matmul(x, centers.T, out=cross), out=cross)
-        return np.subtract(d2, cross, out=d2)
+        return x_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
 
     previous = None
     for _ in range(_KMEANS_SWEEPS):
@@ -247,8 +241,7 @@ def _kmeans_representatives(x: np.ndarray, count: int, seed: int) -> list[int]:
             break
         previous = assign
         counts = np.bincount(assign, minlength=count)
-        for m in range(x.shape[1]):
-            sums[:, m] = np.bincount(assign, weights=x[:, m], minlength=count)
+        sums = np.stack([np.bincount(assign, weights=col, minlength=count) for col in x.T], axis=1)
         occupied = counts > 0
         centers[occupied] = sums[occupied] / counts[occupied, None]
     return [int(i) for i in distances().argmin(axis=0)]
@@ -365,14 +358,15 @@ def sgd_round(
     The remainder (non-support) points are checked and featurized by
     ``system.featurize``, and the bandwidths checked against the support,
     once.  Each step samples a fresh mini-batch uniformly without
-    replacement from the remainder, gathers it into buffers the round
-    allocates once, and descends the exact gradient.  The heavy-ball step
-    is scaled down, as a whole, so that no bandwidth moves by more than
-    ``MAX_RELATIVE_STEP`` of itself, and the bandwidths are then clipped
-    into their bounds; a step whose update makes a bandwidth NaN raises
-    ``ValueError``.  Returns the updated bandwidths and the per-step loss
-    curve.  With ``inner_steps=0``, ``learning_rate=0``, or an empty
-    remainder the bandwidths come back unchanged.
+    replacement from the remainder and descends the exact gradient; the
+    bandwidths and the heavy-ball velocity, the round's state, are updated
+    in place.  The heavy-ball step is scaled down, as a whole, so that no
+    bandwidth moves by more than ``MAX_RELATIVE_STEP`` of itself, and the
+    bandwidths are then clipped into their bounds; a step whose update
+    makes a bandwidth NaN raises ``ValueError``.  Returns the updated
+    bandwidths and the per-step loss curve.  With ``inner_steps=0``,
+    ``learning_rate=0``, or an empty remainder the bandwidths come back
+    unchanged.
     """
     features, remainder_y = system.featurize(remainder_x, remainder_y)
     n_rem = features.shape[0]
@@ -382,25 +376,18 @@ def sgd_round(
     th = _bandwidth_set(theta, system.centered).values.copy()
     velocity = np.zeros_like(th)
     batch = min(config.batch_size, n_rem)
-    batch_features = np.empty((batch, features.shape[1]))
-    batch_y = np.empty(batch)
-    relative = np.empty_like(th)
     for step in range(config.inner_steps):
         picks = rng.choice(n_rem, size=batch, replace=False)
-        # The picks are in range; "clip" only spares ``take`` a buffered copy.
-        np.take(features, picks, axis=0, out=batch_features, mode="clip")
-        np.take(remainder_y, picks, out=batch_y, mode="clip")
-        loss, grad = batch_loss_and_grad(system, th, batch_features, batch_y)
+        loss, grad = batch_loss_and_grad(system, th, features[picks], remainder_y[picks])
         losses.append(loss)
         # Heavy-ball; at momentum 0 plain SGD bit for bit (0 * v is +-0, +-0 - a
         # is -a).  An overflowed step is held finite, so 0 * v never makes a NaN;
         # a step beyond bandwidth_max is past the trust region anyway, and held
         # there its relative size stays finite.
         velocity *= config.momentum
-        grad *= config.learning_rate
-        velocity -= grad
+        velocity -= config.learning_rate * grad
         velocity.clip(-config.bandwidth_max, config.bandwidth_max, out=velocity)
-        largest_relative = np.abs(np.divide(velocity, th, out=relative), out=relative).max()
+        largest_relative = np.abs(velocity / th).max()
         # th is finite and velocity held finite, so th + velocity has a NaN
         # exactly when velocity does, and then so does this max.
         if np.isnan(largest_relative):

@@ -513,6 +513,30 @@ def test_train_model_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert len(digests) == 1
 
 
+def test_predict_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # Past one block of rows, two OpenBLAS threads sum a block's products in
+    # another order than one; ``predict`` runs at one thread per pool.  Small
+    # bandwidths keep most kernel entries off the floor, so that order shows
+    # in the written predictions (22 of these 2000 rows at two threads).
+    train_set = normalize(synth("f2", 500, 0.0, seed=40))
+    theta = np.random.default_rng(41).uniform(0.5, 2.0, size=train_set.x.shape)
+    model_path, probes_path = tmp_path / "model.json", tmp_path / "probes.csv"
+    save_model(fit_lab(train_set.x, train_set.y, theta, norm_meta=train_set.norm_meta), model_path)
+    save_csv(synth("f2", 2000, 0.0, seed=42), probes_path)
+    digests = set()
+    for threads in ("1", "2"):
+        out = tmp_path / f"preds-{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "labrr", "predict", "--model", str(model_path),
+             "--data", str(probes_path), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(_labrr_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1
+
+
 def test_predict_accepts_feature_only_csv(tmp_path, trained):
     data, model_path = trained
     ds = load_csv(data)
@@ -652,6 +676,14 @@ _BAD_INPUTS = {
         "benchmark", "--fn", "f1", "--n", "30", "--noise", "-1", "--B", "1e-3"], 2),
     "benchmark-negative-base-seed": (lambda t, d, m: [
         "benchmark", "--fn", "f1", "--n", "30", "--base-seed", "-1", "--B", "1e-3"], 2),
+    "benchmark-empty-split": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "40", "--train-fraction", "0.01", "--trials", "1", "--B", "1e-3"], 2),
+    "benchmark-support-past-the-split": (lambda t, d, m: [
+        "benchmark", "--data", d, "--n0", "29", "--trials", "1", "--B", "1e-3"], 2),
+    "benchmark-data-with-n": (lambda t, d, m: [
+        "benchmark", "--data", d, "--n", "5", "--trials", "1", "--B", "1e-3"], 2),
+    "benchmark-data-with-noise": (lambda t, d, m: [
+        "benchmark", "--data", d, "--noise", "nan", "--trials", "1", "--B", "1e-3"], 2),
     "config-fractional-rounds": (lambda t, d, m: _train(
         d, t, "--config", _file(t, "cfg.json", '{"max_rounds": 1.5}')), 2),
     "config-string-trials": (lambda t, d, m: [
@@ -713,6 +745,20 @@ def test_malformed_input_exits_with_its_code(case, tmp_path, trained, capfd, cap
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1
         assert errors[0].exc_info is None and "\n" not in errors[0].getMessage()
+
+
+def test_out_of_memory_exits_1_with_one_log_line(tmp_path, monkeypatch, capfd, caplog):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000000000, 2)")
+
+    monkeypatch.setattr("labrr.cli.synth", exhausted)
+    capfd.readouterr()
+    caplog.clear()
+    assert main(["synth", "--fn", "f1", "--n", "1000000000000", "--out", str(tmp_path / "s.csv")]) == 1
+    assert "Traceback" not in capfd.readouterr().err
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert errors[0].exc_info is None and "Unable to allocate" in errors[0].getMessage()
 
 
 def test_malformed_input_prints_one_stderr_line(tmp_path):

@@ -234,8 +234,10 @@ def test_sgd_step_changes_nothing_it_was_given(run):
 
 
 def test_sgd_round_gradient_shares_no_memory_with_its_buffers(monkeypatch):
-    # The round scales each returned gradient in place, so the gradient must
-    # not alias the round's batch buffers or its bandwidths.
+    # The round updates its bandwidths in place after each step, so a gradient
+    # that aliased them would change under anyone who keeps it, such as a
+    # tracer recording each step.  The step returns memory shared with none
+    # of its inputs.
     step = trainer.batch_loss_and_grad
     seen = []
 
