@@ -225,8 +225,8 @@ def cmd_train(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         LOG.warning("did not reach the error budget (stop reason: %s)", trace.stop_reason)
     for record in trace.rounds:
         LOG.debug(
-            "round %d: support=%d max_err=%.3e",
-            record.round_index, record.n_support, record.max_sq_error,
+            "round %d: support=%d max_err=%.3e factorizations=%d",
+            record.round_index, record.n_support, record.max_sq_error, record.factorizations,
         )
     max_err = _max_train_sq_error(model, dataset)
     print(
@@ -293,6 +293,8 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         parser.error("give exactly one of --data or --fn")
     if args.data is not None and (args.n is not None or args.noise is not None):
         parser.error("--n and --noise apply only to --fn")
+    if args.test_csv is not None and "train_fraction" in settings:
+        parser.error("--train-fraction does not apply with --test-csv, which trains on all of --data")
     trials = settings.get("trials", 50)
     train_fraction = float(settings.get("train_fraction", 0.8))
     base_seed = settings.get("base_seed", 0)

@@ -8,8 +8,12 @@ matrices built elsewhere in this package are asymmetric, so symmetric
 factorizations (Cholesky) are not an option.  It calls LAPACK's ``dgetrf``,
 ``dgetrs`` and ``dlange`` directly on a private copy, so no caller's matrix
 is ever changed.  A collapsed pivot raises :class:`SingularSystem` instead of
-letting garbage propagate into the fit.  :func:`one_blas_thread` runs a block
-with both bundled OpenBLAS thread pools at one thread.
+letting garbage propagate into the fit.  An LU may also serve a nearby
+matrix (:meth:`FactorizedMatrix.solve_nearby`): only behind a Banach-lemma
+guard on LAPACK ``dgecon``'s estimate of the inverse's norm, and only for a
+solve that iterative refinement brings to the backward error of a direct
+one.  :func:`one_blas_thread` runs a block with both bundled OpenBLAS thread
+pools at one thread.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dgetrf, dgetrs, dlange
+from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
 
 __all__ = [
     "DimensionMismatch",
@@ -48,6 +52,12 @@ _BLAS_POOLS = (
 #: A pivot smaller than this fraction of the largest absolute row sum marks
 #: the system as numerically singular.
 PIVOT_RTOL = 1e-14
+
+#: Unit roundoff of float64, the backward error a refined solve must reach.
+UNIT_ROUNDOFF = 2.0 ** -53
+
+#: Correction sweeps a refined solve may take before it declines.
+REFINE_SWEEPS = 2
 
 
 class DimensionMismatch(ValueError):
@@ -110,7 +120,10 @@ class FactorizedMatrix:
     ``SupportSystem``: the copy then moves whole columns instead of
     transposing.  Factoring once and solving twice is the workhorse pattern
     of the bandwidth gradient, which needs both ``A x = b`` and ``A^T u = v``
-    for every mini-batch.
+    for every mini-batch; :meth:`solve_nearby` lets the gradient's next
+    steps solve through the same LU while their Gram has barely moved.  The
+    jitter stays this object's: every solve, direct or nearby, is against a
+    matrix plus ``jitter * I``.
 
     Finiteness is checked without a pass of its own: a NaN or infinite
     entry makes the ``dlange('I')`` row-sum norm of the copy non-finite, and
@@ -156,6 +169,8 @@ class FactorizedMatrix:
             )
         self._lu_piv = (lu, piv)
         self.shape = (n, m)
+        self.jitter = jitter
+        self._inverse_norm = None  # ||(A + jitter*I)^-1||_1, estimated on first use
 
     def solve(self, b, transpose: bool = False) -> np.ndarray:
         """Solve ``(A + jitter*I) x = b``, or its transpose with ``transpose=True``."""
@@ -167,6 +182,71 @@ class FactorizedMatrix:
         lu, piv = self._lu_piv
         x, _ = dgetrs(lu, piv, b, trans=1 if transpose else 0)
         return x
+
+    def solve_nearby(self, a, b, drift: float, transpose: bool = False) -> np.ndarray | None:
+        """Solve ``(a + jitter*I) x = b`` (or its transpose) through this LU
+        of a nearby matrix, or return ``None`` when that is not shown safe.
+
+        ``drift`` must bound ``||a - A||_1``, where ``A`` is the matrix this
+        LU was made from.  ``a``, of the same order, is only read; a NaN or
+        infinite entry in it makes the solve decline.  With ``B = A +
+        jitter*I``, two tests guard the solve:
+
+        * **Nonsingularity** (Banach lemma): when ``||B^-1||_1 drift <=
+          1/2``, ``a + jitter*I = B (I + B^-1 (a - A))`` is nonsingular, and
+          each refinement sweep at least halves the error, in the 1-norm for
+          ``a`` and the inf-norm for its transpose.  ``||B^-1||_1`` is LAPACK
+          ``dgecon``'s estimate from this LU, taken once per LU in O(n^2).
+          It is usually exact and rarely low by more than a factor of 3, so
+          the test is a guard, not a proof; the acceptance test decides.
+        * **Acceptance** (stationary iterative refinement; Moler, J. ACM
+          14(2), 1967; Higham, *Accuracy and Stability of Numerical
+          Algorithms*, 2nd ed., ch. 12): ``x = B^-1 b`` takes at most
+          ``REFINE_SWEEPS`` sweeps ``x += B^-1 r`` and is returned only
+          once its float64 residual ``r = b - (a x + jitter x)`` meets the
+          normwise backward-error rule ``||r||_inf <= u (||a + jitter*I||_inf
+          ||x||_inf + ||b||_inf)``, ``u = 2**-53``.  Each sweep first tries
+          ``||r||_inf <= u (2 ||b||_inf - ||r||_inf)``, which implies the
+          rule (``||b|| - ||r|| <= ||(a + jitter*I) x||``) without a pass
+          over ``a``; the last sweep tests the rule itself.  Both tests are
+          written so that a NaN residual fails them.
+
+        Every solve against the LU goes through :meth:`solve`, which also
+        raises what it raises for ``b``.
+        """
+        if not self._inverse_norm_1() * drift <= 0.5:
+            return None
+        a = np.asarray(a, dtype=np.float64)
+        if a.shape != self.shape:
+            raise DimensionMismatch(f"matrix has shape {a.shape}, the LU has {self.shape}")
+        op = a.T if transpose else a
+        b_norm = np.abs(b).max()
+        x = self.solve(b, transpose)
+        for sweep in range(REFINE_SWEEPS + 1):
+            r = b - (op @ x + self.jitter * x)
+            r_norm = np.abs(r).max()
+            # ||b|| - ||r|| <= ||(a + jitter*I) x|| <= ||a + jitter*I|| ||x||, so
+            # this first test implies the rule without a pass over ``a``.
+            if r_norm <= UNIT_ROUNDOFF * (2.0 * b_norm - r_norm):
+                return x
+            if not np.isfinite(r_norm):
+                return None
+            if sweep == REFINE_SWEEPS:
+                abs_rows = np.abs(op).sum(axis=1)
+                diagonal = np.diagonal(a)
+                abs_rows += np.abs(diagonal + self.jitter) - np.abs(diagonal)
+                accepted = r_norm <= UNIT_ROUNDOFF * (abs_rows.max() * np.abs(x).max() + b_norm)
+                return x if accepted else None
+            x = x + self.solve(r, transpose)
+
+    def _inverse_norm_1(self) -> float:
+        """``dgecon``'s estimate of ``||(A + jitter*I)^-1||_1``: with ``anorm``
+        1 its ``rcond`` is the estimate's reciprocal (0, read as infinite,
+        when the estimate overflows)."""
+        if self._inverse_norm is None:
+            rcond, _ = dgecon(self._lu_piv[0], 1.0, norm="1")
+            self._inverse_norm = 1.0 / rcond if rcond > 0.0 else np.inf
+        return self._inverse_norm
 
 
 def solve_regularized(a, b, jitter: float = 0.0) -> np.ndarray:

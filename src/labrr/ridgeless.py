@@ -11,6 +11,7 @@ respective training residuals, which is the identity the tests pin down.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,7 @@ from .kernels import _EXP_FLOOR, BandwidthSet, _bandwidth_set, _clamped_exp, _ne
 # ``ridgeless.lab_matrix`` by name, so the name must stay importable.
 from .kernels import lab_matrix  # noqa: F401
 from .numerics import DimensionMismatch, FactorizedMatrix, as_matrix, as_pair, as_vector, solve_regularized
-from .numerics import one_blas_thread
+from .numerics import UNIT_ROUNDOFF, one_blas_thread
 
 __all__ = [
     "DEFAULT_JITTER",
@@ -113,6 +114,8 @@ class SupportSystem:
         self.origin = self.x.mean(axis=0)
         self.centered = self.x - self.origin
         self.features = _quadratic_features(self.x, self.origin)
+        # (R_m + |c_jm|)**2 of ``gram_drift``'s rounding allowance.
+        self._spread = (np.abs(self.centered).max(axis=0) + np.abs(self.centered)) ** 2
 
     def featurize(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """Features about ``self.origin`` and labels of points checked against
@@ -141,6 +144,48 @@ class SupportSystem:
         _clamped_exp(kt)
         kt.ravel()[:: kt.shape[1] + 1] = 1.0  # the Gram block's diagonal, n entries
         return kt
+
+    def gram_drift(self, th_from: np.ndarray, th: np.ndarray) -> float:
+        """An upper bound, in O(n d), on ``||G - G_from||_1`` for the Grams
+        ``kt[:, :n].T`` that :meth:`kernel_t` builds at ``th`` and ``th_from``.
+
+        Write ``s = th * th`` as ``kernel_t`` computes it, ``c`` for the
+        centered support points and ``E_ij = sum_m s_jm (c_im - c_jm)**2``.
+        Off the diagonal, which is exactly 1 in both Grams, entry ``(i, j)``
+        is the rounded ``exp(max(-E_ij, -350))`` of the expanded form; it
+        depends on ``th`` through ``s_j`` alone.
+
+        * **Exact part.**  With ``s_j = s_from_j (1 + delta)`` and ``|delta|
+          <= r = max |s / s_from - 1| < 1``, ``|E - E_from| <= r E_from`` and
+          both are at least ``(1 - r) E_from``, so the exact entry moves by at
+          most ``r E_from exp(-(1 - r) E_from) <= r / (e (1 - r))``, the
+          maximum over ``E_from >= 0``.  The floor only shrinks the move.
+        * **Rounding of the expanded form.**  The exponent is a sum of ``2d +
+          1`` products whose factors carry relative errors of at most
+          ``gamma_(d+2)`` (``gamma_k = k u / (1 - k u)``, ``u = 2**-53``), so
+          it is within ``gamma_(3d+3) sum_m s_jm (|c_im| + |c_jm|)**2 <= eta``
+          of ``-E_ij`` at either bandwidth set, where ``eta = gamma_(3d+3)
+          (1 + r) max_j sum_m s_from_jm (R_m + |c_jm|)**2``, ``R_m = max_i
+          |c_im|`` (as ``s <= (1 + r) s_from``).  It is largest for wide
+          bandwidths and far or offset points, where the expanded terms
+          cancel.  The clamp is 1-Lipschitz and every entry is at most 1, so
+          each computed entry is within ``expm1(eta) + 4u`` of its exact
+          value, ``4u`` allowing two ulp for ``exp``.
+
+        A column has ``n - 1`` off-diagonal entries, so ``||G - G_from||_1
+        <= (n - 1) (r / (e (1 - r)) + 2 expm1(eta) + 8u)``, with ``4u`` added
+        to the computed ``r`` for its own rounding.  ``r >= 1`` or ``eta >=
+        1`` gives ``inf``: a bound that large rules out any reuse anyway.
+        """
+        n, d = self.centered.shape
+        s_from = th_from * th_from
+        ratio = th * th / s_from
+        r = max(ratio.max() - 1.0, 1.0 - ratio.min()) + 4.0 * UNIT_ROUNDOFF
+        k = (3 * d + 3) * UNIT_ROUNDOFF
+        eta = k / (1.0 - k) * (1.0 + r) * np.einsum("ij,ij->i", self._spread, s_from).max()
+        if not (r < 1.0 and eta < 1.0):
+            return math.inf
+        return (n - 1) * (r / (math.e * (1.0 - r)) + 2.0 * math.expm1(eta) + 8.0 * UNIT_ROUNDOFF)
 
     def fit(self, theta, norm_meta: NormMeta | None) -> LabModel:
         """The interpolant of this support under ``theta``; see :func:`fit_lab`."""

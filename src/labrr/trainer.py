@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset, InsufficientData, InvalidSetting
 from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set
-from .numerics import DimensionMismatch, FactorizedMatrix, as_vector, one_blas_thread
+from .numerics import DimensionMismatch, FactorizedMatrix, SingularSystem, as_vector, one_blas_thread
 from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, predict
 # Not called here, but the benchmark's tracer rebinds ``trainer.lab_matrix``
 # and ``trainer.fit_lab`` by name, so both names must stay importable.
@@ -164,13 +164,18 @@ class TrainConfig:
 
 @dataclass
 class RoundRecord:
-    """Diagnostics of one outer round."""
+    """Diagnostics of one outer round.
+
+    ``factorizations`` counts the LUs its SGD steps made: one per step,
+    fewer when steps solved through an earlier step's LU.
+    """
 
     round_index: int
     n_support: int
     max_sq_error: float
     mean_sq_error: float
     inner_losses: list[float] = field(default_factory=list)
+    factorizations: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -179,6 +184,7 @@ class RoundRecord:
             "max_sq_error": self.max_sq_error,
             "mean_sq_error": self.mean_sq_error,
             "inner_losses": self.inner_losses,
+            "factorizations": self.factorizations,
         }
 
 
@@ -280,11 +286,52 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 # The gradient
 
 
+class _RoundLU:
+    """An SGD round's reusable step factorization: its last LU, the
+    bandwidths that LU was made at, and whether the round still tries reuse.
+
+    It holds no kernel: :meth:`reuse` takes the step's own Gram.  A round
+    that declines once (the guard or either refined solve fails) drops its
+    LU and factors every later step directly.  ``factorizations`` counts the
+    LUs the round's steps made.
+    """
+
+    def __init__(self) -> None:
+        self.solver: FactorizedMatrix | None = None
+        self.th: np.ndarray | None = None
+        self.reusing = True
+        self.factorizations = 0
+
+    def reuse(self, system, th, gram, cross_t, batch_y):
+        """``(alpha, resid, u)`` of the step through the held LU, or ``None``:
+        both solves refined by ``FactorizedMatrix.solve_nearby`` against
+        ``gram``, with ``SupportSystem.gram_drift`` as the drift bound."""
+        if self.solver is None:
+            return None
+        drift = system.gram_drift(self.th, th)
+        alpha = self.solver.solve_nearby(gram, system.y, drift)
+        if alpha is not None:
+            resid = alpha @ cross_t - batch_y
+            u = self.solver.solve_nearby(gram, cross_t @ resid, drift, transpose=True)
+            if u is not None:
+                return alpha, resid, u
+        self.solver = self.th = None
+        self.reusing = False
+        return None
+
+    def keep(self, solver: FactorizedMatrix, th: np.ndarray) -> None:
+        """Count a step's fresh LU, and hold it while the round reuses."""
+        self.factorizations += 1
+        if self.reusing:
+            self.solver, self.th = solver, th.copy()
+
+
 def batch_loss_and_grad(
     system: SupportSystem,
     th: np.ndarray,
     batch_features: np.ndarray,
     batch_y: np.ndarray,
+    round_lu: _RoundLU | None = None,
 ) -> tuple[float, np.ndarray]:
     """Batch squared error and its exact bandwidth gradient.
 
@@ -307,6 +354,13 @@ def batch_loss_and_grad(
     entries stays a normal float.  The Gram's LU is factored from a private
     copy; nothing the step is given is changed.
 
+    ``round_lu``, the SGD round's state, lets the step solve through the LU
+    of an earlier step of the round instead of factoring: only when
+    ``FactorizedMatrix.solve_nearby`` accepts both refined solves, the
+    ``alpha`` solve and the adjoint one, against this step's Gram.  Otherwise
+    the step factors afresh, exactly as without ``round_lu``, and hands its
+    LU to ``round_lu``.  Without it the step always factors.
+
     ``th`` is the raw bandwidth array and ``batch_features, batch_y`` what
     ``system.featurize`` returns for the batch, where it is checked; the step
     only checks that the shapes line up (else :class:`DimensionMismatch`).
@@ -324,14 +378,18 @@ def batch_loss_and_grad(
     n, d = c.shape
     kt = system.kernel_t(th, batch_features)
     cross_t = kt[:, n:]
-    solver = FactorizedMatrix(kt[:, :n].T, system.jitter)
-    alpha = solver.solve(system.y)
-
-    resid = alpha @ cross_t - batch_y
+    solved = None if round_lu is None else round_lu.reuse(system, th, kt[:, :n].T, cross_t, batch_y)
+    if solved is None:
+        solver = FactorizedMatrix(kt[:, :n].T, system.jitter)
+        if round_lu is not None:
+            round_lu.keep(solver, th)
+        alpha = solver.solve(system.y)
+        resid = alpha @ cross_t - batch_y
+        # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
+        u = solver.solve(cross_t @ resid, transpose=True)
+    else:
+        alpha, resid, u = solved
     loss = float(resid @ resid)
-
-    # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
-    u = solver.solve(cross_t @ resid, transpose=True)
 
     # sum_i v[i] * kt[j, i] * (rows[i, m] - c[j, m])**2 over the support rows
     # (v = -u) and the batch rows (v = resid) at once: with w = kt * v, it is
@@ -352,33 +410,39 @@ def sgd_round(
     remainder_y,
     config: TrainConfig,
     rng: np.random.Generator,
-) -> tuple[BandwidthSet, list[float]]:
+) -> tuple[BandwidthSet, list[float], int]:
     """One round of ``inner_steps`` SGD updates on the bandwidths of ``system``.
 
     The remainder (non-support) points are checked and featurized by
     ``system.featurize``, and the bandwidths checked against the support,
     once.  Each step samples a fresh mini-batch uniformly without
     replacement from the remainder and descends the exact gradient; the
-    bandwidths and the heavy-ball velocity, the round's state, are updated
+    bandwidths, the heavy-ball velocity and the round's reusable LU
+    (``batch_loss_and_grad``'s ``round_lu``), the round's state, are updated
     in place.  The heavy-ball step is scaled down, as a whole, so that no
     bandwidth moves by more than ``MAX_RELATIVE_STEP`` of itself, and the
     bandwidths are then clipped into their bounds; a step whose update
-    makes a bandwidth NaN raises ``ValueError``.  Returns the updated
-    bandwidths and the per-step loss curve.  With ``inner_steps=0``,
-    ``learning_rate=0``, or an empty remainder the bandwidths come back
-    unchanged.
+    makes a bandwidth NaN raises ``ValueError``, and a step whose Gram is
+    singular raises ``SingularSystem`` naming the step.  Returns the updated
+    bandwidths, the per-step loss curve and the number of LUs the steps
+    made.  With ``inner_steps=0``, ``learning_rate=0``, or an empty
+    remainder the bandwidths come back unchanged.
     """
     features, remainder_y = system.featurize(remainder_x, remainder_y)
     n_rem = features.shape[0]
     losses: list[float] = []
     if n_rem == 0:
-        return theta, losses
+        return theta, losses, 0
     th = _bandwidth_set(theta, system.centered).values.copy()
     velocity = np.zeros_like(th)
+    round_lu = _RoundLU()
     batch = min(config.batch_size, n_rem)
     for step in range(config.inner_steps):
         picks = rng.choice(n_rem, size=batch, replace=False)
-        loss, grad = batch_loss_and_grad(system, th, features[picks], remainder_y[picks])
+        try:
+            loss, grad = batch_loss_and_grad(system, th, features[picks], remainder_y[picks], round_lu)
+        except SingularSystem as exc:
+            raise SingularSystem(f"SGD step {step}: {exc}") from None
         losses.append(loss)
         # Heavy-ball; at momentum 0 plain SGD bit for bit (0 * v is +-0, +-0 - a
         # is -a).  An overflowed step is held finite, so 0 * v never makes a NaN;
@@ -396,7 +460,7 @@ def sgd_round(
             velocity *= MAX_RELATIVE_STEP / largest_relative
         th += velocity
         th.clip(config.bandwidth_min, config.bandwidth_max, out=th)
-    return BandwidthSet(th), losses
+    return BandwidthSet(th), losses, round_lu.factorizations
 
 
 def grow_support(sq_errors, count: int) -> np.ndarray:
@@ -447,15 +511,22 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
     for round_index in range(config.max_rounds):
         remainder = np.flatnonzero(~in_support)
         system = SupportSystem(dataset.x[support], dataset.y[support], config.jitter)
-        theta, losses = sgd_round(system, theta, dataset.x[remainder], dataset.y[remainder], config, rng)
-        model = system.fit(theta, dataset.norm_meta)
+        stage = ""
+        try:
+            theta, losses, factorizations = sgd_round(
+                system, theta, dataset.x[remainder], dataset.y[remainder], config, rng
+            )
+            stage = "fit: "
+            model = system.fit(theta, dataset.norm_meta)
+        except SingularSystem as exc:
+            raise SingularSystem(f"round {round_index} ({len(support)} support points), {stage}{exc}") from None
         # Error check per the growth rule: non-support points, or the support
         # itself once everything has been absorbed.
         eval_idx = remainder if remainder.shape[0] else np.asarray(support)
         sq_errors = (predict(model, dataset.x[eval_idx]) - dataset.y[eval_idx]) ** 2
         max_err = float(sq_errors.max())
         rounds.append(
-            RoundRecord(round_index, len(support), max_err, float(sq_errors.mean()), losses)
+            RoundRecord(round_index, len(support), max_err, float(sq_errors.mean()), losses, factorizations)
         )
         if max_err <= config.error_budget:
             converged = True

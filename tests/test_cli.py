@@ -116,8 +116,44 @@ def test_train_writes_trace(tmp_path):
     assert rc == 0
     records = [json.loads(line) for line in trace.read_text().splitlines()]
     assert len(records) >= 1
-    assert set(records[0]) == {"round", "n_support", "max_sq_error", "mean_sq_error", "inner_losses"}
+    assert set(records[0]) == {
+        "round", "n_support", "max_sq_error", "mean_sq_error", "inner_losses", "factorizations",
+    }
     assert records[0]["round"] == 0
+    assert all(1 <= r["factorizations"] <= len(r["inner_losses"]) for r in records)
+
+
+def test_train_debug_log_names_each_round_s_factorizations(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("LABRR_LOG", "debug")
+    data = _write_synth_csv(tmp_path / "d.csv", n=40)
+    caplog.clear()
+    assert main([
+        "train", "--data", data, "--out", str(tmp_path / "m.json"),
+        "--B", "1e-4", "--n0", "10", "--k", "5", "--L", "3", "--batch", "8", "--max-outer", "2",
+    ]) == 0
+    rounds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("round ")]
+    assert len(rounds) == 2
+    assert all("factorizations=" in line for line in rounds)
+
+
+def test_singular_sgd_step_exits_1_naming_its_round_step_and_support(tmp_path, capfd, caplog):
+    # Every point twice: ``extreme_y`` takes both copies of the ten largest
+    # labels, so without jitter the first step's Gram is singular.
+    rng = np.random.default_rng(4)
+    rows = np.repeat(np.column_stack([rng.uniform(size=(20, 2)), rng.normal(size=20)]), 2, axis=0)
+    data = tmp_path / "dup.csv"
+    data.write_text("".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows.tolist()))
+    capfd.readouterr()
+    caplog.clear()
+    code = main([
+        "train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--B", "1e-3",
+        "--n0", "20", "--selection", "extreme_y", "--jitter", "0", "--L", "2", "--batch", "4",
+    ])
+    assert code == 1
+    assert "Traceback" not in capfd.readouterr().err
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) == 1
+    assert errors[0].startswith("training failed: round 0 (20 support points), SGD step 0: pivot below")
 
 
 def test_train_selection_flag(tmp_path):
@@ -682,6 +718,8 @@ _BAD_INPUTS = {
         "benchmark", "--data", d, "--n0", "29", "--trials", "1", "--B", "1e-3"], 2),
     "benchmark-data-with-n": (lambda t, d, m: [
         "benchmark", "--data", d, "--n", "5", "--trials", "1", "--B", "1e-3"], 2),
+    "benchmark-test-csv-with-train-fraction": (lambda t, d, m: [
+        "benchmark", "--data", d, "--test-csv", d, "--train-fraction", "0.3", "--trials", "1", "--B", "1e-3"], 2),
     "benchmark-data-with-noise": (lambda t, d, m: [
         "benchmark", "--data", d, "--noise", "nan", "--trials", "1", "--B", "1e-3"], 2),
     "config-fractional-rounds": (lambda t, d, m: _train(

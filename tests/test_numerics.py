@@ -242,3 +242,52 @@ def test_one_blas_thread_without_thread_controls_does_nothing_and_says_so(monkey
         _blas_thread_controls.cache_clear()
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
     assert "no OpenBLAS thread control in numpy.libs" in caplog.records[0].getMessage()
+
+
+@st.composite
+def _nearby_systems(draw):
+    # A diagonally dominant matrix, a move of it by ``scale`` and a right-hand side.
+    n = draw(st.integers(1, 12))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    a = draw(arrays(np.float64, (n, n), elements=entries)) + (n + 1.0) * np.eye(n)
+    move = draw(arrays(np.float64, (n, n), elements=entries)) * draw(st.sampled_from([0.0, 1e-15, 1e-10, 1e-6, 1e-2]))
+    b = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3, allow_nan=False)))
+    return a, a + move, b, draw(st.sampled_from([0.0, 1e-5, 1e-2])), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(system=_nearby_systems())
+def test_an_accepted_nearby_solve_meets_the_backward_error_rule_and_agrees_with_a_direct_solve(system):
+    old, new, b, jitter, transpose = system
+    drift = np.abs(new - old).sum(axis=0).max()
+    x = FactorizedMatrix(old, jitter).solve_nearby(new, b, drift, transpose)
+    if x is None:  # the guard or the rule declined; the direct path takes over
+        return
+    a = (new + jitter * np.eye(len(b))).T if transpose else new + jitter * np.eye(len(b))
+    op = new.T if transpose else new
+    residual = np.abs(b - (op @ x + jitter * x)).max()
+    assert residual <= numerics.UNIT_ROUNDOFF * (np.abs(a).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+    direct = FactorizedMatrix(new, jitter).solve(b, transpose)
+    kappa = np.linalg.cond(a, np.inf)
+    assert np.abs(x - direct).max() <= 10 * kappa * numerics.UNIT_ROUNDOFF * np.abs(direct).max()
+
+
+def test_nearby_solve_declines_past_the_guard_or_on_a_non_finite_matrix():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(6, 6)) + 8.0 * np.eye(6)
+    b = rng.normal(size=6)
+    lu = FactorizedMatrix(a)
+    inverse_norm = np.abs(np.linalg.inv(a)).sum(axis=0).max()
+    assert lu.solve_nearby(a, b, 0.0) is not None
+    assert lu.solve_nearby(a, b, 0.6 / inverse_norm) is None  # past 1/2 of ||A^-1||^-1
+    assert lu.solve_nearby(a, b, np.nan) is None
+    assert lu.solve_nearby(a, b, np.inf) is None
+    for bad in (np.nan, np.inf):
+        moved = a.copy()
+        moved[2, 4] = bad
+        for transpose in (False, True):
+            assert lu.solve_nearby(moved, b, 0.0, transpose) is None
+    with pytest.raises(DimensionMismatch):
+        lu.solve_nearby(a[:5, :5], b[:5], 0.0)
+    with pytest.raises(ValueError):
+        lu.solve_nearby(a, np.full(6, np.nan), 0.0)

@@ -12,7 +12,7 @@ from labrr import ridgeless, trainer
 from labrr.data import Dataset, InsufficientData, InvalidSetting, SplitSpec, normalize, split, synth
 from labrr.kernels import MIN_BANDWIDTH, BandwidthSet, lab_matrix
 from labrr.metrics import sparsity_r0
-from labrr.numerics import DimensionMismatch, FactorizedMatrix
+from labrr.numerics import DimensionMismatch, FactorizedMatrix, SingularSystem
 from labrr.ridgeless import LabModel, SupportSystem, fit_lab, predict
 from labrr.trainer import (
     SELECTION_STRATEGIES,
@@ -241,8 +241,8 @@ def test_sgd_round_gradient_shares_no_memory_with_its_buffers(monkeypatch):
     step = trainer.batch_loss_and_grad
     seen = []
 
-    def recording(system, th, batch_features, batch_y):
-        loss, grad = step(system, th, batch_features, batch_y)
+    def recording(system, th, batch_features, batch_y, round_lu=None):
+        loss, grad = step(system, th, batch_features, batch_y, round_lu)
         seen.append([np.shares_memory(grad, a) for a in (th, batch_features, batch_y)])
         return loss, grad
 
@@ -371,7 +371,7 @@ def _round_config(**overrides):
 
 def test_sgd_round_single_step_hand_value():
     config = _round_config()
-    theta, losses = sgd_round(
+    theta, losses, _ = sgd_round(
         SupportSystem([[0.0]], [1.0], config.jitter), BandwidthSet([[1.0]]),
         [[1.0]], [0.0], config, np.random.default_rng(0),
     )
@@ -389,7 +389,7 @@ def test_sgd_round_respects_bounds():
         learning_rate=1e6, inner_steps=5, batch_size=4,
         bandwidth_min=0.5, bandwidth_max=2.0, init_bandwidth=1.0,
     )
-    theta, losses = sgd_round(
+    theta, losses, _ = sgd_round(
         SupportSystem(sx, sy, config.jitter), BandwidthSet.uniform(4, 2, 1.0), rem_x, rem_y, config, rng,
     )
     assert len(losses) == 5
@@ -400,7 +400,7 @@ def test_sgd_round_respects_bounds():
 def test_sgd_round_empty_remainder_is_identity():
     start = BandwidthSet([[1.3, 0.7]])
     config = _round_config(inner_steps=10)
-    theta, losses = sgd_round(
+    theta, losses, _ = sgd_round(
         SupportSystem([[0.0, 0.0]], [1.0], config.jitter), start,
         np.zeros((0, 2)), np.zeros(0), config, np.random.default_rng(0),
     )
@@ -411,7 +411,7 @@ def test_sgd_round_empty_remainder_is_identity():
 def test_sgd_round_zero_steps_is_identity():
     start = BandwidthSet([[2.0]])
     config = _round_config(inner_steps=0)
-    theta, losses = sgd_round(
+    theta, losses, _ = sgd_round(
         SupportSystem([[0.0]], [1.0], config.jitter), start, [[1.0]], [0.0],
         config, np.random.default_rng(0),
     )
@@ -422,7 +422,7 @@ def test_sgd_round_zero_steps_is_identity():
 def test_sgd_round_zero_learning_rate_records_losses_only():
     start = BandwidthSet([[2.0]])
     config = _round_config(learning_rate=0.0, inner_steps=3)
-    theta, losses = sgd_round(
+    theta, losses, _ = sgd_round(
         SupportSystem([[0.0]], [1.0], config.jitter), start, [[1.0]], [0.0],
         config, np.random.default_rng(0),
     )
@@ -446,7 +446,7 @@ def test_sgd_round_at_momentum_zero_is_plain_sgd_bit_for_bit(label_scale, learni
         bandwidth_min=0.1, bandwidth_max=10.0,
     )
     system = SupportSystem(sx, sy, config.jitter)
-    theta, losses = sgd_round(system, start, rem_x, rem_y, config, np.random.default_rng(7))
+    theta, losses, _ = sgd_round(system, start, rem_x, rem_y, config, np.random.default_rng(7))
 
     draws = np.random.default_rng(7)
     th = start.values.copy()
@@ -473,11 +473,11 @@ def test_sgd_round_momentum_accumulates():
         system=SupportSystem([[0.0]], [1.0], _round_config().jitter),
         remainder_x=[[1.0]], remainder_y=[0.0],
     )
-    plain, _ = sgd_round(
+    plain, _, _ = sgd_round(
         theta=BandwidthSet([[1.0]]), config=_round_config(inner_steps=3),
         rng=np.random.default_rng(0), **kwargs,
     )
-    heavy, _ = sgd_round(
+    heavy, _, _ = sgd_round(
         theta=BandwidthSet([[1.0]]), config=_round_config(inner_steps=3, momentum=0.9),
         rng=np.random.default_rng(0), **kwargs,
     )
@@ -837,3 +837,145 @@ def test_train_config_defaults_validate():
     TrainConfig(error_budget=1e-3, inner_steps=np.int32(3), seed=np.int64(2))
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.momentum = 1.0
+
+
+# ---------------------------------------------------------------------------
+# Solving a step through an earlier step's LU
+
+
+@st.composite
+def _bandwidth_moves(draw):
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    coords = st.floats(-1.0, 1.0, allow_nan=False)
+    sx = draw(arrays(np.float64, (n, d), elements=coords)) * draw(st.sampled_from([1.0, 1e-3]))
+    # An offset cluster with one far point pulls the support mean away from
+    # the cluster, so its close pairs cancel large expanded-form terms.
+    if n > 1 and draw(st.booleans()):
+        sx[0] += draw(st.sampled_from([1e2, 1e3]))
+    th_from = draw(arrays(np.float64, (n, d), elements=st.floats(0.05, 30.0)))
+    scale = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-8, 1e-3, 0.1, 0.4]))
+    th = th_from * (1.0 + scale * draw(arrays(np.float64, (n, d), elements=coords)))
+    return sx, th_from, th
+
+
+@settings(max_examples=300, deadline=None)
+@given(move=_bandwidth_moves())
+def test_gram_drift_bounds_the_move_of_the_gram(move):
+    sx, th_from, th = move
+    system = SupportSystem(sx, np.zeros(len(sx)), 0.0)
+    n = len(sx)
+    before = system.kernel_t(th_from, system.features[:0])[:, :n].T
+    after = system.kernel_t(th, system.features[:0])[:, :n].T
+    assert system.gram_drift(th_from, th) >= np.abs(after - before).sum(axis=0).max()
+
+
+def test_gram_drift_is_infinite_once_a_squared_bandwidth_doubles_or_vanishes():
+    system = SupportSystem([[0.0], [1.0]], [0.0, 1.0], 0.0)
+    th = np.ones((2, 1))
+    assert system.gram_drift(th, th) < 1e-14
+    assert system.gram_drift(th, np.sqrt(2.0) * th) == np.inf
+    assert system.gram_drift(th, np.full((2, 1), MIN_BANDWIDTH)) == np.inf
+
+
+def _noisy_small_support_round(inner_steps):
+    # The criterion-6 shape of the noisy-small-support benchmark: f1 with 20%
+    # label noise, 150 x_kmeans support points, batch 64, jitter 1e-2.
+    ds = normalize(synth("f1", 600, 0.2, seed=31))
+    config = TrainConfig(
+        error_budget=1e-3, batch_size=64, grow_count=20, selection="x_kmeans",
+        initial_support=150, max_support_ratio=0.25, init_bandwidth=1.1,
+        inner_steps=inner_steps, jitter=1e-2, learning_rate=0.02,
+        bandwidth_min=0.5, bandwidth_max=8.0,
+    )
+    support = select_initial_support(ds, 150, "x_kmeans", 0)
+    rest = np.setdiff1d(np.arange(ds.n), support)
+    system = SupportSystem(ds.x[support], ds.y[support], config.jitter)
+    return system, BandwidthSet.uniform(150, 2, 1.1), ds.x[rest], ds.y[rest], config
+
+
+def test_a_round_whose_gram_moves_tries_reuse_once_then_factors_every_step(monkeypatch):
+    system, theta, rem_x, rem_y, config = _noisy_small_support_round(inner_steps=6)
+    attempts = []
+    nearby = FactorizedMatrix.solve_nearby
+
+    def recording(self, *args, **kwargs):
+        x = nearby(self, *args, **kwargs)
+        attempts.append(x is None)
+        return x
+
+    monkeypatch.setattr(FactorizedMatrix, "solve_nearby", recording)
+    theta_a, losses_a, factorizations = sgd_round(system, theta, rem_x, rem_y, config, np.random.default_rng(4))
+    assert attempts[-1] and len(attempts) <= 2  # one step's attempt, declined
+    assert factorizations == 6
+
+    # Without the round's LU, every step runs the direct path: the same bits.
+    step = trainer.batch_loss_and_grad
+    monkeypatch.setattr(trainer, "batch_loss_and_grad", lambda *args: step(*args[:4]))
+    theta_b, losses_b, _ = sgd_round(system, theta, rem_x, rem_y, config, np.random.default_rng(4))
+    assert losses_a == losses_b
+    assert theta_a.values.tobytes() == theta_b.values.tobytes()
+
+
+def _two_step_system(jitter):
+    rng = np.random.default_rng(21)
+    system = SupportSystem(rng.uniform(size=(6, 2)), rng.normal(size=6), jitter)
+    return system, np.full((6, 2), 5.0), system.featurize(rng.uniform(size=(4, 2)), rng.normal(size=4))
+
+
+def test_a_singular_next_gram_declines_reuse_and_raises_as_the_direct_path_does():
+    # Bandwidths at the floor make every kernel entry 1: without jitter the
+    # Gram is all ones, singular.
+    system, th, batch = _two_step_system(jitter=0.0)
+    round_lu = trainer._RoundLU()
+    batch_loss_and_grad(system, th, *batch, round_lu)
+    floor = np.full_like(th, MIN_BANDWIDTH)
+    with pytest.raises(SingularSystem):
+        batch_loss_and_grad(system, floor, *batch)
+    with pytest.raises(SingularSystem):
+        batch_loss_and_grad(system, floor, *batch, round_lu)
+    assert not round_lu.reusing and round_lu.solver is None
+
+
+def test_a_non_finite_next_gram_declines_reuse_and_raises_as_the_direct_path_does():
+    system, th, batch = _two_step_system(jitter=1e-3)
+    round_lu = trainer._RoundLU()
+    batch_loss_and_grad(system, th, *batch, round_lu)
+    kernel_t = system.kernel_t
+
+    def poisoned(*args):
+        kt = kernel_t(*args)
+        kt[1, 3] = np.nan
+        return kt
+
+    system.kernel_t = poisoned  # the same bandwidths: only the refinement can decline
+    for lu in (None, round_lu):
+        with pytest.raises(ValueError, match="non-finite"):
+            batch_loss_and_grad(system, th, *batch, lu)
+    assert not round_lu.reusing and round_lu.factorizations == 1
+
+
+def test_a_round_whose_gram_stands_still_factors_through_the_tracer_names_once(monkeypatch):
+    # The twin of ``test_one_round_factors_through_the_names_the_tracer_counts``
+    # where reuse engages: at learning rate 0 the Gram never moves, so every
+    # step after the first solves through the first step's LU.
+    counts = {"step": 0, "fit": 0}
+    step_factor, fit_solve = trainer.FactorizedMatrix, ridgeless.solve_regularized
+
+    def counting_step(*args, **kwargs):
+        counts["step"] += 1
+        return step_factor(*args, **kwargs)
+
+    def counting_fit(*args, **kwargs):
+        counts["fit"] += 1
+        return fit_solve(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "FactorizedMatrix", counting_step)
+    monkeypatch.setattr(ridgeless, "solve_regularized", counting_fit)
+    ds = normalize(synth("f1", 40, 0.0, seed=6))
+    config = TrainConfig(
+        error_budget=1e-14, initial_support=10, inner_steps=7, max_rounds=1, batch_size=8,
+        learning_rate=0.0, init_bandwidth=10.0, bandwidth_max=40.0,
+    )
+    _, trace = train(ds, config)
+    assert counts == {"step": 1, "fit": 1}
+    assert trace.rounds[0].factorizations == 1
