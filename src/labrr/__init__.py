@@ -8,7 +8,7 @@ training residual drops below an error budget.
 """
 
 from .data import Dataset, NormMeta, SplitSpec, load_csv, normalize, split, synth
-from .kernels import BandwidthSet, lab_entry, lab_matrix, rbf_matrix
+from .kernels import BandwidthSet, lab_matrix, rbf_matrix
 from .metrics import EvalReport, mse, project, r_squared, sparsity_r0
 from .numerics import DimensionMismatch, SingularSystem, solve_regularized
 from .ridgeless import (
@@ -40,7 +40,6 @@ __all__ = [
     "TrainTrace",
     "fit_asym_duals",
     "fit_lab",
-    "lab_entry",
     "lab_matrix",
     "load_csv",
     "load_model",

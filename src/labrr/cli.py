@@ -52,7 +52,7 @@ from .numerics import DimensionMismatch, SingularSystem
 from .ridgeless import load_model, predict, save_model
 from .trainer import TrainConfig, train
 
-__all__ = ["build_parser", "load_results", "main"]
+__all__ = ["build_parser", "main"]
 
 LOG = logging.getLogger("labrr")
 
@@ -257,34 +257,10 @@ def _aggregate(trials: list[dict]) -> dict:
 
 
 def _write_jsonl(path, records: list[dict]) -> None:
-    """Write one JSON object per line: the ``--trace`` and ``benchmark --out``
-    format, which ``load_results`` reads back."""
+    """Write one JSON object per line: the ``--trace`` and ``benchmark --out`` format."""
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record) + "\n")
-
-
-def load_results(path) -> tuple[dict | None, list[dict], dict]:
-    """Read a results file and re-check the aggregate against the trial rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    config = next((r for r in records if r.get("record") == "config"), None)
-    trials = [r for r in records if r.get("record") == "trial"]
-    aggregates = [r for r in records if r.get("record") == "aggregate"]
-    if not aggregates:
-        raise ValueError(f"{path}: no aggregate record")
-    stored = aggregates[-1]
-    fresh = _aggregate(trials)
-    for key, value in fresh.items():
-        if key == "record":
-            continue
-        prev = stored.get(key)
-        if isinstance(value, float):
-            if prev is None or abs(prev - value) > 1e-12:
-                raise ValueError(f"{path}: aggregate field {key!r} does not match trials")
-        elif prev != value:
-            raise ValueError(f"{path}: aggregate field {key!r} does not match trials")
-    return config, trials, stored
 
 
 def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

@@ -25,12 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DimensionMismatch, as_matrix, as_vector
+from .numerics import DimensionMismatch, as_matrix
 
 __all__ = [
     "MIN_BANDWIDTH",
     "BandwidthSet",
-    "lab_entry",
     "lab_matrix",
     "rbf_matrix",
 ]
@@ -76,14 +75,6 @@ class BandwidthSet:
             raise ValueError(f"bandwidths must be at least {MIN_BANDWIDTH:g}")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def n_points(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
     @classmethod
     def uniform(cls, n_points: int, dim: int, value: float) -> "BandwidthSet":
         """Constant bandwidths — the usual warm start before training."""
@@ -103,25 +94,6 @@ def _bandwidth_set(theta, cols: np.ndarray) -> BandwidthSet:
             f"support points have shape {cols.shape}"
         )
     return theta
-
-
-def lab_entry(t, x, theta) -> float:
-    """Kernel value between one probe point and one support point.
-
-    In ``[0, 1]``, and exactly 1 when ``t == x``.  This is the difference
-    form, which has no floor: far points underflow to exactly 0, where the
-    expanded form floors at ``exp(-350)``.
-    """
-    t = as_vector(t, "t")
-    x = as_vector(x, "x")
-    th = as_vector(theta, "theta")
-    if not (t.shape == x.shape == th.shape):
-        raise DimensionMismatch(
-            f"t, x, theta must share a shape; got {t.shape}, {x.shape}, {th.shape}"
-        )
-    _bandwidth_set(th[None, :], x[None, :])  # the floor, checked by its one owner
-    diff = th * (t - x)
-    return float(np.exp(-(diff @ diff)))
 
 
 def lab_matrix(rows, cols, theta) -> np.ndarray:

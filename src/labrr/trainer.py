@@ -287,13 +287,13 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 
 
 class _RoundLU:
-    """An SGD round's reusable step factorization: its last LU, the
-    bandwidths that LU was made at, and whether the round still tries reuse.
+    """An SGD round's step solver: its last LU, the bandwidths that LU was
+    made at, and whether the round still tries reuse.
 
-    It holds no kernel: :meth:`reuse` takes the step's own Gram.  A round
+    It holds no kernel: :meth:`solve` takes the step's own Gram.  A round
     that declines once (the guard or either refined solve fails) drops its
-    LU and factors every later step directly.  ``factorizations`` counts the
-    LUs the round's steps made.
+    LU and factors every later step.  ``factorizations`` counts the LUs the
+    round's steps made.
     """
 
     def __init__(self) -> None:
@@ -302,28 +302,34 @@ class _RoundLU:
         self.reusing = True
         self.factorizations = 0
 
-    def reuse(self, system, th, gram, cross_t, batch_y):
-        """``(alpha, resid, u)`` of the step through the held LU, or ``None``:
-        both solves refined by ``FactorizedMatrix.solve_nearby`` against
-        ``gram``, with ``SupportSystem.gram_drift`` as the drift bound."""
-        if self.solver is None:
-            return None
-        drift = system.gram_drift(self.th, th)
-        alpha = self.solver.solve_nearby(gram, system.y, drift)
-        if alpha is not None:
-            resid = alpha @ cross_t - batch_y
-            u = self.solver.solve_nearby(gram, cross_t @ resid, drift, transpose=True)
-            if u is not None:
-                return alpha, resid, u
-        self.solver = self.th = None
-        self.reusing = False
-        return None
-
-    def keep(self, solver: FactorizedMatrix, th: np.ndarray) -> None:
-        """Count a step's fresh LU, and hold it while the round reuses."""
-        self.factorizations += 1
-        if self.reusing:
-            self.solver, self.th = solver, th.copy()
+    def solve(self, system, th, gram, cross_t, batch_y):
+        """``(alpha, resid, u)`` of the step: through the held LU when
+        ``FactorizedMatrix.solve_nearby`` accepts both solves against
+        ``gram``, with ``SupportSystem.gram_drift`` as the drift bound;
+        otherwise through a fresh LU of ``gram``, held while the round
+        reuses."""
+        # Without a held LU the first pass factors; a declined reuse falls
+        # through to a second pass that does.
+        for fresh in (self.solver is None, True):
+            if fresh:
+                solver = FactorizedMatrix(gram, system.jitter)
+                self.factorizations += 1
+                if self.reusing:
+                    self.solver, self.th = solver, th.copy()
+                solve = solver.solve
+            else:
+                # Looks the LU up on each call, so dropping it on a decline frees it.
+                drift = system.gram_drift(self.th, th)
+                solve = lambda b, transpose=False: self.solver.solve_nearby(gram, b, drift, transpose)
+            alpha = solve(system.y)
+            if alpha is not None:
+                resid = alpha @ cross_t - batch_y
+                # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
+                u = solve(cross_t @ resid, transpose=True)
+                if u is not None:
+                    return alpha, resid, u
+            self.solver = self.th = None
+            self.reusing = False
 
 
 def batch_loss_and_grad(
@@ -354,12 +360,11 @@ def batch_loss_and_grad(
     entries stays a normal float.  The Gram's LU is factored from a private
     copy; nothing the step is given is changed.
 
-    ``round_lu``, the SGD round's state, lets the step solve through the LU
-    of an earlier step of the round instead of factoring: only when
-    ``FactorizedMatrix.solve_nearby`` accepts both refined solves, the
-    ``alpha`` solve and the adjoint one, against this step's Gram.  Otherwise
-    the step factors afresh, exactly as without ``round_lu``, and hands its
-    LU to ``round_lu``.  Without it the step always factors.
+    Both solves, the ``alpha`` solve and the adjoint one, go through
+    ``round_lu``, the SGD round's solver: it solves through the LU of an
+    earlier step of the round when ``FactorizedMatrix.solve_nearby`` accepts
+    both against this step's Gram, and factors this Gram otherwise.  A call
+    without ``round_lu`` gets a fresh solver, which always factors.
 
     ``th`` is the raw bandwidth array and ``batch_features, batch_y`` what
     ``system.featurize`` returns for the batch, where it is checked; the step
@@ -378,17 +383,7 @@ def batch_loss_and_grad(
     n, d = c.shape
     kt = system.kernel_t(th, batch_features)
     cross_t = kt[:, n:]
-    solved = None if round_lu is None else round_lu.reuse(system, th, kt[:, :n].T, cross_t, batch_y)
-    if solved is None:
-        solver = FactorizedMatrix(kt[:, :n].T, system.jitter)
-        if round_lu is not None:
-            round_lu.keep(solver, th)
-        alpha = solver.solve(system.y)
-        resid = alpha @ cross_t - batch_y
-        # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
-        u = solver.solve(cross_t @ resid, transpose=True)
-    else:
-        alpha, resid, u = solved
+    alpha, resid, u = (round_lu or _RoundLU()).solve(system, th, kt[:, :n].T, cross_t, batch_y)
     loss = float(resid @ resid)
 
     # sum_i v[i] * kt[j, i] * (rows[i, m] - c[j, m])**2 over the support rows
@@ -417,7 +412,7 @@ def sgd_round(
     ``system.featurize``, and the bandwidths checked against the support,
     once.  Each step samples a fresh mini-batch uniformly without
     replacement from the remainder and descends the exact gradient; the
-    bandwidths, the heavy-ball velocity and the round's reusable LU
+    bandwidths, the heavy-ball velocity and the round's solver
     (``batch_loss_and_grad``'s ``round_lu``), the round's state, are updated
     in place.  The heavy-ball step is scaled down, as a whole, so that no
     bandwidth moves by more than ``MAX_RELATIVE_STEP`` of itself, and the
@@ -449,7 +444,8 @@ def sgd_round(
         # a step beyond bandwidth_max is past the trust region anyway, and held
         # there its relative size stays finite.
         velocity *= config.momentum
-        velocity -= config.learning_rate * grad
+        with np.errstate(over="ignore"):
+            velocity -= config.learning_rate * grad
         velocity.clip(-config.bandwidth_max, config.bandwidth_max, out=velocity)
         largest_relative = np.abs(velocity / th).max()
         # th is finite and velocity held finite, so th + velocity has a NaN

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import labrr
-from labrr.cli import load_results, main
+from labrr.cli import _aggregate, main
 from labrr.data import apply_feature_scaling, invert_label_scaling, load_csv, normalize, save_csv, synth
 from labrr.kernels import BandwidthSet
 from labrr.ridgeless import LabModel, fit_lab, load_model, model_to_dict, predict, save_model
@@ -279,10 +279,33 @@ def test_benchmark_writes_jsonl(tmp_path, capsys):
     assert "aggregate: mean_r2=" in stdout
 
 
+def _load_results(path) -> tuple[dict | None, list[dict], dict]:
+    """Read a ``benchmark --out`` file and re-check the aggregate against the trial rows."""
+    with open(path, "r", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    config = next((r for r in records if r.get("record") == "config"), None)
+    trials = [r for r in records if r.get("record") == "trial"]
+    aggregates = [r for r in records if r.get("record") == "aggregate"]
+    if not aggregates:
+        raise ValueError(f"{path}: no aggregate record")
+    stored = aggregates[-1]
+    fresh = _aggregate(trials)
+    for key, value in fresh.items():
+        if key == "record":
+            continue
+        prev = stored.get(key)
+        if isinstance(value, float):
+            if prev is None or abs(prev - value) > 1e-12:
+                raise ValueError(f"{path}: aggregate field {key!r} does not match trials")
+        elif prev != value:
+            raise ValueError(f"{path}: aggregate field {key!r} does not match trials")
+    return config, trials, stored
+
+
 def test_benchmark_results_pass_load_results(tmp_path):
     out = tmp_path / "results.jsonl"
     assert main(_bench_args(str(out))) == 0
-    config, trials, aggregate = load_results(out)
+    config, trials, aggregate = _load_results(out)
     assert config is not None
     assert len(trials) == 2
     assert aggregate["mean_r_squared"] == pytest.approx(
@@ -293,7 +316,7 @@ def test_benchmark_results_pass_load_results(tmp_path):
 def test_benchmark_trials_use_distinct_seeds_and_splits(tmp_path):
     out = tmp_path / "results.jsonl"
     assert main(_bench_args(str(out))) == 0
-    _, trials, _ = load_results(out)
+    _, trials, _ = _load_results(out)
     assert [t["seed"] for t in trials] == [0, 1]
     assert trials[0]["r_squared"] != trials[1]["r_squared"]
 
@@ -318,7 +341,7 @@ def test_benchmark_tampered_aggregate_is_rejected(tmp_path):
     records[-1]["mean_r_squared"] += 0.1
     out.write_text("".join(json.dumps(r) + "\n" for r in records))
     with pytest.raises(ValueError):
-        load_results(out)
+        _load_results(out)
 
 
 def test_benchmark_requires_exactly_one_source(tmp_path):
@@ -358,7 +381,7 @@ def test_benchmark_fixed_test_trains_on_full_file(tmp_path):
         "--batch", "16", "--max-outer", "3", "--out", str(out),
     ])
     assert rc == 0
-    config, trials, _ = load_results(out)
+    config, trials, _ = _load_results(out)
     assert config["fixed_test"] == test_csv
     assert all(t["n_train"] == 40 for t in trials)
     assert all(t["n_test"] == 15 for t in trials)
@@ -405,7 +428,7 @@ def test_benchmark_config_file_keys(tmp_path):
     rc = main(["benchmark", "--fn", "f1", "--n", "60", "--config", str(cfg),
                "--out", str(out)])
     assert rc == 0
-    config, trials, _ = load_results(out)
+    config, trials, _ = _load_results(out)
     assert config["base_seed"] == 5
     assert [t["seed"] for t in trials] == [5, 6]
     assert "seed" not in config["train_config"]  # each trial has its own

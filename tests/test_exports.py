@@ -1,5 +1,6 @@
 """Every name a ``labrr`` module exports in ``__all__`` must resolve, as must
-every name the benchmark's tracer rebinds."""
+every name the benchmark's tracer rebinds; the public surface of ``labrr``,
+``labrr.kernels`` and ``labrr.cli`` is pinned name by name."""
 
 import importlib
 import importlib.util
@@ -20,6 +21,27 @@ def test_all_names_resolve(module_name):
     assert exported, f"{module_name} declares no __all__"
     missing = [name for name in exported if not hasattr(module, name)]
     assert missing == []
+
+
+# Growing or shrinking one of these surfaces is an API change: it changes this
+# table in the same commit.
+_PUBLIC = {
+    "labrr": [
+        "AsymDualSolution", "BandwidthSet", "Dataset", "DimensionMismatch", "EvalReport",
+        "LabModel", "NormMeta", "SingularSystem", "SplitSpec", "TrainConfig", "TrainTrace",
+        "fit_asym_duals", "fit_lab", "lab_matrix", "load_csv", "load_model", "mse",
+        "normalize", "predict", "predict_f1", "predict_f2", "project", "r_squared",
+        "rbf_matrix", "save_model", "solve_regularized", "sparsity_r0", "split", "synth",
+        "train",
+    ],
+    "labrr.kernels": ["MIN_BANDWIDTH", "BandwidthSet", "lab_matrix", "rbf_matrix"],
+    "labrr.cli": ["build_parser", "main"],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(_PUBLIC))
+def test_public_surface_is_pinned(module_name):
+    assert importlib.import_module(module_name).__all__ == _PUBLIC[module_name]
 
 
 _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"

@@ -12,7 +12,6 @@ from labrr.kernels import (
     _EXP_FLOOR,
     BandwidthSet,
     _clamped_exp,
-    lab_entry,
     lab_matrix,
     rbf_matrix,
 )
@@ -21,30 +20,37 @@ from labrr.ridgeless import LabModel, SupportSystem, predict
 
 
 def test_entry_unit_bandwidth_unit_distance():
-    value = lab_entry([0.0, 0.0], [1.0, 0.0], [1.0, 1.0])
-    assert value == pytest.approx(0.36787944117144233, rel=1e-15)
+    value = lab_matrix([[0.0, 0.0]], [[1.0, 0.0]], [[1.0, 1.0]])
+    assert value.shape == (1, 1)
+    assert value[0, 0] == pytest.approx(0.36787944117144233, rel=1e-15)
 
 
 def test_entry_is_one_exactly_at_zero_distance():
     t = np.array([0.3, -1.7, 2.2])
-    assert lab_entry(t, t, np.array([5.0, 0.1, 3.3])) == 1.0
+    assert lab_matrix([t], [t], [[5.0, 0.1, 3.3]])[0, 0] == 1.0
+    # The unit diagonal of a square matrix, whatever each column's bandwidths.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(6, 3))
+    k = lab_matrix(x, x, rng.uniform(0.1, 4.0, size=(6, 3)))
+    assert np.diagonal(k).tolist() == [1.0] * 6
 
 
 def test_entry_range_and_symmetry_in_sign():
     rng = np.random.default_rng(3)
     for _ in range(50):
         d = int(rng.integers(1, 5))
-        t, x = rng.normal(size=d), rng.normal(size=d)
-        th = rng.uniform(0.1, 4.0, size=d)
-        k = lab_entry(t, x, th)
+        t, x = rng.normal(size=(1, d)), rng.normal(size=(1, d))
+        th = rng.uniform(0.1, 4.0, size=(1, d))
+        k = lab_matrix(t, x, th)[0, 0]
         assert 0.0 < k <= 1.0
-        # The kernel depends on the difference only through its square.
-        assert lab_entry(x, t, th) == pytest.approx(k, rel=1e-15)
+        # At one shared bandwidth the kernel depends on the difference only
+        # through its square, so swapping the points keeps the entry.
+        assert lab_matrix(x, t, th)[0, 0] == pytest.approx(k, rel=1e-15)
 
 
 def test_difference_form_underflows_to_zero_on_far_points():
     # exp(-100**2) is below the smallest subnormal; only the expanded form floors.
-    assert lab_entry([0.0], [100.0], [1.0]) == 0.0
+    assert lab_matrix([[0.0]], [[100.0]], [[1.0]]).tolist() == [[0.0]]
     assert lab_matrix([[0.0], [100.0]], [[100.0]], [[1.0]]).tolist() == [[0.0], [1.0]]
 
 
@@ -70,14 +76,16 @@ def test_clamped_exp_clamps_in_place_and_keeps_nan():
 
 def test_entry_shape_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
-        lab_entry([0.0, 0.0], [1.0], [1.0, 1.0])
+        lab_matrix([[0.0, 0.0]], [[1.0]], [[1.0, 1.0]])
+    with pytest.raises(DimensionMismatch):
+        lab_matrix([[0.0]], [[1.0]], [[1.0, 1.0]])
 
 
 def test_entry_nonpositive_bandwidth_rejected():
     with pytest.raises(ValueError, match="bandwidths must be at least"):
-        lab_entry([0.0], [1.0], [0.0])
+        lab_matrix([[0.0]], [[1.0]], [[0.0]])
     with pytest.raises(ValueError, match="bandwidths must be at least"):
-        lab_entry([0.0], [1.0], [1e-160])
+        lab_matrix([[0.0]], [[1.0]], [[1e-160]])
 
 
 def test_square_matrix_uses_column_bandwidths():
@@ -102,7 +110,7 @@ def test_matrix_blocked_rows_match_direct_evaluation():
     assert np.array_equal(k, np.exp(-(diff**2).sum(axis=2)))
 
 
-def test_matrix_entries_match_lab_entry():
+def test_matrix_entries_match_the_entry_formula():
     rng = np.random.default_rng(21)
     rows = rng.normal(size=(4, 3))
     cols = rng.normal(size=(5, 3))
@@ -110,7 +118,8 @@ def test_matrix_entries_match_lab_entry():
     k = lab_matrix(rows, cols, th)
     for i in range(4):
         for j in range(5):
-            assert k[i, j] == pytest.approx(lab_entry(rows[i], cols[j], th[j]), rel=1e-15)
+            r, c = rows[i], cols[j]
+            assert k[i, j] == pytest.approx(np.exp(-((th[j] * (r - c)) ** 2).sum()), rel=1e-15)
 
 
 def test_matrix_dimension_checks():
@@ -175,7 +184,7 @@ def test_bandwidth_set_is_frozen():
 
 def test_bandwidth_uniform_factory():
     bw = BandwidthSet.uniform(3, 2, 0.5)
-    assert bw.n_points == 3 and bw.dim == 2
+    assert bw.values.shape == (3, 2)
     assert np.array_equal(bw.values, np.full((3, 2), 0.5))
     with pytest.raises(ValueError):
         BandwidthSet.uniform(0, 2, 1.0)

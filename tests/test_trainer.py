@@ -237,13 +237,13 @@ def test_sgd_round_gradient_shares_no_memory_with_its_buffers(monkeypatch):
     # The round updates its bandwidths in place after each step, so a gradient
     # that aliased them would change under anyone who keeps it, such as a
     # tracer recording each step.  The step returns memory shared with none
-    # of its inputs.
+    # of its inputs, nor with the bandwidths the round's solver holds.
     step = trainer.batch_loss_and_grad
     seen = []
 
-    def recording(system, th, batch_features, batch_y, round_lu=None):
+    def recording(system, th, batch_features, batch_y, round_lu):
         loss, grad = step(system, th, batch_features, batch_y, round_lu)
-        seen.append([np.shares_memory(grad, a) for a in (th, batch_features, batch_y)])
+        seen.append([np.shares_memory(grad, a) for a in (th, batch_features, batch_y, round_lu.th)])
         return loss, grad
 
     monkeypatch.setattr(trainer, "batch_loss_and_grad", recording)
@@ -253,7 +253,7 @@ def test_sgd_round_gradient_shares_no_memory_with_its_buffers(monkeypatch):
         SupportSystem(rng.normal(size=(5, 2)), rng.normal(size=5), config.jitter),
         BandwidthSet.uniform(5, 2, 1.0), rng.normal(size=(9, 2)), rng.normal(size=9), config, rng,
     )
-    assert seen == [[False, False, False]] * 3
+    assert seen == [[False, False, False, False]] * 3
 
 
 def test_train_builds_one_support_system_per_round_and_looks_up_the_step_by_name(monkeypatch):
@@ -341,6 +341,18 @@ def test_sgd_round_raises_at_the_step_whose_update_makes_a_bandwidth_nan(monkeyp
             rng.normal(size=(9, 2)), rng.normal(size=9), config, rng,
         )
     assert len(calls) == bad_step + 1
+
+
+def test_a_step_whose_update_overflows_warns_nothing():
+    # ``learning_rate * grad`` overflows at such rates.  The step holds the
+    # velocity finite and expects the overflow, so numpy must not print a
+    # RuntimeWarning for it (under pytest's error::RuntimeWarning it raises).
+    config = TrainConfig(
+        error_budget=1e-9, learning_rate=1e305, inner_steps=5, initial_support=10,
+        batch_size=16, max_rounds=2, jitter=1e-8,
+    )
+    model, _ = train(normalize(synth("f1", 60, 0.0, seed=3)), config)
+    assert np.isfinite(model.alpha).all() and np.isfinite(model.theta.values).all()
 
 
 def test_batch_loss_is_zero_on_support_points():
@@ -908,7 +920,8 @@ def test_a_round_whose_gram_moves_tries_reuse_once_then_factors_every_step(monke
     assert attempts[-1] and len(attempts) <= 2  # one step's attempt, declined
     assert factorizations == 6
 
-    # Without the round's LU, every step runs the direct path: the same bits.
+    # With no round solver, each step gets a fresh one, which always factors:
+    # the same bits.
     step = trainer.batch_loss_and_grad
     monkeypatch.setattr(trainer, "batch_loss_and_grad", lambda *args: step(*args[:4]))
     theta_b, losses_b, _ = sgd_round(system, theta, rem_x, rem_y, config, np.random.default_rng(4))
@@ -920,6 +933,36 @@ def _two_step_system(jitter):
     rng = np.random.default_rng(21)
     system = SupportSystem(rng.uniform(size=(6, 2)), rng.normal(size=6), jitter)
     return system, np.full((6, 2), 5.0), system.featurize(rng.uniform(size=(4, 2)), rng.normal(size=4))
+
+
+def _step_solve_args(system, th, batch):
+    features, labels = batch
+    n = th.shape[0]
+    kt = system.kernel_t(th, features)
+    return system, th, kt[:, :n].T, kt[:, n:], labels
+
+
+def test_round_lu_solves_through_its_held_lu_until_the_gram_moves():
+    # ``_RoundLU.solve`` is the step's one solve path.  Its first call factors,
+    # bit for bit as a fresh solver does; a call at the same bandwidths solves
+    # through the held LU; a call whose Gram moved too far factors again, bit
+    # for bit as a fresh solver does, and the round stops reusing.
+    system, th, batch = _two_step_system(jitter=1e-3)
+    round_lu = trainer._RoundLU()
+    first = round_lu.solve(*_step_solve_args(system, th, batch))
+    fresh = trainer._RoundLU().solve(*_step_solve_args(system, th, batch))
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in fresh]
+    held = round_lu.solver
+    again = round_lu.solve(*_step_solve_args(system, th, batch))
+    assert round_lu.solver is held and round_lu.factorizations == 1
+    for a, b in zip(again, first):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+    moved = 1.5 * th  # its square more than doubles: the guard declines
+    after = round_lu.solve(*_step_solve_args(system, moved, batch))
+    fresh = trainer._RoundLU().solve(*_step_solve_args(system, moved, batch))
+    assert [a.tobytes() for a in after] == [a.tobytes() for a in fresh]
+    assert not round_lu.reusing and round_lu.solver is None and round_lu.factorizations == 2
 
 
 def test_a_singular_next_gram_declines_reuse_and_raises_as_the_direct_path_does():
