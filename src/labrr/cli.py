@@ -75,9 +75,8 @@ _TRAIN_FLAGS = [
     ("--theta-max", "bandwidth_max", "upper bandwidth clip"),
     ("--max-outer", "max_rounds", "cap on outer rounds"),
     ("--max-support-ratio", "max_support_ratio", "support cap as a fraction of training size"),
-    ("--selection", "selection", "initial support strategy (y_uniform|x_kmeans|extreme_y)"),
+    ("--selection", "selection", "initial support strategy (y_uniform|x_kmeans)"),
     ("--jitter", "jitter", "diagonal regularization of every solve"),
-    ("--momentum", "momentum", "heavy-ball coefficient (0 = plain SGD)"),
 ]
 
 _TRAIN_TYPES = typing.get_type_hints(TrainConfig)

@@ -6,6 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import InsufficientData
 from .numerics import as_vector
 from .ridgeless import LabModel
 
@@ -48,11 +49,12 @@ def mse(y_true, y_pred) -> float:
 def r_squared(y_true, y_pred) -> float:
     """Coefficient of determination, ``1 - SS_res / SS_tot``.
 
-    Raises :class:`DegenerateLabels` when the reference labels are constant.
+    Raises :class:`~labrr.data.InsufficientData` for fewer than two points
+    and :class:`DegenerateLabels` when the reference labels are constant.
     """
     yt, yp = _paired(y_true, y_pred)
     if yt.shape[0] < 2:
-        raise ValueError("r_squared needs at least two points")
+        raise InsufficientData(f"r_squared needs at least two points, got {yt.shape[0]}")
     ss_tot = float(np.sum((yt - yt.mean()) ** 2))
     if ss_tot == 0.0:
         raise DegenerateLabels("all reference labels are equal")

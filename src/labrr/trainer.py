@@ -44,14 +44,13 @@ __all__ = [
     "train",
 ]
 
-SELECTION_STRATEGIES = ("y_uniform", "x_kmeans", "extreme_y")
+SELECTION_STRATEGIES = ("y_uniform", "x_kmeans")
 
 _KMEANS_SWEEPS = 50
 
-#: Trust region of one SGD step: after the heavy-ball update the whole step
-#: is scaled down until no bandwidth moves by more than this fraction of
-#: itself.  Healthy runs stay well inside it (their largest relative step
-#: is about 0.1-0.26); a diverging run jumps past it in its first steps.
+#: Trust region of one SGD step, scaled down as a whole until no bandwidth
+#: moves by more than this fraction of itself.  Healthy runs stay well inside
+#: it (largest relative step 0.1-0.26); diverging runs pass it at once.
 MAX_RELATIVE_STEP = 0.5
 
 #: What each ``TrainConfig`` annotation accepts; no field accepts a bool.
@@ -91,15 +90,12 @@ class TrainConfig:
     max_support_ratio : float
         Support may grow to at most this fraction of the training set.
     selection : str
-        Initial-support strategy: ``y_uniform`` (evenly spaced label ranks),
-        ``x_kmeans`` (points nearest seeded k-means centers), or
-        ``extreme_y`` (largest labels; diagnostic).
+        Initial-support strategy: ``y_uniform`` (evenly spaced label ranks)
+        or ``x_kmeans`` (points nearest seeded k-means centers).
     seed : int
         Drives initial selection and batch sampling.
     jitter : float
         Diagonal regularization used in every interpolating solve.
-    momentum : float
-        Heavy-ball coefficient; 0 (the default) is plain SGD, bit for bit.
     """
 
     error_budget: float
@@ -116,7 +112,6 @@ class TrainConfig:
     selection: str = "y_uniform"
     seed: int = 0
     jitter: float = DEFAULT_JITTER
-    momentum: float = 0.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -158,8 +153,6 @@ class TrainConfig:
             raise InvalidSetting(f"seed must be nonnegative, got {self.seed}")
         if not (0.0 <= self.jitter < np.inf):
             raise InvalidSetting(f"jitter must be finite and nonnegative, got {self.jitter}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise InvalidSetting(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 @dataclass
@@ -258,7 +251,7 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 
     ``y_uniform`` sorts by label and takes evenly spaced ranks; ``x_kmeans``
     returns the data points nearest seeded k-means centers (deduplicated,
-    topped up by label-rank spacing); ``extreme_y`` takes the largest labels.
+    topped up by label-rank spacing).
     """
     if strategy not in SELECTION_STRATEGIES:
         raise ValueError(
@@ -273,8 +266,6 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
     order = np.argsort(dataset.y, kind="stable")
     if strategy == "y_uniform":
         return _rank_spaced(order, count).astype(np.intp)
-    if strategy == "extreme_y":
-        return order[::-1][:count].astype(np.intp)
     # x_kmeans: dedupe the representatives, then fill from rank spacing, which
     # alone already holds ``count`` distinct indices.
     representatives = _kmeans_representatives(dataset.x, count, seed)
@@ -412,16 +403,16 @@ def sgd_round(
     ``system.featurize``, and the bandwidths checked against the support,
     once.  Each step samples a fresh mini-batch uniformly without
     replacement from the remainder and descends the exact gradient; the
-    bandwidths, the heavy-ball velocity and the round's solver
-    (``batch_loss_and_grad``'s ``round_lu``), the round's state, are updated
-    in place.  The heavy-ball step is scaled down, as a whole, so that no
-    bandwidth moves by more than ``MAX_RELATIVE_STEP`` of itself, and the
-    bandwidths are then clipped into their bounds; a step whose update
-    makes a bandwidth NaN raises ``ValueError``, and a step whose Gram is
-    singular raises ``SingularSystem`` naming the step.  Returns the updated
-    bandwidths, the per-step loss curve and the number of LUs the steps
-    made.  With ``inner_steps=0``, ``learning_rate=0``, or an empty
-    remainder the bandwidths come back unchanged.
+    bandwidths and the round's solver (``batch_loss_and_grad``'s
+    ``round_lu``), the round's state, are updated in place.  The step is
+    scaled down, as a whole, so that no bandwidth moves by more than
+    ``MAX_RELATIVE_STEP`` of itself, and the bandwidths are then clipped
+    into their bounds; a step whose update makes a bandwidth NaN raises
+    ``ValueError``, and a step whose Gram is singular raises
+    ``SingularSystem`` naming the step.  Returns the updated bandwidths, the
+    per-step loss curve and the number of LUs the steps made.  With
+    ``inner_steps=0``, ``learning_rate=0``, or an empty remainder the
+    bandwidths come back unchanged.
     """
     features, remainder_y = system.featurize(remainder_x, remainder_y)
     n_rem = features.shape[0]
@@ -429,7 +420,6 @@ def sgd_round(
     if n_rem == 0:
         return theta, losses, 0
     th = _bandwidth_set(theta, system.centered).values.copy()
-    velocity = np.zeros_like(th)
     round_lu = _RoundLU()
     batch = min(config.batch_size, n_rem)
     for step in range(config.inner_steps):
@@ -439,22 +429,20 @@ def sgd_round(
         except SingularSystem as exc:
             raise SingularSystem(f"SGD step {step}: {exc}") from None
         losses.append(loss)
-        # Heavy-ball; at momentum 0 plain SGD bit for bit (0 * v is +-0, +-0 - a
-        # is -a).  An overflowed step is held finite, so 0 * v never makes a NaN;
-        # a step beyond bandwidth_max is past the trust region anyway, and held
-        # there its relative size stays finite.
-        velocity *= config.momentum
+        # An overflowed step is held finite: a step beyond bandwidth_max is
+        # past the trust region anyway, and held there its relative size stays
+        # finite, so the trust-region scale is never 0 (inf * 0 is NaN).
         with np.errstate(over="ignore"):
-            velocity -= config.learning_rate * grad
-        velocity.clip(-config.bandwidth_max, config.bandwidth_max, out=velocity)
-        largest_relative = np.abs(velocity / th).max()
-        # th is finite and velocity held finite, so th + velocity has a NaN
-        # exactly when velocity does, and then so does this max.
+            descent = config.learning_rate * grad
+        descent.clip(-config.bandwidth_max, config.bandwidth_max, out=descent)
+        largest_relative = np.abs(descent / th).max()
+        # th is finite and descent held finite, so th - descent has a NaN
+        # exactly when descent does, and then so does this max.
         if np.isnan(largest_relative):
             raise ValueError(f"SGD step {step} made a bandwidth NaN")
         if largest_relative > MAX_RELATIVE_STEP:
-            velocity *= MAX_RELATIVE_STEP / largest_relative
-        th += velocity
+            descent *= MAX_RELATIVE_STEP / largest_relative
+        th -= descent
         th.clip(config.bandwidth_min, config.bandwidth_max, out=th)
     return BandwidthSet(th), losses, round_lu.factorizations
 

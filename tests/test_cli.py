@@ -20,6 +20,7 @@ from labrr.cli import _aggregate, main
 from labrr.data import apply_feature_scaling, invert_label_scaling, load_csv, normalize, save_csv, synth
 from labrr.kernels import BandwidthSet
 from labrr.ridgeless import LabModel, fit_lab, load_model, model_to_dict, predict, save_model
+from labrr.trainer import train
 
 
 def _labrr_env():
@@ -137,8 +138,9 @@ def test_train_debug_log_names_each_round_s_factorizations(tmp_path, monkeypatch
 
 
 def test_singular_sgd_step_exits_1_naming_its_round_step_and_support(tmp_path, capfd, caplog):
-    # Every point twice: ``extreme_y`` takes both copies of the ten largest
-    # labels, so without jitter the first step's Gram is singular.
+    # Every point twice: ``y_uniform`` at 21 of the 40 rows takes both copies
+    # of the smallest label (ranks 0 and 1), so without jitter the first
+    # step's Gram is singular.
     rng = np.random.default_rng(4)
     rows = np.repeat(np.column_stack([rng.uniform(size=(20, 2)), rng.normal(size=20)]), 2, axis=0)
     data = tmp_path / "dup.csv"
@@ -147,13 +149,13 @@ def test_singular_sgd_step_exits_1_naming_its_round_step_and_support(tmp_path, c
     caplog.clear()
     code = main([
         "train", "--data", str(data), "--out", str(tmp_path / "m.json"), "--B", "1e-3",
-        "--n0", "20", "--selection", "extreme_y", "--jitter", "0", "--L", "2", "--batch", "4",
+        "--n0", "21", "--jitter", "0", "--L", "2", "--batch", "4",
     ])
     assert code == 1
     assert "Traceback" not in capfd.readouterr().err
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1
-    assert errors[0].startswith("training failed: round 0 (20 support points), SGD step 0: pivot below")
+    assert errors[0].startswith("training failed: round 0 (21 support points), SGD step 0: pivot below")
 
 
 def test_train_selection_flag(tmp_path):
@@ -394,6 +396,23 @@ def test_benchmark_mismatched_test_dim_exits_2(tmp_path):
         main(["benchmark", "--data", train_csv, "--test-csv", test_csv,
               "--trials", "1", "--B", "1e-3"])
     assert err.value.code == 2
+
+
+def test_benchmark_one_row_test_side_stops_at_trial_0(tmp_path, monkeypatch):
+    # Five rows at the default fraction leave one test row, too few for R²
+    # in every trial alike, so the run exits 2 after training trial 0 only.
+    calls = []
+
+    def counted(dataset, config):
+        calls.append(config.seed)
+        return train(dataset, config)
+
+    monkeypatch.setattr("labrr.cli.train", counted)
+    with pytest.raises(SystemExit) as err:
+        main(["benchmark", "--fn", "f1", "--n", "5", "--trials", "2", "--B", "1e-3",
+              "--n0", "2", "--L", "1", "--batch", "2"])
+    assert err.value.code == 2
+    assert calls == [0]
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -779,6 +798,16 @@ _BAD_INPUTS = {
         t, m, lambda doc: doc["normalization"].update(label_min=-1e308, label_max=1e308)), d), 3),
     "model-with-far-support-point": (lambda t, d, m: _predict(_edited_model(
         t, m, lambda doc: doc.update(support_x=[[1e200] * doc["dim"], *doc["support_x"][1:]])), d), 3),
+    "benchmark-one-row-test-split": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "5", "--trials", "2", "--B", "1e-3",
+        "--n0", "2", "--L", "1", "--batch", "2"], 2),
+    "benchmark-one-row-test-csv": (lambda t, d, m: [
+        "benchmark", "--data", d, "--test-csv", _file(t, "one.csv", "x1,x2,y\n0.1,0.2,0.3\n"),
+        "--trials", "2", "--B", "1e-3", "--L", "1"], 2),
+    "removed-momentum-flag-train": (lambda t, d, m: _train(d, t, "--momentum", "0.5"), 2),
+    "removed-momentum-config-train": (lambda t, d, m: _train(
+        d, t, "--config", _file(t, "cfg.json", '{"momentum": 0.5}')), 2),
+    "removed-extreme-y-selection-train": (lambda t, d, m: _train(d, t, "--selection", "extreme_y"), 2),
     "overflowing-test-csv": (lambda t, d, m: [
         "benchmark", "--data", d, "--test-csv", _file(t, "huge.csv", "x1,x2,y\n1e308,0.2,0.3\n"),
         "--trials", "1", "--B", "1e-3"], 3),

@@ -2,6 +2,7 @@
 every name the benchmark's tracer rebinds; the public surface of ``labrr``,
 ``labrr.kernels`` and ``labrr.cli`` is pinned name by name."""
 
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import labrr
+from labrr import TrainConfig, cli
 
 _MODULES = ["labrr"] + [f"labrr.{info.name}" for info in pkgutil.iter_modules(labrr.__path__)]
 
@@ -58,3 +60,23 @@ def test_benchmark_tracer_targets_resolve():
         f"{owner.__name__}.{attr}" for owner, attr, _, _ in tracing.TARGETS if not hasattr(owner, attr)
     ]
     assert missing == []
+
+
+# Adding or removing a training setting is an API change too: it changes these
+# two tests in the same commit.
+_TRAIN_CONFIG_FIELDS = (
+    "error_budget", "grow_count", "learning_rate", "inner_steps", "initial_support",
+    "init_bandwidth", "batch_size", "bandwidth_min", "bandwidth_max", "max_rounds",
+    "max_support_ratio", "selection", "seed", "jitter",
+)
+
+
+def test_train_config_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(TrainConfig)) == _TRAIN_CONFIG_FIELDS
+
+
+def test_every_setting_but_seed_has_one_train_flag():
+    dests = [dest for _, dest, _ in cli._TRAIN_FLAGS]
+    flags = [flag for flag, _, _ in cli._TRAIN_FLAGS]
+    assert sorted(dests) == sorted(set(_TRAIN_CONFIG_FIELDS) - {"seed"})
+    assert len(set(flags)) == len(flags)

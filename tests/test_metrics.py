@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from labrr.data import InsufficientData
 from labrr.kernels import BandwidthSet
 from labrr.metrics import (
     DegenerateLabels,
@@ -46,7 +47,7 @@ def test_r_squared_can_be_negative():
 def test_r_squared_validation():
     with pytest.raises(DegenerateLabels):
         r_squared([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientData):  # a ValueError
         r_squared([1.0], [1.0])
     with pytest.raises(ValueError):
         r_squared([1.0, 2.0], [1.0])
