@@ -9,7 +9,7 @@ training residual drops below an error budget.
 
 from .data import Dataset, NormMeta, SplitSpec, load_csv, normalize, split, synth
 from .kernels import BandwidthSet, lab_matrix, rbf_matrix
-from .metrics import EvalReport, mse, project, r_squared, sparsity_r0
+from .metrics import mse, project, r_squared, sparsity_r0
 from .numerics import DimensionMismatch, SingularSystem, solve_regularized
 from .ridgeless import (
     AsymDualSolution,
@@ -31,7 +31,6 @@ __all__ = [
     "BandwidthSet",
     "Dataset",
     "DimensionMismatch",
-    "EvalReport",
     "LabModel",
     "NormMeta",
     "SingularSystem",

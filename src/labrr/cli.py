@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 a singular training solve (``SingularSystem``),
 exhausted memory (``MemoryError``), or every benchmark trial failed; 2 a bad
-argument or setting (``InvalidSetting``), or inputs that do not fit together
+argument or setting (``InvalidSetting``), inputs that do not fit together
 (``DimensionMismatch``, and ``InsufficientData``, which ``benchmark`` meets in
-its first trial); 3 a file that cannot be read or written (``OSError``), a
+its first trial), or a ``benchmark`` whose labels are all equal
+(``DegenerateLabels``); 3 a file that cannot be read or written (``OSError``), a
 malformed data or model file (``ParseError``, ``EmptyDataset``), or data whose
 scaling, or a model's kernel, predictions or label range, overflows float64
 (``UnscalableData``).
@@ -38,7 +39,6 @@ from .data import (
     UnscalableData,
     _write_rows,
     apply_feature_scaling,
-    apply_label_scaling,
     invert_label_scaling,
     load_csv,
     load_matrix_csv,
@@ -47,7 +47,7 @@ from .data import (
     split,
     synth,
 )
-from .metrics import make_report, project, sparsity_r0
+from .metrics import DegenerateLabels, mse, project, r_squared, sparsity_r0
 from .numerics import DimensionMismatch, SingularSystem
 from .ridgeless import load_model, predict, save_model
 from .trainer import TrainConfig, train
@@ -137,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=None, help="number of trials (default 50)")
     sp.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
     sp.add_argument("--base-seed", dest="base_seed", type=int, default=None)
-    sp.add_argument("--test-csv", dest="test_csv", default=None,
-                    help="fixed test CSV; trials then train on the full --data file")
     sp.add_argument("--clip", type=float, default=None,
                     help="clamp normalized predictions into [-M, M]")
     sp.add_argument("--out", default=None, help="results file (JSON lines)")
@@ -268,8 +266,6 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         parser.error("give exactly one of --data or --fn")
     if args.data is not None and (args.n is not None or args.noise is not None):
         parser.error("--n and --noise apply only to --fn")
-    if args.test_csv is not None and "train_fraction" in settings:
-        parser.error("--train-fraction does not apply with --test-csv, which trains on all of --data")
     trials = settings.get("trials", 50)
     train_fraction = float(settings.get("train_fraction", 0.8))
     base_seed = settings.get("base_seed", 0)
@@ -288,19 +284,8 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     else:
         raw = synth(args.fn, args.n, 0.0 if args.noise is None else args.noise, base_seed)
     dataset = normalize(raw)
-    fixed_test = None
-    if args.test_csv is not None:
-        raw_test = load_csv(args.test_csv)
-        if raw_test.dim != dataset.dim:
-            parser.error(
-                f"test CSV has dim {raw_test.dim}, training data has dim {dataset.dim}"
-            )
-        fixed_test = Dataset(
-            apply_feature_scaling(dataset.norm_meta, raw_test.x),
-            apply_label_scaling(dataset.norm_meta, raw_test.y),
-            dataset.norm_meta,
-            raw_test.name,
-        )
+    if np.all(dataset.y == dataset.y[0]):  # then so is every trial's test side
+        raise DegenerateLabels(f"{dataset.name}: all labels are equal, so no trial's R-squared is defined")
 
     effective = {
         "record": "config",
@@ -311,7 +296,6 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         "train_fraction": train_fraction,
         "base_seed": base_seed,
         "clip": clip,
-        "fixed_test": args.test_csv,
         "train_config": {k: v for k, v in asdict(base_config).items() if k != "seed"},
     }
 
@@ -320,27 +304,22 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         config = replace(base_config, seed=base_seed + trial)
         started = time.perf_counter()
         try:
-            if fixed_test is not None:
-                train_ds, test_ds = dataset, fixed_test
-            else:
-                train_ds, test_ds = split(
-                    dataset, SplitSpec(base_seed, trial, train_fraction)
-                )
+            train_ds, test_ds = split(dataset, SplitSpec(base_seed, trial, train_fraction))
             model, trace = train(train_ds, config)
             preds = predict(model, test_ds.x)
-            max_train_sq_error = _max_train_sq_error(model, train_ds)
             if clip is not None:
                 preds = project(preds, float(clip))
-            report = make_report(
-                test_ds.y, preds, model,
-                max_train_sq_error=max_train_sq_error,
-                wall_clock_seconds=time.perf_counter() - started,
-            )
             row = {
                 "record": "trial",
                 "trial": trial,
                 "seed": config.seed,
-                **report.to_dict(),
+                "r_squared": r_squared(test_ds.y, preds),
+                "mse": mse(test_ds.y, preds),
+                "n_test": test_ds.n,
+                "n_support": model.n_support,
+                "r0": sparsity_r0(model),
+                "max_train_sq_error": _max_train_sq_error(model, train_ds),
+                "wall_clock_seconds": time.perf_counter() - started,
                 "n_train": train_ds.n,
                 "rounds": trace.n_rounds,
                 "converged": trace.converged,
@@ -348,7 +327,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             }
             LOG.info(
                 "trial %d: r2=%.5f support=%d rounds=%d stop=%s",
-                trial, report.r_squared, report.n_support, trace.n_rounds, trace.stop_reason,
+                trial, row["r_squared"], row["n_support"], trace.n_rounds, trace.stop_reason,
             )
         except InsufficientData:  # sizes alone decide it, so every trial would fail alike
             raise
@@ -435,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         LOG.error("out of memory: %s", exc)
         return EXIT_FAILED
-    except (InvalidSetting, InsufficientData, DimensionMismatch) as exc:
+    except (InvalidSetting, InsufficientData, DimensionMismatch, DegenerateLabels) as exc:
         parser.error(str(exc))
 
 

@@ -84,6 +84,26 @@ class UnscalableData(ValueError):
     in the kernel or the prediction."""
 
 
+def _typed(doc: dict, key: str, kind):
+    """``doc[key]`` if it is a ``kind`` (JSON ``true``/``false`` never count)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{key} has the wrong type: {value!r}")
+    return value
+
+
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]``, a JSON number or nested lists of them, as float64.
+
+    ``np.asarray`` alone would read ``"0.25"`` as 0.25 and ``true`` as 1.0, so
+    each entry's type must be ``int`` or ``float`` itself; ``bool`` is neither.
+    """
+    values = np.asarray(doc[key], dtype=object)
+    if not set(map(type, values.flat)) <= {int, float}:
+        raise ValueError(f"{key} holds a value that is not a number")
+    return values.astype(np.float64)
+
+
 @dataclass(frozen=True)
 class NormMeta:
     """Per-column affine ranges in original units.
@@ -117,10 +137,10 @@ class NormMeta:
     @classmethod
     def from_dict(cls, doc: dict) -> "NormMeta":
         return cls(
-            feature_min=np.asarray(doc["feature_min"], dtype=np.float64),
-            feature_max=np.asarray(doc["feature_max"], dtype=np.float64),
-            label_min=float(doc["label_min"]),
-            label_max=float(doc["label_max"]),
+            feature_min=_numbers(doc, "feature_min"),
+            feature_max=_numbers(doc, "feature_max"),
+            label_min=_typed(doc, "label_min", (int, float)),
+            label_max=_typed(doc, "label_max", (int, float)),
         )
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .data import InsufficientData
@@ -12,9 +10,7 @@ from .ridgeless import LabModel
 
 __all__ = [
     "DegenerateLabels",
-    "EvalReport",
     "ZERO_COEF_TOL",
-    "make_report",
     "mse",
     "project",
     "r_squared",
@@ -78,38 +74,3 @@ def sparsity_r0(model: LabModel, tol: float = ZERO_COEF_TOL) -> int:
     """Number of support points with a nonzero coefficient (|alpha| > tol)."""
     return int(np.count_nonzero(np.abs(model.alpha) > tol))
 
-
-@dataclass
-class EvalReport:
-    """One evaluation of a trained model on a held-out set."""
-
-    r_squared: float
-    mse: float
-    n_test: int
-    n_support: int
-    r0: int
-    max_train_sq_error: float | None = None
-    wall_clock_seconds: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def make_report(
-    y_true,
-    y_pred,
-    model: LabModel,
-    max_train_sq_error: float | None = None,
-    wall_clock_seconds: float | None = None,
-) -> EvalReport:
-    """Bundle the standard metrics for one (model, test set) pair."""
-    yt, yp = _paired(y_true, y_pred)
-    return EvalReport(
-        r_squared=r_squared(yt, yp),
-        mse=mse(yt, yp),
-        n_test=yt.shape[0],
-        n_support=model.n_support,
-        r0=sparsity_r0(model),
-        max_train_sq_error=max_train_sq_error,
-        wall_clock_seconds=wall_clock_seconds,
-    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormMeta, ParseError, UnscalableData
+from .data import NormMeta, ParseError, UnscalableData, _numbers, _typed
 from .kernels import _EXP_FLOOR, BandwidthSet, _bandwidth_set, _clamped_exp, _neg_coef, _quadratic_features
 # ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
 # ``ridgeless.lab_matrix`` by name, so the name must stay importable.
@@ -336,14 +336,6 @@ def model_to_dict(model: LabModel) -> dict:
     }
 
 
-def _typed(doc: dict, key: str, kind):
-    """``doc[key]`` if it is a ``kind`` (JSON ``true``/``false`` never count)."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{key} has the wrong type: {value!r}")
-    return value
-
-
 def model_from_dict(doc) -> LabModel:
     """Rebuild a model document; any malformed document raises ``ValueError``."""
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
@@ -353,14 +345,14 @@ def model_from_dict(doc) -> LabModel:
     try:
         norm = doc["normalization"]
         model = LabModel(
-            support_x=np.asarray(doc["support_x"], dtype=np.float64),
-            theta=np.asarray(doc["bandwidths"], dtype=np.float64),
-            alpha=np.asarray(doc["alpha"], dtype=np.float64),
+            support_x=_numbers(doc, "support_x"),
+            theta=_numbers(doc, "bandwidths"),
+            alpha=_numbers(doc, "alpha"),
             jitter=float(_typed(doc, "jitter", (int, float))),
             norm_meta=NormMeta.from_dict(norm) if norm is not None else None,
         )
         declared = (_typed(doc, "dim", int), _typed(doc, "n_support", int))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an integer past float64
         raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from None
     meta_dim = model.dim if model.norm_meta is None else model.norm_meta.feature_min.shape[0]
     if declared != (model.dim, model.n_support) or meta_dim != model.dim:

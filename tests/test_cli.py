@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import labrr
 from labrr.cli import _aggregate, main
-from labrr.data import apply_feature_scaling, invert_label_scaling, load_csv, normalize, save_csv, synth
+from labrr.data import apply_feature_scaling, invert_label_scaling, load_csv, normalize, save_csv, split, synth
 from labrr.kernels import BandwidthSet
+from labrr.metrics import mse, project, r_squared, sparsity_r0
 from labrr.ridgeless import LabModel, fit_lab, load_model, model_to_dict, predict, save_model
 from labrr.trainer import train
 
@@ -373,29 +374,78 @@ def test_benchmark_validates_trials_and_clip(tmp_path):
     assert err.value.code == 2
 
 
-def test_benchmark_fixed_test_trains_on_full_file(tmp_path):
-    train_csv = _write_synth_csv(tmp_path / "train.csv", n=40, seed=2)
-    test_csv = _write_synth_csv(tmp_path / "test.csv", n=15, seed=3)
+# ``cmd_benchmark`` alone owns the trial record's format.
+_TRIAL_KEYS = [
+    "record", "trial", "seed", "r_squared", "mse", "n_test", "n_support", "r0",
+    "max_train_sq_error", "wall_clock_seconds", "n_train", "rounds", "converged", "stop_reason",
+]
+
+
+def test_benchmark_trial_record_agrees_with_metrics_on_its_predictions(tmp_path, monkeypatch):
+    sides, models, predictions = [], [], []
+
+    def recorded_split(dataset, spec):
+        sides.append(split(dataset, spec))
+        return sides[-1]
+
+    def recorded_train(dataset, config):
+        model, trace = train(dataset, config)
+        models.append(model)
+        return model, trace
+
+    def recorded_predict(model, x):
+        predictions.append((x, predict(model, x)))
+        return predictions[-1][1]
+
+    monkeypatch.setattr("labrr.cli.split", recorded_split)
+    monkeypatch.setattr("labrr.cli.train", recorded_train)
+    monkeypatch.setattr("labrr.cli.predict", recorded_predict)
     out = tmp_path / "results.jsonl"
-    rc = main([
-        "benchmark", "--data", train_csv, "--test-csv", test_csv,
-        "--trials", "2", "--B", "1e-3", "--n0", "10", "--k", "5", "--L", "2",
-        "--batch", "16", "--max-outer", "3", "--out", str(out),
-    ])
-    assert rc == 0
-    config, trials, _ = _load_results(out)
-    assert config["fixed_test"] == test_csv
-    assert all(t["n_train"] == 40 for t in trials)
-    assert all(t["n_test"] == 15 for t in trials)
+    assert main([*_bench_args(str(out)), "--clip", "0.9"]) == 0
+    _, trials, _ = _load_results(out)
+    assert len(trials) == 2
+    for row, (train_ds, test_ds), model in zip(trials, sides, models, strict=True):
+        assert list(row) == _TRIAL_KEYS
+        preds = project(next(v for x, v in predictions if x is test_ds.x), 0.9)
+        assert row["r_squared"] == r_squared(test_ds.y, preds)
+        assert row["mse"] == mse(test_ds.y, preds)
+        assert (row["n_test"], row["n_train"]) == (test_ds.n, train_ds.n)
+        assert (row["n_support"], row["r0"]) == (model.n_support, sparsity_r0(model))
+        train_preds = next(v for x, v in predictions if x is train_ds.x)
+        assert row["max_train_sq_error"] == float(np.max((train_preds - train_ds.y) ** 2))
+        assert row["wall_clock_seconds"] > 0.0
 
 
-def test_benchmark_mismatched_test_dim_exits_2(tmp_path):
-    train_csv = _write_synth_csv(tmp_path / "train.csv", fn="f1", n=40)
-    test_csv = _write_synth_csv(tmp_path / "test.csv", fn="f2", n=15)
+# Forty f1 rows whose labels are all 0.5.
+_CONSTANT_LABELS = "x1,x2,y\n" + "".join(f"{i / 40},{1 - i / 40},0.5\n" for i in range(40))
+
+
+def test_benchmark_constant_labels_stop_before_trial_0(tmp_path, monkeypatch, capsys):
+    # Every split of constant labels has a constant test side, where R² is
+    # undefined, so the run exits 2 before it trains anything.
+    calls = []
+    monkeypatch.setattr("labrr.cli.train", lambda dataset, config: calls.append(config.seed))
     with pytest.raises(SystemExit) as err:
-        main(["benchmark", "--data", train_csv, "--test-csv", test_csv,
-              "--trials", "1", "--B", "1e-3"])
+        main(["benchmark", "--data", _file(tmp_path, "const.csv", _CONSTANT_LABELS),
+              "--trials", "2", "--B", "1e-3", "--n0", "5", "--L", "2", "--batch", "8", "--max-outer", "2"])
     assert err.value.code == 2
+    assert calls == []
+    assert "all labels are equal" in capsys.readouterr().err
+
+
+def test_benchmark_constant_test_side_of_one_split_fails_that_trial_only(tmp_path):
+    # One label of twenty differs, so only the splits that hold it out of the
+    # test side leave a constant one there.
+    rows = "".join(f"{i / 20},{1 - i / 20},{1.0 if i == 0 else 0.5}\n" for i in range(20))
+    out = tmp_path / "results.jsonl"
+    rc = main(["benchmark", "--data", _file(tmp_path, "almost.csv", "x1,x2,y\n" + rows),
+               "--trials", "4", "--B", "1e-3", "--n0", "4", "--L", "1", "--batch", "4",
+               "--max-outer", "2", "--out", str(out)])
+    assert rc == 0
+    _, trials, _ = _load_results(out)
+    errors = [t.get("error", "") for t in trials]
+    assert any(e.startswith("DegenerateLabels") for e in errors)
+    assert "" in errors
 
 
 def test_benchmark_one_row_test_side_stops_at_trial_0(tmp_path, monkeypatch):
@@ -714,9 +764,6 @@ _BAD_INPUTS = {
     "nan-label-train": (lambda t, d, m: _train(_file(t, "nan.csv", _NAN_LABEL), t), 3),
     "nan-label-benchmark": (lambda t, d, m: [
         "benchmark", "--data", _file(t, "nan.csv", _NAN_LABEL), "--trials", "1", "--B", "1e-3"], 3),
-    "nan-label-test-csv": (lambda t, d, m: [
-        "benchmark", "--data", d, "--test-csv", _file(t, "nan.csv", _NAN_LABEL),
-        "--trials", "1", "--B", "1e-3"], 3),
     "inf-feature-predict": (lambda t, d, m: _predict(m, _file(t, "inf.csv", "0.1,inf\n0.2,0.3\n")), 3),
     "model-without-dim": (lambda t, d, m: _predict(_edited_model(t, m, lambda doc: doc.pop("dim")), d), 3),
     "model-without-feature-max": (lambda t, d, m: _predict(
@@ -760,8 +807,6 @@ _BAD_INPUTS = {
         "benchmark", "--data", d, "--n0", "29", "--trials", "1", "--B", "1e-3"], 2),
     "benchmark-data-with-n": (lambda t, d, m: [
         "benchmark", "--data", d, "--n", "5", "--trials", "1", "--B", "1e-3"], 2),
-    "benchmark-test-csv-with-train-fraction": (lambda t, d, m: [
-        "benchmark", "--data", d, "--test-csv", d, "--train-fraction", "0.3", "--trials", "1", "--B", "1e-3"], 2),
     "benchmark-data-with-noise": (lambda t, d, m: [
         "benchmark", "--data", d, "--noise", "nan", "--trials", "1", "--B", "1e-3"], 2),
     "config-fractional-rounds": (lambda t, d, m: _train(
@@ -801,16 +846,23 @@ _BAD_INPUTS = {
     "benchmark-one-row-test-split": (lambda t, d, m: [
         "benchmark", "--fn", "f1", "--n", "5", "--trials", "2", "--B", "1e-3",
         "--n0", "2", "--L", "1", "--batch", "2"], 2),
-    "benchmark-one-row-test-csv": (lambda t, d, m: [
-        "benchmark", "--data", d, "--test-csv", _file(t, "one.csv", "x1,x2,y\n0.1,0.2,0.3\n"),
-        "--trials", "2", "--B", "1e-3", "--L", "1"], 2),
+    "benchmark-constant-labels": (lambda t, d, m: [
+        "benchmark", "--data", _file(t, "const.csv", _CONSTANT_LABELS), "--trials", "2", "--B", "1e-3",
+        "--n0", "5", "--L", "2", "--batch", "8", "--max-outer", "2"], 2),
+    "removed-test-csv-benchmark": (lambda t, d, m: [
+        "benchmark", "--data", d, "--test-csv", d, "--trials", "1", "--B", "1e-3"], 2),
+    "model-with-string-alpha": (lambda t, d, m: _predict(_edited_model(
+        t, m, lambda doc: doc.update(alpha=[repr(a) for a in doc["alpha"]])), d), 3),
+    "model-with-boolean-bandwidth": (lambda t, d, m: _predict(_edited_model(
+        t, m, lambda doc: doc["bandwidths"][0].__setitem__(0, True)), d), 3),
+    "model-with-string-label-min": (lambda t, d, m: _predict(_edited_model(
+        t, m, lambda doc: doc["normalization"].update(label_min=repr(doc["normalization"]["label_min"]))), d), 3),
+    "model-with-integer-alpha-past-float64": (lambda t, d, m: _predict(_edited_model(
+        t, m, lambda doc: doc["alpha"].__setitem__(0, 10**400)), d), 3),
     "removed-momentum-flag-train": (lambda t, d, m: _train(d, t, "--momentum", "0.5"), 2),
     "removed-momentum-config-train": (lambda t, d, m: _train(
         d, t, "--config", _file(t, "cfg.json", '{"momentum": 0.5}')), 2),
     "removed-extreme-y-selection-train": (lambda t, d, m: _train(d, t, "--selection", "extreme_y"), 2),
-    "overflowing-test-csv": (lambda t, d, m: [
-        "benchmark", "--data", d, "--test-csv", _file(t, "huge.csv", "x1,x2,y\n1e308,0.2,0.3\n"),
-        "--trials", "1", "--B", "1e-3"], 3),
 }
 
 

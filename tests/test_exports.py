@@ -1,7 +1,9 @@
 """Every name a ``labrr`` module exports in ``__all__`` must resolve, as must
 every name the benchmark's tracer rebinds; the public surface of ``labrr``,
-``labrr.kernels`` and ``labrr.cli`` is pinned name by name."""
+``labrr.kernels``, ``labrr.metrics`` and ``labrr.cli`` is pinned name by name,
+and so is every option of each ``labrr`` subcommand."""
 
+import argparse
 import dataclasses
 import importlib
 import importlib.util
@@ -29,7 +31,7 @@ def test_all_names_resolve(module_name):
 # table in the same commit.
 _PUBLIC = {
     "labrr": [
-        "AsymDualSolution", "BandwidthSet", "Dataset", "DimensionMismatch", "EvalReport",
+        "AsymDualSolution", "BandwidthSet", "Dataset", "DimensionMismatch",
         "LabModel", "NormMeta", "SingularSystem", "SplitSpec", "TrainConfig", "TrainTrace",
         "fit_asym_duals", "fit_lab", "lab_matrix", "load_csv", "load_model", "mse",
         "normalize", "predict", "predict_f1", "predict_f2", "project", "r_squared",
@@ -37,6 +39,7 @@ _PUBLIC = {
         "train",
     ],
     "labrr.kernels": ["MIN_BANDWIDTH", "BandwidthSet", "lab_matrix", "rbf_matrix"],
+    "labrr.metrics": ["DegenerateLabels", "ZERO_COEF_TOL", "mse", "project", "r_squared", "sparsity_r0"],
     "labrr.cli": ["build_parser", "main"],
 }
 
@@ -80,3 +83,29 @@ def test_every_setting_but_seed_has_one_train_flag():
     flags = [flag for flag, _, _ in cli._TRAIN_FLAGS]
     assert sorted(dests) == sorted(set(_TRAIN_CONFIG_FIELDS) - {"seed"})
     assert len(set(flags)) == len(flags)
+
+
+# Adding or removing a command-line option is an API change as well.
+_TRAIN_OPTIONS = [
+    "--B", "--k", "--eta", "--L", "--n0", "--sigma0", "--batch", "--theta-min", "--theta-max",
+    "--max-outer", "--max-support-ratio", "--selection", "--jitter",
+]
+_OPTIONS = {
+    "synth": ["-h", "--help", "--fn", "--n", "--noise", "--seed", "--out"],
+    "train": ["-h", "--help", "--data", "--out", "--trace", *_TRAIN_OPTIONS, "--seed", "--config"],
+    "benchmark": [
+        "-h", "--help", "--data", "--fn", "--n", "--noise", "--trials", "--train-fraction",
+        "--base-seed", "--clip", "--out", *_TRAIN_OPTIONS, "--config",
+    ],
+    "predict": ["-h", "--help", "--model", "--data", "--out", "--clip"],
+}
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {
+        name: [flag for action in sub._actions for flag in action.option_strings]
+        for name, sub in commands.items()
+    }
+    assert options == _OPTIONS

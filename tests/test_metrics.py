@@ -7,9 +7,7 @@ from labrr.data import InsufficientData
 from labrr.kernels import BandwidthSet
 from labrr.metrics import (
     DegenerateLabels,
-    EvalReport,
     ZERO_COEF_TOL,
-    make_report,
     mse,
     project,
     r_squared,
@@ -96,27 +94,3 @@ def test_sparsity_custom_tolerance():
 
 def test_zero_coef_tol_value():
     assert ZERO_COEF_TOL == 1e-12
-
-
-def test_make_report_bundles_metrics():
-    model = _model_with_alpha([1.0, -1.0, 0.0])
-    y_true = [0.0, 1.0, 2.0, 3.0]
-    y_pred = [0.0, 1.0, 2.0, 2.0]
-    report = make_report(y_true, y_pred, model, max_train_sq_error=0.5, wall_clock_seconds=1.25)
-    assert report.r_squared == pytest.approx(r_squared(y_true, y_pred))
-    assert report.mse == pytest.approx(mse(y_true, y_pred))
-    assert report.n_test == 4
-    assert report.n_support == 3
-    assert report.r0 == 2
-    assert report.max_train_sq_error == 0.5
-    assert report.wall_clock_seconds == 1.25
-
-
-def test_eval_report_to_dict_keys():
-    report = EvalReport(0.9, 0.01, 10, 5, 5)
-    doc = report.to_dict()
-    assert set(doc) == {
-        "r_squared", "mse", "n_test", "n_support", "r0",
-        "max_train_sq_error", "wall_clock_seconds",
-    }
-    assert doc["max_train_sq_error"] is None

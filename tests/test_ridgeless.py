@@ -338,9 +338,20 @@ def test_load_rejects_invalid_json(tmp_path):
     lambda doc: doc.update(jitter=True),
     lambda doc: doc.update(jitter="1e-5"),
     lambda doc: doc.update(n_support=float(doc["n_support"])),
+    # ``np.asarray`` reads each of these as a float, so only a type check
+    # tells them from a number.
+    lambda doc: doc.update(alpha=[repr(a) for a in doc["alpha"]]),
+    lambda doc: doc["bandwidths"][0].__setitem__(0, True),
+    lambda doc: doc["support_x"][0].__setitem__(0, "0.25"),
+    lambda doc: doc["normalization"].update(label_min="-1.0"),
+    lambda doc: doc["normalization"].update(label_max=True),
+    lambda doc: doc["normalization"].update(feature_min=[repr(v) for v in doc["normalization"]["feature_min"]]),
+    lambda doc: doc["alpha"].__setitem__(0, 10**400),
 ], ids=["no-dim", "no-alpha", "no-feature-max", "str-jitter", "null-jitter",
         "object-support", "list-normalization", "str-dim", "short-normalization",
-        "inf-jitter", "bool-jitter", "numeric-str-jitter", "float-n-support"])
+        "inf-jitter", "bool-jitter", "numeric-str-jitter", "float-n-support",
+        "str-alpha", "bool-bandwidth", "str-support-coordinate", "str-label-min",
+        "bool-label-max", "str-feature-min", "int-alpha-past-float64"])
 def test_load_rejects_malformed_document(tmp_path, mutate):
     model, _ = _fitted_model()
     doc = model_to_dict(model)
