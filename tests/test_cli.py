@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 import labrr
 from labrr.cli import _aggregate, main
-from labrr.data import apply_feature_scaling, invert_label_scaling, load_csv, normalize, save_csv, split, synth
+from labrr.data import apply_feature_scaling, invert_label_scaling, load_csv, normalize, save_csv, synth
 from labrr.kernels import BandwidthSet
-from labrr.metrics import mse, project, r_squared, sparsity_r0
 from labrr.ridgeless import LabModel, fit_lab, load_model, model_to_dict, predict, save_model
 from labrr.trainer import train
 
@@ -372,48 +371,6 @@ def test_benchmark_validates_trials_and_clip(tmp_path):
         main(["benchmark", "--fn", "f1", "--n", "30", "--trials", "1",
               "--B", "1e-3", "--clip", "-1"])
     assert err.value.code == 2
-
-
-# ``cmd_benchmark`` alone owns the trial record's format.
-_TRIAL_KEYS = [
-    "record", "trial", "seed", "r_squared", "mse", "n_test", "n_support", "r0",
-    "max_train_sq_error", "wall_clock_seconds", "n_train", "rounds", "converged", "stop_reason",
-]
-
-
-def test_benchmark_trial_record_agrees_with_metrics_on_its_predictions(tmp_path, monkeypatch):
-    sides, models, predictions = [], [], []
-
-    def recorded_split(dataset, spec):
-        sides.append(split(dataset, spec))
-        return sides[-1]
-
-    def recorded_train(dataset, config):
-        model, trace = train(dataset, config)
-        models.append(model)
-        return model, trace
-
-    def recorded_predict(model, x):
-        predictions.append((x, predict(model, x)))
-        return predictions[-1][1]
-
-    monkeypatch.setattr("labrr.cli.split", recorded_split)
-    monkeypatch.setattr("labrr.cli.train", recorded_train)
-    monkeypatch.setattr("labrr.cli.predict", recorded_predict)
-    out = tmp_path / "results.jsonl"
-    assert main([*_bench_args(str(out)), "--clip", "0.9"]) == 0
-    _, trials, _ = _load_results(out)
-    assert len(trials) == 2
-    for row, (train_ds, test_ds), model in zip(trials, sides, models, strict=True):
-        assert list(row) == _TRIAL_KEYS
-        preds = project(next(v for x, v in predictions if x is test_ds.x), 0.9)
-        assert row["r_squared"] == r_squared(test_ds.y, preds)
-        assert row["mse"] == mse(test_ds.y, preds)
-        assert (row["n_test"], row["n_train"]) == (test_ds.n, train_ds.n)
-        assert (row["n_support"], row["r0"]) == (model.n_support, sparsity_r0(model))
-        train_preds = next(v for x, v in predictions if x is train_ds.x)
-        assert row["max_train_sq_error"] == float(np.max((train_preds - train_ds.y) ** 2))
-        assert row["wall_clock_seconds"] > 0.0
 
 
 # Forty f1 rows whose labels are all 0.5.

@@ -1,9 +1,12 @@
 """Unit tests for metrics, the output clamp, and sparsity accounting."""
 
+import json
+
 import numpy as np
 import pytest
 
-from labrr.data import InsufficientData
+from labrr.cli import main
+from labrr.data import InsufficientData, split
 from labrr.kernels import BandwidthSet
 from labrr.metrics import (
     DegenerateLabels,
@@ -13,7 +16,8 @@ from labrr.metrics import (
     r_squared,
     sparsity_r0,
 )
-from labrr.ridgeless import LabModel
+from labrr.ridgeless import LabModel, predict
+from labrr.trainer import train
 
 
 def test_mse_hand_values():
@@ -94,3 +98,60 @@ def test_sparsity_custom_tolerance():
 
 def test_zero_coef_tol_value():
     assert ZERO_COEF_TOL == 1e-12
+
+
+# The evaluation report of one benchmark trial is the trial record that
+# ``labrr benchmark --out`` writes; ``cmd_benchmark`` alone owns its format.
+_TRIAL_KEYS = [
+    "record", "trial", "seed", "r_squared", "mse", "n_test", "n_support", "r0",
+    "max_train_sq_error", "wall_clock_seconds", "n_train", "rounds", "converged", "stop_reason",
+]
+
+
+def _benchmark_trials(out):
+    assert main([
+        "benchmark", "--fn", "f1", "--n", "60", "--trials", "2", "--clip", "0.9",
+        "--B", "1e-3", "--n0", "10", "--k", "5", "--L", "3",
+        "--batch", "16", "--max-outer", "5", "--out", str(out),
+    ]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    return [r for r in records if r["record"] == "trial"]
+
+
+def test_make_report_bundles_metrics(tmp_path, monkeypatch):
+    sides, models, predictions = [], [], []
+
+    def recorded_split(dataset, spec):
+        sides.append(split(dataset, spec))
+        return sides[-1]
+
+    def recorded_train(dataset, config):
+        model, trace = train(dataset, config)
+        models.append(model)
+        return model, trace
+
+    def recorded_predict(model, x):
+        predictions.append((x, predict(model, x)))
+        return predictions[-1][1]
+
+    monkeypatch.setattr("labrr.cli.split", recorded_split)
+    monkeypatch.setattr("labrr.cli.train", recorded_train)
+    monkeypatch.setattr("labrr.cli.predict", recorded_predict)
+    trials = _benchmark_trials(tmp_path / "results.jsonl")
+    assert len(trials) == 2
+    for row, (train_ds, test_ds), model in zip(trials, sides, models, strict=True):
+        preds = project(next(v for x, v in predictions if x is test_ds.x), 0.9)
+        assert row["r_squared"] == r_squared(test_ds.y, preds)
+        assert row["mse"] == mse(test_ds.y, preds)
+        assert (row["n_test"], row["n_train"]) == (test_ds.n, train_ds.n)
+        assert (row["n_support"], row["r0"]) == (model.n_support, sparsity_r0(model))
+        train_preds = next(v for x, v in predictions if x is train_ds.x)
+        assert row["max_train_sq_error"] == float(np.max((train_preds - train_ds.y) ** 2))
+        assert row["wall_clock_seconds"] > 0.0
+
+
+def test_eval_report_to_dict_keys(tmp_path):
+    trials = _benchmark_trials(tmp_path / "results.jsonl")
+    assert len(trials) == 2
+    for row in trials:
+        assert list(row) == _TRIAL_KEYS
