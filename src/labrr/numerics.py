@@ -11,9 +11,9 @@ is ever changed.  A collapsed pivot raises :class:`SingularSystem` instead of
 letting garbage propagate into the fit.  An LU may also serve a nearby
 matrix (:meth:`FactorizedMatrix.solve_nearby`): only behind a Banach-lemma
 guard on LAPACK ``dgecon``'s estimate of the inverse's norm, and only for a
-solve that iterative refinement brings to the backward error of a direct
-one.  :func:`one_blas_thread` runs a block with both bundled OpenBLAS thread
-pools at one thread.
+solve whose refined residual passes one acceptance test, which implies the
+normwise backward-error rule of a direct solve.  :func:`one_blas_thread`
+runs a block with both bundled OpenBLAS thread pools at one thread.
 """
 
 from __future__ import annotations
@@ -203,13 +203,14 @@ class FactorizedMatrix:
           14(2), 1967; Higham, *Accuracy and Stability of Numerical
           Algorithms*, 2nd ed., ch. 12): ``x = B^-1 b`` takes at most
           ``REFINE_SWEEPS`` sweeps ``x += B^-1 r`` and is returned only
-          once its float64 residual ``r = b - (a x + jitter x)`` meets the
-          normwise backward-error rule ``||r||_inf <= u (||a + jitter*I||_inf
-          ||x||_inf + ||b||_inf)``, ``u = 2**-53``.  Each sweep first tries
-          ``||r||_inf <= u (2 ||b||_inf - ||r||_inf)``, which implies the
-          rule (``||b|| - ||r|| <= ||(a + jitter*I) x||``) without a pass
-          over ``a``; the last sweep tests the rule itself.  Both tests are
-          written so that a NaN residual fails them.
+          once its float64 residual ``r = b - (a x + jitter x)`` meets
+          ``||r||_inf <= u (2 ||b||_inf - ||r||_inf)``, ``u = 2**-53``.
+          That test implies the normwise backward-error rule ``||r||_inf
+          <= u (||a + jitter*I||_inf ||x||_inf + ||b||_inf)``, since
+          ``||b|| - ||r|| <= ||(a + jitter*I) x||``, without a pass over
+          ``a``.  It is written so that a NaN residual fails it; a solve
+          that misses it after the last sweep, or whose residual is not
+          finite, declines.
 
         Every solve against the LU goes through :meth:`solve`, which also
         raises what it raises for ``b``.
@@ -226,17 +227,11 @@ class FactorizedMatrix:
             r = b - (op @ x + self.jitter * x)
             r_norm = np.abs(r).max()
             # ||b|| - ||r|| <= ||(a + jitter*I) x|| <= ||a + jitter*I|| ||x||, so
-            # this first test implies the rule without a pass over ``a``.
+            # this test implies the backward-error rule without a pass over ``a``.
             if r_norm <= UNIT_ROUNDOFF * (2.0 * b_norm - r_norm):
                 return x
-            if not np.isfinite(r_norm):
+            if sweep == REFINE_SWEEPS or not np.isfinite(r_norm):
                 return None
-            if sweep == REFINE_SWEEPS:
-                abs_rows = np.abs(op).sum(axis=1)
-                diagonal = np.diagonal(a)
-                abs_rows += np.abs(diagonal + self.jitter) - np.abs(diagonal)
-                accepted = r_norm <= UNIT_ROUNDOFF * (abs_rows.max() * np.abs(x).max() + b_norm)
-                return x if accepted else None
             x = x + self.solve(r, transpose)
 
     def _inverse_norm_1(self) -> float:

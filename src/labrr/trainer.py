@@ -282,8 +282,9 @@ class _RoundLU:
     made at, and whether the round still tries reuse.
 
     It holds no kernel: :meth:`solve` takes the step's own Gram.  A round
-    that declines once (the guard or either refined solve fails) drops its
-    LU and factors every later step.  ``factorizations`` counts the LUs the
+    that declines once (the Banach guard fails, or a refined solve misses
+    ``FactorizedMatrix.solve_nearby``'s one acceptance test) drops its LU
+    and factors every later step.  ``factorizations`` counts the LUs the
     round's steps made.
     """
 
@@ -299,28 +300,25 @@ class _RoundLU:
         ``gram``, with ``SupportSystem.gram_drift`` as the drift bound;
         otherwise through a fresh LU of ``gram``, held while the round
         reuses."""
-        # Without a held LU the first pass factors; a declined reuse falls
-        # through to a second pass that does.
-        for fresh in (self.solver is None, True):
-            if fresh:
-                solver = FactorizedMatrix(gram, system.jitter)
-                self.factorizations += 1
-                if self.reusing:
-                    self.solver, self.th = solver, th.copy()
-                solve = solver.solve
-            else:
-                # Looks the LU up on each call, so dropping it on a decline frees it.
-                drift = system.gram_drift(self.th, th)
-                solve = lambda b, transpose=False: self.solver.solve_nearby(gram, b, drift, transpose)
-            alpha = solve(system.y)
+        if self.solver is not None:
+            drift = system.gram_drift(self.th, th)
+            alpha = self.solver.solve_nearby(gram, system.y, drift)
             if alpha is not None:
                 resid = alpha @ cross_t - batch_y
-                # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
-                u = solve(cross_t @ resid, transpose=True)
+                u = self.solver.solve_nearby(gram, cross_t @ resid, drift, transpose=True)
                 if u is not None:
                     return alpha, resid, u
+            # Dropped before the fresh LU is made, so the two are never held at once.
             self.solver = self.th = None
             self.reusing = False
+        solver = FactorizedMatrix(gram, system.jitter)
+        self.factorizations += 1
+        if self.reusing:
+            self.solver, self.th = solver, th.copy()
+        alpha = solver.solve(system.y)
+        resid = alpha @ cross_t - batch_y
+        # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
+        return alpha, resid, solver.solve(cross_t @ resid, transpose=True)
 
 
 def batch_loss_and_grad(

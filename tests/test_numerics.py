@@ -291,3 +291,20 @@ def test_nearby_solve_declines_past_the_guard_or_on_a_non_finite_matrix():
         lu.solve_nearby(a[:5, :5], b[:5], 0.0)
     with pytest.raises(ValueError):
         lu.solve_nearby(a, np.full(6, np.nan), 0.0)
+
+
+def test_a_nearby_solve_that_misses_the_acceptance_test_declines_even_within_the_backward_error_rule():
+    # Refinement stalls at a residual of 2048u, under the normwise backward-error
+    # rule's budget but over the acceptance test's ``u (2 ||b|| - ||r||)``: the
+    # one test decides, so the solve declines and the direct path takes over.
+    rng = np.random.default_rng(7)
+    a = rng.uniform(-1.0, 1.0, (4, 4)) + 5.0 * np.eye(4)
+    b = rng.uniform(-1e3, 1e3, 4)
+    lu = FactorizedMatrix(a)
+    for transpose in (False, True):
+        op = a.T if transpose else a
+        x = lu.solve(b, transpose)
+        residual = np.abs(b - op @ x).max()
+        assert residual <= numerics.UNIT_ROUNDOFF * (np.abs(op).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
+        assert residual > numerics.UNIT_ROUNDOFF * (2.0 * np.abs(b).max() - residual)
+        assert lu.solve_nearby(a, b, 0.0, transpose) is None
