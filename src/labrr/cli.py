@@ -1,14 +1,14 @@
 """Command-line interface: ``synth | train | benchmark | predict``.
 
-Exit codes: 0 success; 1 a singular training solve (``SingularSystem``),
-exhausted memory (``MemoryError``), or every benchmark trial failed; 2 a bad
-argument or setting (``InvalidSetting``), inputs that do not fit together
-(``DimensionMismatch``, and ``InsufficientData``, which ``benchmark`` meets in
-its first trial), or a ``benchmark`` whose labels are all equal
-(``DegenerateLabels``); 3 a file that cannot be read or written (``OSError``), a
-malformed data or model file (``ParseError``, ``EmptyDataset``), or data whose
-scaling, or a model's kernel, predictions or label range, overflows float64
-(``UnscalableData``).
+Exit codes: 0 success; 1 a singular training solve (``SingularSystem``), a
+diverged SGD step (``DivergedStep``), exhausted memory (``MemoryError``), or
+every benchmark trial failed; 2 a bad argument or setting
+(``InvalidSetting``), inputs that do not fit together (``DimensionMismatch``,
+and ``InsufficientData``, which ``benchmark`` meets in its first trial), or a
+``benchmark`` whose labels are all equal (``DegenerateLabels``); 3 a file
+that cannot be read or written (``OSError``), a malformed data or model file
+(``ParseError``, ``EmptyDataset``), or data whose scaling, or a model's
+kernel, predictions or label range, overflows float64 (``UnscalableData``).
 :func:`main` alone maps library errors to codes, by type, in one line on stderr
 (argparse's ``error:`` line for exit 2) and no traceback.
 ``LABRR_LOG`` (``quiet`` / ``info`` / ``debug``) controls stderr verbosity;
@@ -48,7 +48,7 @@ from .data import (
     synth,
 )
 from .metrics import DegenerateLabels, mse, project, r_squared, sparsity_r0
-from .numerics import DimensionMismatch, SingularSystem
+from .numerics import DimensionMismatch, DivergedStep, SingularSystem
 from .ridgeless import load_model, predict, save_model
 from .trainer import TrainConfig, train
 
@@ -331,7 +331,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             )
         except InsufficientData:  # sizes alone decide it, so every trial would fail alike
             raise
-        except (SingularSystem, ValueError) as exc:  # the trial fails, the run goes on
+        except (SingularSystem, DivergedStep, ValueError) as exc:  # the trial fails, the run goes on
             row = {
                 "record": "trial",
                 "trial": trial,
@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ParseError, EmptyDataset, UnscalableData) as exc:
         LOG.error("%s", exc)
         return EXIT_IO
-    except SingularSystem as exc:
+    except (SingularSystem, DivergedStep) as exc:
         LOG.error("training failed: %s", exc)
         return EXIT_FAILED
     except MemoryError as exc:

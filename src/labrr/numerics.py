@@ -9,11 +9,12 @@ factorizations (Cholesky) are not an option.  It calls LAPACK's ``dgetrf``,
 ``dgetrs`` and ``dlange`` directly on a private copy, so no caller's matrix
 is ever changed.  A collapsed pivot raises :class:`SingularSystem` instead of
 letting garbage propagate into the fit.  An LU may also serve a nearby
-matrix (:meth:`FactorizedMatrix.solve_nearby`): only behind a Banach-lemma
-guard on LAPACK ``dgecon``'s estimate of the inverse's norm, and only for a
-solve whose refined residual passes one acceptance test, which implies the
-normwise backward-error rule of a direct solve.  :func:`one_blas_thread`
-runs a block with both bundled OpenBLAS thread pools at one thread.
+matrix (:meth:`FactorizedMatrix.solve_nearby`), but only for a solve whose
+refined residual passes one acceptance test, which implies the normwise
+backward-error rule of a direct solve.  :class:`DivergedStep` is the
+trainer's error for an SGD step whose update makes a bandwidth NaN.
+:func:`one_blas_thread` runs a block with both bundled OpenBLAS thread pools
+at one thread.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg.lapack import dgecon, dgetrf, dgetrs, dlange
+from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 
 __all__ = [
     "DimensionMismatch",
+    "DivergedStep",
     "SingularSystem",
     "FactorizedMatrix",
     "as_matrix",
@@ -66,6 +68,10 @@ class DimensionMismatch(ValueError):
 
 class SingularSystem(ArithmeticError):
     """The coefficient matrix is numerically rank deficient."""
+
+
+class DivergedStep(ArithmeticError):
+    """An SGD step's update made a bandwidth NaN."""
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -170,7 +176,6 @@ class FactorizedMatrix:
         self._lu_piv = (lu, piv)
         self.shape = (n, m)
         self.jitter = jitter
-        self._inverse_norm = None  # ||(A + jitter*I)^-1||_1, estimated on first use
 
     def solve(self, b, transpose: bool = False) -> np.ndarray:
         """Solve ``(A + jitter*I) x = b``, or its transpose with ``transpose=True``."""
@@ -183,40 +188,32 @@ class FactorizedMatrix:
         x, _ = dgetrs(lu, piv, b, trans=1 if transpose else 0)
         return x
 
-    def solve_nearby(self, a, b, drift: float, transpose: bool = False) -> np.ndarray | None:
+    def solve_nearby(self, a, b, transpose: bool = False) -> np.ndarray | None:
         """Solve ``(a + jitter*I) x = b`` (or its transpose) through this LU
-        of a nearby matrix, or return ``None`` when that is not shown safe.
+        of a nearby matrix, or return ``None`` when the solve is not shown
+        accurate.
 
-        ``drift`` must bound ``||a - A||_1``, where ``A`` is the matrix this
-        LU was made from.  ``a``, of the same order, is only read; a NaN or
-        infinite entry in it makes the solve decline.  With ``B = A +
-        jitter*I``, two tests guard the solve:
-
-        * **Nonsingularity** (Banach lemma): when ``||B^-1||_1 drift <=
-          1/2``, ``a + jitter*I = B (I + B^-1 (a - A))`` is nonsingular, and
-          each refinement sweep at least halves the error, in the 1-norm for
-          ``a`` and the inf-norm for its transpose.  ``||B^-1||_1`` is LAPACK
-          ``dgecon``'s estimate from this LU, taken once per LU in O(n^2).
-          It is usually exact and rarely low by more than a factor of 3, so
-          the test is a guard, not a proof; the acceptance test decides.
-        * **Acceptance** (stationary iterative refinement; Moler, J. ACM
-          14(2), 1967; Higham, *Accuracy and Stability of Numerical
-          Algorithms*, 2nd ed., ch. 12): ``x = B^-1 b`` takes at most
-          ``REFINE_SWEEPS`` sweeps ``x += B^-1 r`` and is returned only
-          once its float64 residual ``r = b - (a x + jitter x)`` meets
-          ``||r||_inf <= u (2 ||b||_inf - ||r||_inf)``, ``u = 2**-53``.
-          That test implies the normwise backward-error rule ``||r||_inf
-          <= u (||a + jitter*I||_inf ||x||_inf + ||b||_inf)``, since
-          ``||b|| - ||r|| <= ||(a + jitter*I) x||``, without a pass over
-          ``a``.  It is written so that a NaN residual fails it; a solve
-          that misses it after the last sweep, or whose residual is not
-          finite, declines.
+        ``a``, of this LU's order, is only read; a NaN or infinite entry in
+        it makes the solve decline.  With ``B`` the matrix plus ``jitter*I``
+        this LU was made from, ``x = B^-1 b`` takes at most
+        ``REFINE_SWEEPS`` sweeps ``x += B^-1 r`` of stationary iterative
+        refinement (Moler, J. ACM 14(2), 1967; Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2nd ed., ch. 12), and is
+        returned only once its float64 residual ``r = b - (a x + jitter x)``
+        meets ``||r||_inf <= u (2 ||b||_inf - ||r||_inf)``, ``u = 2**-53``.
+        That test implies the normwise backward-error rule ``||r||_inf <= u
+        (||a + jitter*I||_inf ||x||_inf + ||b||_inf)``, since ``||b|| - ||r||
+        <= ||(a + jitter*I) x||``, without a pass over ``a``; a solve that
+        meets it is as good as a direct solve (Rigal & Gaches, J. ACM 14(3),
+        1967), whatever ``a`` is.  No a-priori bound on ``a - B`` is taken:
+        when ``a + jitter*I`` is singular, or too far from ``B`` for the
+        sweeps to converge, the residual stays large and the test declines.
+        It is written so that a NaN residual fails it; a solve that misses
+        it after the last sweep, or whose residual is not finite, declines.
 
         Every solve against the LU goes through :meth:`solve`, which also
         raises what it raises for ``b``.
         """
-        if not self._inverse_norm_1() * drift <= 0.5:
-            return None
         a = np.asarray(a, dtype=np.float64)
         if a.shape != self.shape:
             raise DimensionMismatch(f"matrix has shape {a.shape}, the LU has {self.shape}")
@@ -233,15 +230,6 @@ class FactorizedMatrix:
             if sweep == REFINE_SWEEPS or not np.isfinite(r_norm):
                 return None
             x = x + self.solve(r, transpose)
-
-    def _inverse_norm_1(self) -> float:
-        """``dgecon``'s estimate of ``||(A + jitter*I)^-1||_1``: with ``anorm``
-        1 its ``rcond`` is the estimate's reciprocal (0, read as infinite,
-        when the estimate overflows)."""
-        if self._inverse_norm is None:
-            rcond, _ = dgecon(self._lu_piv[0], 1.0, norm="1")
-            self._inverse_norm = 1.0 / rcond if rcond > 0.0 else np.inf
-        return self._inverse_norm
 
 
 def solve_regularized(a, b, jitter: float = 0.0) -> np.ndarray:

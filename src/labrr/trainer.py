@@ -25,7 +25,8 @@ import numpy as np
 
 from .data import Dataset, InsufficientData, InvalidSetting
 from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set
-from .numerics import DimensionMismatch, FactorizedMatrix, SingularSystem, as_vector, one_blas_thread
+from .numerics import DimensionMismatch, DivergedStep, FactorizedMatrix, SingularSystem, as_vector
+from .numerics import one_blas_thread
 from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, predict
 # Not called here, but the benchmark's tracer rebinds ``trainer.lab_matrix``
 # and ``trainer.fit_lab`` by name, so both names must stay importable.
@@ -61,7 +62,9 @@ _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 class TrainConfig:
     """All knobs of the training loop, checked on construction (also by
     ``dataclasses.replace``); a value of the wrong type or out of range raises
-    :class:`~labrr.data.InvalidSetting`, a ``ValueError``.
+    :class:`~labrr.data.InvalidSetting`, a ``ValueError``.  Each ``float``
+    field is stored as ``float(value)``, and a value past float64's range
+    (an integer such as ``10**400``) raises it too.
 
     Attributes
     ----------
@@ -118,6 +121,11 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
                 raise InvalidSetting(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float":
+                try:
+                    object.__setattr__(self, f.name, float(value))
+                except OverflowError:
+                    raise InvalidSetting(f"{f.name} overflows float64") from None
         if not (self.error_budget > 0.0):
             raise InvalidSetting(f"error_budget must be positive, got {self.error_budget}")
         if self.grow_count < 1:
@@ -278,11 +286,11 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 
 
 class _RoundLU:
-    """An SGD round's step solver: its last LU, the bandwidths that LU was
-    made at, and whether the round still tries reuse.
+    """An SGD round's step solver: its last LU and whether the round still
+    tries reuse.
 
     It holds no kernel: :meth:`solve` takes the step's own Gram.  A round
-    that declines once (the Banach guard fails, or a refined solve misses
+    whose held LU declines once (a refined solve misses
     ``FactorizedMatrix.solve_nearby``'s one acceptance test) drops its LU
     and factors every later step.  ``factorizations`` counts the LUs the
     round's steps made.
@@ -290,31 +298,28 @@ class _RoundLU:
 
     def __init__(self) -> None:
         self.solver: FactorizedMatrix | None = None
-        self.th: np.ndarray | None = None
         self.reusing = True
         self.factorizations = 0
 
-    def solve(self, system, th, gram, cross_t, batch_y):
+    def solve(self, system, gram, cross_t, batch_y):
         """``(alpha, resid, u)`` of the step: through the held LU when
         ``FactorizedMatrix.solve_nearby`` accepts both solves against
-        ``gram``, with ``SupportSystem.gram_drift`` as the drift bound;
-        otherwise through a fresh LU of ``gram``, held while the round
-        reuses."""
+        ``gram``; otherwise through a fresh LU of ``gram``, held while the
+        round reuses."""
         if self.solver is not None:
-            drift = system.gram_drift(self.th, th)
-            alpha = self.solver.solve_nearby(gram, system.y, drift)
+            alpha = self.solver.solve_nearby(gram, system.y)
             if alpha is not None:
                 resid = alpha @ cross_t - batch_y
-                u = self.solver.solve_nearby(gram, cross_t @ resid, drift, transpose=True)
+                u = self.solver.solve_nearby(gram, cross_t @ resid, transpose=True)
                 if u is not None:
                     return alpha, resid, u
             # Dropped before the fresh LU is made, so the two are never held at once.
-            self.solver = self.th = None
+            self.solver = None
             self.reusing = False
         solver = FactorizedMatrix(gram, system.jitter)
         self.factorizations += 1
         if self.reusing:
-            self.solver, self.th = solver, th.copy()
+            self.solver = solver
         alpha = solver.solve(system.y)
         resid = alpha @ cross_t - batch_y
         # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
@@ -351,8 +356,9 @@ def batch_loss_and_grad(
 
     Both solves, the ``alpha`` solve and the adjoint one, go through
     ``round_lu``, the SGD round's solver: it solves through the LU of an
-    earlier step of the round when ``FactorizedMatrix.solve_nearby`` accepts
-    both against this step's Gram, and factors this Gram otherwise.  A call
+    earlier step of the round when ``FactorizedMatrix.solve_nearby``'s
+    residual test accepts both against this step's Gram, and factors this
+    Gram otherwise; no bound on how far the Gram moved is taken.  A call
     without ``round_lu`` gets a fresh solver, which always factors.
 
     ``th`` is the raw bandwidth array and ``batch_features, batch_y`` what
@@ -372,7 +378,7 @@ def batch_loss_and_grad(
     n, d = c.shape
     kt = system.kernel_t(th, batch_features)
     cross_t = kt[:, n:]
-    alpha, resid, u = (round_lu or _RoundLU()).solve(system, th, kt[:, :n].T, cross_t, batch_y)
+    alpha, resid, u = (round_lu or _RoundLU()).solve(system, kt[:, :n].T, cross_t, batch_y)
     loss = float(resid @ resid)
 
     # sum_i v[i] * kt[j, i] * (rows[i, m] - c[j, m])**2 over the support rows
@@ -406,7 +412,7 @@ def sgd_round(
     scaled down, as a whole, so that no bandwidth moves by more than
     ``MAX_RELATIVE_STEP`` of itself, and the bandwidths are then clipped
     into their bounds; a step whose update makes a bandwidth NaN raises
-    ``ValueError``, and a step whose Gram is singular raises
+    ``DivergedStep``, and a step whose Gram is singular raises
     ``SingularSystem`` naming the step.  Returns the updated bandwidths, the
     per-step loss curve and the number of LUs the steps made.  With
     ``inner_steps=0``, ``learning_rate=0``, or an empty remainder the
@@ -437,7 +443,7 @@ def sgd_round(
         # th is finite and descent held finite, so th - descent has a NaN
         # exactly when descent does, and then so does this max.
         if np.isnan(largest_relative):
-            raise ValueError(f"SGD step {step} made a bandwidth NaN")
+            raise DivergedStep(f"SGD step {step} made a bandwidth NaN")
         if largest_relative > MAX_RELATIVE_STEP:
             descent *= MAX_RELATIVE_STEP / largest_relative
         th -= descent
@@ -500,8 +506,8 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
             )
             stage = "fit: "
             model = system.fit(theta, dataset.norm_meta)
-        except SingularSystem as exc:
-            raise SingularSystem(f"round {round_index} ({len(support)} support points), {stage}{exc}") from None
+        except (SingularSystem, DivergedStep) as exc:
+            raise type(exc)(f"round {round_index} ({len(support)} support points), {stage}{exc}") from None
         # Error check per the growth rule: non-support points, or the support
         # itself once everything has been absorbed.
         eval_idx = remainder if remainder.shape[0] else np.asarray(support)

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import labrr
+from labrr import trainer
 from labrr.cli import _aggregate, main
 from labrr.data import apply_feature_scaling, invert_label_scaling, load_csv, normalize, save_csv, synth
 from labrr.kernels import BandwidthSet
@@ -156,6 +157,30 @@ def test_singular_sgd_step_exits_1_naming_its_round_step_and_support(tmp_path, c
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert len(errors) == 1
     assert errors[0].startswith("training failed: round 0 (21 support points), SGD step 0: pivot below")
+
+
+def test_diverged_sgd_step_exits_1_in_train_and_fails_its_benchmark_trial(tmp_path, monkeypatch, capfd, caplog):
+    step = trainer.batch_loss_and_grad
+
+    def nan_gradient(*args):
+        loss, grad = step(*args)
+        grad[0, 0] = np.nan
+        return loss, grad
+
+    monkeypatch.setattr(trainer, "batch_loss_and_grad", nan_gradient)
+    data = _write_synth_csv(tmp_path / "d.csv", n=40)
+    settings = ["--data", data, "--B", "1e-3", "--n0", "10", "--L", "2", "--batch", "4"]
+    capfd.readouterr()
+    caplog.clear()
+    assert main(["train", "--out", str(tmp_path / "m.json"), *settings]) == 1
+    assert "Traceback" not in capfd.readouterr().err
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == ["training failed: round 0 (10 support points), SGD step 0 made a bandwidth NaN"]
+
+    out = tmp_path / "results.jsonl"
+    assert main(["benchmark", "--trials", "1", "--out", str(out), *settings]) == 1
+    trials = [r for r in map(json.loads, out.read_text().splitlines()) if r.get("record") == "trial"]
+    assert [t["error"].split(",")[0] for t in trials] == ["DivergedStep: round 0 (10 support points)"]
 
 
 def test_train_selection_flag(tmp_path):
@@ -680,6 +705,8 @@ def test_predict_missing_files_return_3(tmp_path, trained):
 _NAN_LABEL = "x1,x2,y\n0.1,0.2,0.3\n0.4,0.5,nan\n0.6,0.7,0.8\n"
 # Finite cells whose column range (2e308) overflows float64.
 _HUGE_RANGE = "x1,x2,y\n1e308,0.2,0.3\n-1e308,0.5,0.4\n0.6,0.7,0.8\n"
+# A config setting whose JSON integer, 10**400, is past float64's range.
+_PAST_FLOAT64 = '{"%s": 1' + "0" * 400 + "}"
 
 
 def _file(tmp_path, name, content):
@@ -820,6 +847,16 @@ _BAD_INPUTS = {
     "removed-momentum-config-train": (lambda t, d, m: _train(
         d, t, "--config", _file(t, "cfg.json", '{"momentum": 0.5}')), 2),
     "removed-extreme-y-selection-train": (lambda t, d, m: _train(d, t, "--selection", "extreme_y"), 2),
+    "config-learning-rate-past-float64-train": (lambda t, d, m: _train(
+        d, t, "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "learning_rate")), 2),
+    "config-jitter-past-float64-train": (lambda t, d, m: _train(
+        d, t, "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "jitter")), 2),
+    "config-learning-rate-past-float64-benchmark": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
+        "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "learning_rate")], 2),
+    "config-jitter-past-float64-benchmark": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
+        "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "jitter")], 2),
 }
 
 

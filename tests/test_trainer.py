@@ -13,7 +13,7 @@ from labrr import ridgeless, trainer
 from labrr.data import Dataset, InsufficientData, InvalidSetting, SplitSpec, normalize, split, synth
 from labrr.kernels import MIN_BANDWIDTH, BandwidthSet, lab_matrix
 from labrr.metrics import sparsity_r0
-from labrr.numerics import DimensionMismatch, FactorizedMatrix, SingularSystem
+from labrr.numerics import DimensionMismatch, DivergedStep, FactorizedMatrix, SingularSystem
 from labrr.ridgeless import LabModel, SupportSystem, fit_lab, predict
 from labrr.trainer import (
     SELECTION_STRATEGIES,
@@ -238,13 +238,13 @@ def test_sgd_round_gradient_shares_no_memory_with_its_buffers(monkeypatch):
     # The round updates its bandwidths in place after each step, so a gradient
     # that aliased them would change under anyone who keeps it, such as a
     # tracer recording each step.  The step returns memory shared with none
-    # of its inputs, nor with the bandwidths the round's solver holds.
+    # of its inputs.
     step = trainer.batch_loss_and_grad
     seen = []
 
     def recording(system, th, batch_features, batch_y, round_lu):
         loss, grad = step(system, th, batch_features, batch_y, round_lu)
-        seen.append([np.shares_memory(grad, a) for a in (th, batch_features, batch_y, round_lu.th)])
+        seen.append([np.shares_memory(grad, a) for a in (th, batch_features, batch_y)])
         return loss, grad
 
     monkeypatch.setattr(trainer, "batch_loss_and_grad", recording)
@@ -254,7 +254,7 @@ def test_sgd_round_gradient_shares_no_memory_with_its_buffers(monkeypatch):
         SupportSystem(rng.normal(size=(5, 2)), rng.normal(size=5), config.jitter),
         BandwidthSet.uniform(5, 2, 1.0), rng.normal(size=(9, 2)), rng.normal(size=9), config, rng,
     )
-    assert seen == [[False, False, False, False]] * 3
+    assert seen == [[False, False, False]] * 3
 
 
 def test_train_builds_one_support_system_per_round_and_looks_up_the_step_by_name(monkeypatch):
@@ -335,7 +335,7 @@ def test_sgd_round_raises_at_the_step_whose_update_makes_a_bandwidth_nan(monkeyp
     monkeypatch.setattr(trainer, "batch_loss_and_grad", nan_at_bad_step)
     rng = np.random.default_rng(6)
     config = _round_config(inner_steps=4, batch_size=3, jitter=1e-2)
-    with pytest.raises(ValueError, match=f"step {bad_step} made a bandwidth NaN"):
+    with pytest.raises(DivergedStep, match=f"step {bad_step} made a bandwidth NaN"):
         sgd_round(
             SupportSystem(rng.normal(size=(5, 2)), rng.normal(size=5), config.jitter),
             BandwidthSet.uniform(5, 2, 1.0),
@@ -814,6 +814,9 @@ def test_sgd_does_not_diverge_on_noisy_small_support_seed_9803_trial_5():
         {"jitter": None},
         {"selection": 3},
         {"grow_count": "10"},
+        {"learning_rate": 10**400},
+        {"jitter": 10**400},
+        {"error_budget": 10**400},
     ],
 )
 def test_train_config_validation(overrides):
@@ -829,6 +832,8 @@ def test_train_config_defaults_validate():
     config = TrainConfig(error_budget=1e-3)
     TrainConfig(error_budget=1e-3, bandwidth_max=1e150)
     TrainConfig(error_budget=1e-3, inner_steps=np.int32(3), seed=np.int64(2))
+    # A float field given as an integer is stored as the float it converts to.
+    assert type(TrainConfig(error_budget=1, jitter=0).jitter) is float
     with pytest.raises(dataclasses.FrozenInstanceError):
         config.jitter = 1.0
 
@@ -906,40 +911,6 @@ def test_train_returns_a_finite_model_or_raises_singular_system(inputs):
 # Solving a step through an earlier step's LU
 
 
-@st.composite
-def _bandwidth_moves(draw):
-    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
-    coords = st.floats(-1.0, 1.0, allow_nan=False)
-    sx = draw(arrays(np.float64, (n, d), elements=coords)) * draw(st.sampled_from([1.0, 1e-3]))
-    # An offset cluster with one far point pulls the support mean away from
-    # the cluster, so its close pairs cancel large expanded-form terms.
-    if n > 1 and draw(st.booleans()):
-        sx[0] += draw(st.sampled_from([1e2, 1e3]))
-    th_from = draw(arrays(np.float64, (n, d), elements=st.floats(0.05, 30.0)))
-    scale = draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-8, 1e-3, 0.1, 0.4]))
-    th = th_from * (1.0 + scale * draw(arrays(np.float64, (n, d), elements=coords)))
-    return sx, th_from, th
-
-
-@settings(max_examples=300, deadline=None)
-@given(move=_bandwidth_moves())
-def test_gram_drift_bounds_the_move_of_the_gram(move):
-    sx, th_from, th = move
-    system = SupportSystem(sx, np.zeros(len(sx)), 0.0)
-    n = len(sx)
-    before = system.kernel_t(th_from, system.features[:0])[:, :n].T
-    after = system.kernel_t(th, system.features[:0])[:, :n].T
-    assert system.gram_drift(th_from, th) >= np.abs(after - before).sum(axis=0).max()
-
-
-def test_gram_drift_is_infinite_once_a_squared_bandwidth_doubles_or_vanishes():
-    system = SupportSystem([[0.0], [1.0]], [0.0, 1.0], 0.0)
-    th = np.ones((2, 1))
-    assert system.gram_drift(th, th) < 1e-14
-    assert system.gram_drift(th, np.sqrt(2.0) * th) == np.inf
-    assert system.gram_drift(th, np.full((2, 1), MIN_BANDWIDTH)) == np.inf
-
-
 def _noisy_small_support_round(inner_steps):
     # The criterion-6 shape of the noisy-small-support benchmark: f1 with 20%
     # label noise, 150 x_kmeans support points, batch 64, jitter 1e-2.
@@ -990,7 +961,7 @@ def _step_solve_args(system, th, batch):
     features, labels = batch
     n = th.shape[0]
     kt = system.kernel_t(th, features)
-    return system, th, kt[:, :n].T, kt[:, n:], labels
+    return system, kt[:, :n].T, kt[:, n:], labels
 
 
 def test_round_lu_solves_through_its_held_lu_until_the_gram_moves():
@@ -1009,7 +980,7 @@ def test_round_lu_solves_through_its_held_lu_until_the_gram_moves():
     for a, b in zip(again, first):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 
-    moved = 1.5 * th  # its square more than doubles: the guard declines
+    moved = 1.5 * th  # its square more than doubles: the acceptance test declines
     after = round_lu.solve(*_step_solve_args(system, moved, batch))
     fresh = trainer._RoundLU().solve(*_step_solve_args(system, moved, batch))
     assert [a.tobytes() for a in after] == [a.tobytes() for a in fresh]
