@@ -10,7 +10,7 @@ training residual drops below an error budget.
 from .data import Dataset, NormMeta, SplitSpec, load_csv, normalize, split, synth
 from .kernels import BandwidthSet, lab_matrix, rbf_matrix
 from .metrics import mse, project, r_squared, sparsity_r0
-from .numerics import DimensionMismatch, SingularSystem, solve_regularized
+from .numerics import DimensionMismatch, NumericalFailure, SingularSystem, solve_regularized
 from .ridgeless import (
     AsymDualSolution,
     LabModel,
@@ -33,6 +33,7 @@ __all__ = [
     "DimensionMismatch",
     "LabModel",
     "NormMeta",
+    "NumericalFailure",
     "SingularSystem",
     "SplitSpec",
     "TrainConfig",

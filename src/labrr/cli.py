@@ -1,11 +1,14 @@
 """Command-line interface: ``synth | train | benchmark | predict``.
 
-Exit codes: 0 success; 1 a singular training solve (``SingularSystem``), a
-diverged SGD step (``DivergedStep``), exhausted memory (``MemoryError``), or
-every benchmark trial failed; 2 a bad argument or setting
-(``InvalidSetting``), inputs that do not fit together (``DimensionMismatch``,
-and ``InsufficientData``, which ``benchmark`` meets in its first trial), or a
-``benchmark`` whose labels are all equal (``DegenerateLabels``); 3 a file
+Exit codes: 0 success; 1 a numerical failure in training
+(``NumericalFailure``: a singular solve, ``SingularSystem``, or a diverged SGD
+step, ``DivergedStep``), exhausted memory (``MemoryError``), or every
+benchmark trial failed (a trial fails on a ``NumericalFailure``, a constant
+test side or a prediction that overflows, and on nothing else); 2 a bad
+argument or setting (``InvalidSetting``), inputs that do not fit together
+(``DimensionMismatch``, and ``InsufficientData``, which ``benchmark`` meets
+in its first trial), or a ``benchmark`` whose labels are all equal
+(``DegenerateLabels``); 3 a file
 that cannot be read or written (``OSError``), a malformed data or model file
 (``ParseError``, ``EmptyDataset``), or data whose scaling, or a model's
 kernel, predictions or label range, overflows float64 (``UnscalableData``).
@@ -48,7 +51,7 @@ from .data import (
     synth,
 )
 from .metrics import DegenerateLabels, mse, project, r_squared, sparsity_r0
-from .numerics import DimensionMismatch, DivergedStep, SingularSystem
+from .numerics import DimensionMismatch, NumericalFailure
 from .ridgeless import load_model, predict, save_model
 from .trainer import TrainConfig, train
 
@@ -180,6 +183,8 @@ def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace, keys: s
             parser.error(f"unknown config key {key!r}{hint}")
         if key in _BENCH_TYPES and (isinstance(value, bool) or not isinstance(value, _BENCH_TYPES[key])):
             parser.error(f"config key {key!r} has the wrong type: {value!r}")
+        if float in _BENCH_TYPES.get(key, ()) and isinstance(value, int) and abs(value) > sys.float_info.max:
+            parser.error(f"{key} overflows float64")
     flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     return doc | flags
 
@@ -329,9 +334,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
                 "trial %d: r2=%.5f support=%d rounds=%d stop=%s",
                 trial, row["r_squared"], row["n_support"], trace.n_rounds, trace.stop_reason,
             )
-        except InsufficientData:  # sizes alone decide it, so every trial would fail alike
-            raise
-        except (SingularSystem, DivergedStep, ValueError) as exc:  # the trial fails, the run goes on
+        except (NumericalFailure, DegenerateLabels, UnscalableData) as exc:  # the trial fails, the run goes on
             row = {
                 "record": "trial",
                 "trial": trial,
@@ -408,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ParseError, EmptyDataset, UnscalableData) as exc:
         LOG.error("%s", exc)
         return EXIT_IO
-    except (SingularSystem, DivergedStep) as exc:
+    except NumericalFailure as exc:
         LOG.error("training failed: %s", exc)
         return EXIT_FAILED
     except MemoryError as exc:

@@ -495,8 +495,10 @@ def synth(function_id: str, n: int, noise_ratio: float = 0.0, seed: int = 0) -> 
 
     Raises :class:`InvalidSetting` for an unknown ``function_id``
     (:class:`UnknownFunction`), an ``n`` or ``seed`` that is not an integer of
-    at least 1 or 0, or a negative or non-finite ``noise_ratio``, or one whose
-    noise variance overflows float64.
+    at least 1 or 0, an ``n`` whose ``(n, dim)`` float64 array is past the
+    largest size numpy can address, or a negative or non-finite
+    ``noise_ratio``, or one whose noise variance overflows float64.  An
+    addressable array that memory cannot hold raises ``MemoryError``.
     """
     if function_id not in _SYNTH_FUNCTIONS:
         raise UnknownFunction(f"unknown function: {function_id!r} (choose from f1, f2, f3)")
@@ -506,6 +508,8 @@ def synth(function_id: str, n: int, noise_ratio: float = 0.0, seed: int = 0) -> 
     if not (0.0 <= noise_ratio < math.inf):
         raise InvalidSetting(f"noise_ratio must be finite and nonnegative, got {noise_ratio}")
     fn, lo, hi, dim = _SYNTH_FUNCTIONS[function_id]
+    if 8 * n * dim > np.iinfo(np.intp).max:
+        raise InvalidSetting(f"n={n} rows of {dim} float64 features are past the largest array numpy can address")
     rng = np.random.default_rng(seed)
     x = rng.uniform(lo, hi, size=(n, dim))
     y = fn(x)

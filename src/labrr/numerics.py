@@ -12,7 +12,9 @@ letting garbage propagate into the fit.  An LU may also serve a nearby
 matrix (:meth:`FactorizedMatrix.solve_nearby`), but only for a solve whose
 refined residual passes one acceptance test, which implies the normwise
 backward-error rule of a direct solve.  :class:`DivergedStep` is the
-trainer's error for an SGD step whose update makes a bandwidth NaN.
+trainer's error for an SGD step whose update makes a bandwidth NaN.  Both
+derive from :class:`NumericalFailure`, the one type callers catch for a
+numerical method that failed on valid inputs.
 :func:`one_blas_thread` runs a block with both bundled OpenBLAS thread pools
 at one thread.
 """
@@ -32,6 +34,7 @@ from scipy.linalg.lapack import dgetrf, dgetrs, dlange
 __all__ = [
     "DimensionMismatch",
     "DivergedStep",
+    "NumericalFailure",
     "SingularSystem",
     "FactorizedMatrix",
     "as_matrix",
@@ -66,11 +69,16 @@ class DimensionMismatch(ValueError):
     """Shapes of the supplied arrays do not line up."""
 
 
-class SingularSystem(ArithmeticError):
+class NumericalFailure(ArithmeticError):
+    """A numerical method failed on valid inputs: the base of
+    :class:`SingularSystem` and :class:`DivergedStep`."""
+
+
+class SingularSystem(NumericalFailure):
     """The coefficient matrix is numerically rank deficient."""
 
 
-class DivergedStep(ArithmeticError):
+class DivergedStep(NumericalFailure):
     """An SGD step's update made a bandwidth NaN."""
 
 

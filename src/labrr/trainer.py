@@ -25,8 +25,8 @@ import numpy as np
 
 from .data import Dataset, InsufficientData, InvalidSetting
 from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set
-from .numerics import DimensionMismatch, DivergedStep, FactorizedMatrix, SingularSystem, as_vector
-from .numerics import one_blas_thread
+from .numerics import DimensionMismatch, DivergedStep, FactorizedMatrix, NumericalFailure, SingularSystem
+from .numerics import as_vector, one_blas_thread
 from .ridgeless import DEFAULT_JITTER, LabModel, SupportSystem, predict
 # Not called here, but the benchmark's tracer rebinds ``trainer.lab_matrix``
 # and ``trainer.fit_lab`` by name, so both names must stay importable.
@@ -506,7 +506,7 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
             )
             stage = "fit: "
             model = system.fit(theta, dataset.norm_meta)
-        except (SingularSystem, DivergedStep) as exc:
+        except NumericalFailure as exc:
             raise type(exc)(f"round {round_index} ({len(support)} support points), {stage}{exc}") from None
         # Error check per the growth rule: non-support points, or the support
         # itself once everything has been absorbed.

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import labrr
-from labrr import trainer
+from labrr import cli, trainer
 from labrr.cli import _aggregate, main
 from labrr.data import apply_feature_scaling, invert_label_scaling, load_csv, normalize, save_csv, synth
 from labrr.kernels import BandwidthSet
@@ -468,6 +469,20 @@ def test_benchmark_all_trials_failing_returns_1(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_benchmark_programming_error_in_a_trial_escapes_main(tmp_path, monkeypatch):
+    # A trial fails only on what a valid trial can meet; any other error is a
+    # defect, which must surface instead of becoming a failed-trial row.
+    def broken(y_true, y_pred):
+        raise ValueError("a defect in the metric")
+
+    monkeypatch.setattr("labrr.cli.r_squared", broken)
+    out = tmp_path / "results.jsonl"
+    with pytest.raises(ValueError, match="a defect in the metric"):
+        main(["benchmark", "--fn", "f1", "--n", "30", "--trials", "2", "--B", "1e-3",
+              "--n0", "4", "--L", "1", "--batch", "4", "--max-outer", "2", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_benchmark_config_file_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -779,6 +794,12 @@ _BAD_INPUTS = {
     "synth-infinite-noise": (lambda t, d, m: _synth(t, "f1", "--noise", "inf"), 2),
     "synth-overflowing-noise": (lambda t, d, m: _synth(t, "f2", "--noise", "1e308"), 2),
     "synth-negative-seed": (lambda t, d, m: _synth(t, "f1", "--seed", "-1"), 2),
+    # Rows past what numpy can address: one past its largest dimension, and
+    # one whose array size overflows a byte count.
+    "synth-n-past-the-largest-dimension": (lambda t, d, m: _synth(t, "f1", "--n", str(10**23)), 2),
+    "synth-n-past-the-largest-array": (lambda t, d, m: _synth(t, "f1", "--n", str(2**61)), 2),
+    "benchmark-fn-n-past-the-largest-dimension": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", str(10**23), "--B", "1e-3"], 2),
     "wrong-column-count-predict": (lambda t, d, m: _predict(
         m, _file(t, "wide.csv", "a,b,c,d,e\n1,2,3,4,5\n")), 2),
     "benchmark-negative-noise": (lambda t, d, m: [
@@ -857,6 +878,12 @@ _BAD_INPUTS = {
     "config-jitter-past-float64-benchmark": (lambda t, d, m: [
         "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
         "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "jitter")], 2),
+    "config-train-fraction-past-float64-benchmark": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
+        "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "train_fraction")], 2),
+    "config-clip-past-float64-benchmark": (lambda t, d, m: [
+        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3", "--trials", "1",
+        "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "clip")], 2),
 }
 
 
@@ -955,6 +982,148 @@ def test_predict_on_extreme_magnitudes_exits_cleanly(
     if code == 0:
         values = [float(v) for v in out.splitlines()[1:]]
         assert len(values) == len(probes) and np.isfinite(values).all()
+
+
+# ---------------------------------------------------------------------------
+# Structure-aware fuzz: valid inputs, mutated one part at a time
+
+# Values a mutation writes into a JSON document: JSON's own types, numbers at
+# float64's edges (``json.dumps`` writes the non-finite ones as ``Infinity``
+# and ``NaN``, which the reader takes) and an integer past float64.
+_JSON_VALUES = [
+    None, True, False, 0, -1, 1, 2, 2**63, 10**400, -0.0, 5e-324, 1e-300, 1e-3, 0.5, 3.0, 1e150,
+    1.7e308, -1.7e308, float("inf"), float("nan"), "", "1.0", [], [1.0], {},
+]
+# Cells a mutation writes into a CSV: numbers at float64's edges and past it,
+# words, spellings that the reader rejects though Python's ``float`` takes
+# some of them, and cells that change the row's shape or quoting.
+_CSV_CELLS = [
+    "", " ", "0", "-0.0", "5e-324", "1e-300", "1e150", "1e308", "-1e308", "1e400", "nan", "inf",
+    "-inf", "abc", "1_0", "\u0662", "0x10", "1,2", '"0.5"', '"', "1\n2",
+]
+_CONFIG_COUNTS = {"inner_steps", "max_rounds", "trials", "initial_support", "grow_count", "batch_size"}
+_FUZZ_TRAIN = ["--B", "1e-3", "--n0", "4", "--L", "2", "--batch", "4", "--max-outer", "2"]
+_FUZZ_CONFIG = {
+    "error_budget": 1e-3, "initial_support": 4, "inner_steps": 2, "batch_size": 4, "max_rounds": 2,
+    "grow_count": 2, "init_bandwidth": 1.0, "learning_rate": 0.05, "jitter": 1e-8,
+}
+_DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(tmp_path_factory):
+    """A 16-row f1 CSV as rows of cells, and the document of a model trained on it."""
+    tmp = tmp_path_factory.mktemp("mutate")
+    data = _write_synth_csv(tmp / "d.csv", n=16, seed=5)
+    model_path = tmp / "model.json"
+    assert main(["train", "--data", data, "--out", str(model_path), *_FUZZ_TRAIN]) == 0
+    rows = [line.split(",") for line in Path(data).read_text().splitlines()]
+    return rows, json.loads(model_path.read_text())
+
+
+def _json_paths(node, path=()):
+    """The path of every value in a JSON document, containers included."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate_json(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+def _fuzz_model_argv(data, tmp_path, rows, model_doc):
+    """``predict`` with a model document mutated field by field."""
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = list(_json_paths(model_doc))
+        if paths:
+            value = data.draw(st.sampled_from([*_JSON_VALUES, _DELETE]))
+            model_doc = _mutate_json(model_doc, data.draw(st.sampled_from(paths)), value)
+    return _predict(_file(tmp_path, "model.json", json.dumps(model_doc)), _csv_file(tmp_path, rows))
+
+
+def _fuzz_csv_argv(data, tmp_path, rows, model_doc):
+    """``train``, ``benchmark`` or ``predict`` on a CSV mutated cell by cell."""
+    rows = [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(1, 2))):
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(_CSV_CELLS))
+    csv = _csv_file(tmp_path, rows)
+    return data.draw(st.sampled_from([
+        ["train", "--data", csv, "--out", str(tmp_path / "m.json"), *_FUZZ_TRAIN],
+        ["benchmark", "--data", csv, "--trials", "2", *_FUZZ_TRAIN],
+        _predict(_file(tmp_path, "model.json", json.dumps(model_doc)), csv),
+    ]))
+
+
+def _fuzz_config_argv(data, tmp_path, rows, model_doc):
+    """``train`` or ``benchmark`` with a ``--config`` document mutated key by key."""
+    command = data.draw(st.sampled_from(["train", "benchmark --data", "benchmark --fn"]))
+    doc = dict(_FUZZ_CONFIG)
+    for _ in range(data.draw(st.integers(1, 2))):
+        key = data.draw(st.sampled_from(sorted(cli._BENCH_KEYS | {"seed", "unknown"})))
+        if key in _CONFIG_COUNTS:  # a large count only runs long
+            values = st.one_of(st.integers(-1, 4), st.sampled_from(
+                [v for v in _JSON_VALUES if not isinstance(v, int) or isinstance(v, bool)]))
+        else:
+            values = st.sampled_from([*_JSON_VALUES, _DELETE])
+        value = data.draw(values)
+        if value is _DELETE:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    argv = ["--config", _file(tmp_path, "cfg.json", json.dumps(doc))]
+    if command == "train":
+        return ["train", "--data", _csv_file(tmp_path, rows), "--out", str(tmp_path / "m.json"), *argv]
+    if "trials" not in doc:  # not the default of 50
+        argv += ["--trials", "2"]
+    if command == "benchmark --data":
+        return ["benchmark", "--data", _csv_file(tmp_path, rows), *argv]
+    # Rows that numpy can allocate at once, or rows past what it can address;
+    # a count in between would allocate gigabytes.
+    n = data.draw(st.one_of(st.integers(-1, 50), st.integers(2**62, 2**80)))
+    return ["benchmark", "--fn", "f1", "--n", str(n), *argv]
+
+
+def _csv_file(tmp_path, rows):
+    return _file(tmp_path, "d.csv", "".join(",".join(row) + "\n" for row in rows))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(mutate=st.sampled_from([_fuzz_model_argv, _fuzz_csv_argv, _fuzz_config_argv]), data=st.data())
+def test_mutated_input_exits_with_a_documented_code(fuzz_seeds, tmp_path, capfd, caplog, mutate, data):
+    argv = mutate(data, tmp_path, *fuzz_seeds)
+    capfd.readouterr()
+    caplog.clear()
+    try:
+        # Any warning escapes ``main`` and fails the example; the filter covers
+        # the command alone, not Hypothesis's own reporting.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+    except SystemExit as exc:  # argparse's path for argument errors
+        code = exc.code
+    err = capfd.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:  # argparse's usage, then its one ``error:`` line
+        assert "error:" in err.splitlines()[-1]
+    else:
+        assert err.count("\n") <= 1
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert len(errors) <= 1 and all(r.exc_info is None and "\n" not in r.getMessage() for r in errors)
 
 
 # ---------------------------------------------------------------------------

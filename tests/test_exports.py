@@ -1,7 +1,7 @@
 """Every name a ``labrr`` module exports in ``__all__`` must resolve, as must
 every name the benchmark's tracer rebinds; the public surface of ``labrr``,
-``labrr.kernels``, ``labrr.metrics`` and ``labrr.cli`` is pinned name by name,
-and so is every option of each ``labrr`` subcommand."""
+``labrr.kernels``, ``labrr.metrics``, ``labrr.numerics`` and ``labrr.cli`` is
+pinned name by name, and so is every option of each ``labrr`` subcommand."""
 
 import argparse
 import dataclasses
@@ -31,8 +31,8 @@ def test_all_names_resolve(module_name):
 # table in the same commit.
 _PUBLIC = {
     "labrr": [
-        "AsymDualSolution", "BandwidthSet", "Dataset", "DimensionMismatch",
-        "LabModel", "NormMeta", "SingularSystem", "SplitSpec", "TrainConfig", "TrainTrace",
+        "AsymDualSolution", "BandwidthSet", "Dataset", "DimensionMismatch", "LabModel",
+        "NormMeta", "NumericalFailure", "SingularSystem", "SplitSpec", "TrainConfig", "TrainTrace",
         "fit_asym_duals", "fit_lab", "lab_matrix", "load_csv", "load_model", "mse",
         "normalize", "predict", "predict_f1", "predict_f2", "project", "r_squared",
         "rbf_matrix", "save_model", "solve_regularized", "sparsity_r0", "split", "synth",
@@ -40,6 +40,10 @@ _PUBLIC = {
     ],
     "labrr.kernels": ["MIN_BANDWIDTH", "BandwidthSet", "lab_matrix", "rbf_matrix"],
     "labrr.metrics": ["DegenerateLabels", "ZERO_COEF_TOL", "mse", "project", "r_squared", "sparsity_r0"],
+    "labrr.numerics": [
+        "DimensionMismatch", "DivergedStep", "NumericalFailure", "SingularSystem", "FactorizedMatrix",
+        "as_matrix", "as_pair", "as_vector", "one_blas_thread", "solve_regularized",
+    ],
     "labrr.cli": ["build_parser", "main"],
 }
 
