@@ -53,7 +53,7 @@ from .data import (
 from .metrics import DegenerateLabels, mse, project, r_squared, sparsity_r0
 from .numerics import DimensionMismatch, NumericalFailure
 from .ridgeless import load_model, predict, save_model
-from .trainer import TrainConfig, train
+from .trainer import _MAX_COUNT, TrainConfig, train
 
 __all__ = ["build_parser", "main"]
 
@@ -221,14 +221,14 @@ def cmd_train(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     save_model(model, args.out)
     if args.trace:
-        _write_jsonl(args.trace, [record.to_dict() for record in trace.rounds])
+        _write_jsonl(args.trace, [asdict(record) for record in trace.rounds])
 
     if not trace.converged:
         LOG.warning("did not reach the error budget (stop reason: %s)", trace.stop_reason)
     for record in trace.rounds:
         LOG.debug(
             "round %d: support=%d max_err=%.3e factorizations=%d",
-            record.round_index, record.n_support, record.max_sq_error, record.factorizations,
+            record.round, record.n_support, record.max_sq_error, record.factorizations,
         )
     max_err = _max_train_sq_error(model, dataset)
     print(
@@ -277,6 +277,8 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     clip = settings.get("clip")
     if trials < 1:
         parser.error(f"trials must be at least 1, got {trials}")
+    if trials > _MAX_COUNT:
+        parser.error(f"trials must be at most {_MAX_COUNT}, the largest int64")
     if clip is not None and not (clip > 0.0):
         parser.error(f"clip must be positive, got {clip}")
     SplitSpec(base_seed, 0, train_fraction)  # checks base_seed and train_fraction

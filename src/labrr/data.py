@@ -31,7 +31,6 @@ __all__ = [
     "NormMeta",
     "ParseError",
     "SplitSpec",
-    "UnknownFunction",
     "UnscalableData",
     "load_csv",
     "load_matrix_csv",
@@ -68,10 +67,6 @@ class EmptyDataset(ValueError):
 
 class InvalidSetting(ValueError):
     """A setting has the wrong type or lies outside its range."""
-
-
-class UnknownFunction(InvalidSetting):
-    """The requested synthetic function id does not exist."""
 
 
 class InsufficientData(ValueError):
@@ -299,13 +294,14 @@ def load_matrix_csv(path) -> np.ndarray:
     return matrix
 
 
-def load_csv(path, name: str | None = None) -> Dataset:
-    """Load an un-normalized dataset; the last column is the label."""
+def load_csv(path) -> Dataset:
+    """Load an un-normalized dataset named by its path; the last column is
+    the label."""
     matrix, first_row = _read_numeric_table(path)
     if matrix.shape[1] < 2:
         message = "need at least two columns (features + label)"
         raise ParseError(path, message, first_row, matrix.shape[1] + 1)
-    return Dataset(matrix[:, :-1], matrix[:, -1], None, name or str(path))
+    return Dataset(matrix[:, :-1], matrix[:, -1], None, str(path))
 
 
 # Rows formatted per write: one join per block, so neither the text of a large
@@ -493,15 +489,15 @@ def synth(function_id: str, n: int, noise_ratio: float = 0.0, seed: int = 0) -> 
     ``noise_ratio`` times the variance of the clean labels.  Fully
     deterministic for a fixed seed (features drawn first, then noise).
 
-    Raises :class:`InvalidSetting` for an unknown ``function_id``
-    (:class:`UnknownFunction`), an ``n`` or ``seed`` that is not an integer of
-    at least 1 or 0, an ``n`` whose ``(n, dim)`` float64 array is past the
-    largest size numpy can address, or a negative or non-finite
-    ``noise_ratio``, or one whose noise variance overflows float64.  An
-    addressable array that memory cannot hold raises ``MemoryError``.
+    Raises :class:`InvalidSetting` for an unknown ``function_id``, an ``n``
+    or ``seed`` that is not an integer of at least 1 or 0, an ``n`` whose
+    ``(n, dim)`` float64 array is past the largest size numpy can address,
+    or a negative or non-finite ``noise_ratio``, or one whose noise variance
+    overflows float64.  An addressable array that memory cannot hold raises
+    ``MemoryError``.
     """
     if function_id not in _SYNTH_FUNCTIONS:
-        raise UnknownFunction(f"unknown function: {function_id!r} (choose from f1, f2, f3)")
+        raise InvalidSetting(f"unknown function: {function_id!r} (choose from f1, f2, f3)")
     for name, value, low in (("n", n, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
             raise InvalidSetting(f"{name} must be an integer of at least {low}, got {value!r}")

@@ -171,19 +171,11 @@ def _clamped_exp(exponents: np.ndarray) -> np.ndarray:
     return np.exp(exponents, out=exponents)
 
 
-def rbf_matrix(x1, x2, sigma) -> np.ndarray:
-    """Classic RBF matrix: one bandwidth vector shared by every column.
+def rbf_matrix(x1, x2, sigma: float) -> np.ndarray:
+    """Classic RBF matrix: one scalar bandwidth ``sigma``, at least
+    :data:`MIN_BANDWIDTH`, shared by every dimension and every column.
 
-    ``sigma`` may be a scalar (replicated across dimensions) or a vector of
-    length ``dim``, each entry at least :data:`MIN_BANDWIDTH`.  With ``x1 is
-    x2`` the result is symmetric with a unit diagonal.
+    With ``x1 is x2`` the result is symmetric with a unit diagonal.
     """
     x2 = as_matrix(x2, "x2")
-    sig = np.asarray(sigma, dtype=np.float64)
-    if sig.ndim == 0:
-        sig = np.full(x2.shape[1], float(sig))
-    elif sig.ndim != 1 or sig.shape[0] != x2.shape[1]:
-        raise DimensionMismatch(
-            f"sigma must be a scalar or length-{x2.shape[1]} vector, got shape {sig.shape}"
-        )
-    return lab_matrix(x1, x2, np.tile(sig, (x2.shape[0], 1)))
+    return lab_matrix(x1, x2, np.full(x2.shape, float(sigma)))

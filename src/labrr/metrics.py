@@ -58,19 +58,16 @@ def r_squared(y_true, y_pred) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def project(values, bound: float):
-    """Clamp into ``[-bound, bound]``; idempotent and monotone.
-
-    Accepts a scalar (returns float) or an array (returns an array).
-    """
+def project(values, bound: float) -> np.ndarray:
+    """Clamp an array of predictions into ``[-bound, bound]``, as a float64
+    array; idempotent and monotone."""
     if not (bound > 0.0):
         raise ValueError(f"bound must be positive, got {bound}")
-    arr = np.asarray(values, dtype=np.float64)
-    clipped = np.clip(arr, -bound, bound)
-    return float(clipped) if arr.ndim == 0 else clipped
+    return np.clip(np.asarray(values, dtype=np.float64), -bound, bound)
 
 
-def sparsity_r0(model: LabModel, tol: float = ZERO_COEF_TOL) -> int:
-    """Number of support points with a nonzero coefficient (|alpha| > tol)."""
-    return int(np.count_nonzero(np.abs(model.alpha) > tol))
+def sparsity_r0(model: LabModel) -> int:
+    """Number of support points with a nonzero coefficient
+    (``|alpha| > ZERO_COEF_TOL``)."""
+    return int(np.count_nonzero(np.abs(model.alpha) > ZERO_COEF_TOL))
 

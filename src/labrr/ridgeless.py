@@ -178,22 +178,21 @@ def fit_lab(
 
 
 @one_blas_thread()
-def predict(model: LabModel, t):
-    """Evaluate the interpolant at one point ``(dim,)`` or a batch ``(m, dim)``.
+def predict(model: LabModel, t) -> np.ndarray:
+    """Evaluate the interpolant at a batch of points ``(m, dim)``.
 
-    Returns a float for a single point, a vector for a batch.  Operates in
-    the model's own (normalized) input space.  The kernel is built in the
-    expanded form of :class:`SupportSystem` one block of rows at a time, so
-    the full points-by-support matrix is never formed; predictions match
-    ``lab_matrix(t, support_x, theta) @ alpha`` to rounding.  Runs at one
-    BLAS thread per pool, as :func:`fit_lab` does, so the predictions' bits
-    do not depend on the host's thread count.  Raises
+    Returns a vector of ``m`` predictions; a 1-D ``t`` raises
+    :class:`DimensionMismatch`, so one point is passed as ``t[None, :]``.
+    Operates in the model's own (normalized) input space.  The kernel is
+    built in the expanded form of :class:`SupportSystem` one block of rows
+    at a time, so the full points-by-support matrix is never formed;
+    predictions match ``lab_matrix(t, support_x, theta) @ alpha`` to
+    rounding.  Runs at one BLAS thread per pool, as :func:`fit_lab` does, so
+    the predictions' bits do not depend on the host's thread count.  Raises
     :class:`~labrr.data.UnscalableData` when the kernel or a prediction
     overflows float64.
     """
-    arr = np.asarray(t, dtype=np.float64)
-    single = arr.ndim == 1
-    points = as_matrix(arr[None, :] if single else arr, "t")
+    points = as_matrix(t, "t")
     if points.shape[1] != model.dim:
         raise DimensionMismatch(
             f"points have dim {points.shape[1]}, model has dim {model.dim}"
@@ -222,7 +221,7 @@ def predict(model: LabModel, t):
                 out[far] = _clamped_exp(neg_dist) @ model.alpha
     if not np.isfinite(values).all():
         raise UnscalableData("model coefficients overflow float64 in the prediction")
-    return float(values[0]) if single else values
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ the model bitwise.
 from __future__ import annotations
 
 import numbers
-import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +53,11 @@ _KMEANS_SWEEPS = 50
 #: it (largest relative step 0.1-0.26); diverging runs pass it at once.
 MAX_RELATIVE_STEP = 0.5
 
+#: Largest loop count a setting may ask for (``inner_steps``, ``max_rounds``,
+#: ``benchmark``'s ``trials``): the largest int64.  A count past what numpy
+#: can hold is refused, not run until the process is killed.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
 #: What each ``TrainConfig`` annotation accepts; no field accepts a bool.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
@@ -64,7 +68,8 @@ class TrainConfig:
     ``dataclasses.replace``); a value of the wrong type or out of range raises
     :class:`~labrr.data.InvalidSetting`, a ``ValueError``.  Each ``float``
     field is stored as ``float(value)``, and a value past float64's range
-    (an integer such as ``10**400``) raises it too.
+    (an integer such as ``10**400``) raises it too, as does an
+    ``inner_steps`` or ``max_rounds`` past int64's.
 
     Attributes
     ----------
@@ -150,6 +155,9 @@ class TrainConfig:
             raise InvalidSetting(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_rounds < 1:
             raise InvalidSetting(f"max_rounds must be at least 1, got {self.max_rounds}")
+        for name in ("inner_steps", "max_rounds"):
+            if getattr(self, name) > _MAX_COUNT:
+                raise InvalidSetting(f"{name} must be at most {_MAX_COUNT}, the largest int64")
         if not (0.0 < self.max_support_ratio <= 1.0):
             raise InvalidSetting(f"max_support_ratio must be in (0, 1], got {self.max_support_ratio}")
         if self.selection not in SELECTION_STRATEGIES:
@@ -165,43 +173,37 @@ class TrainConfig:
 
 @dataclass
 class RoundRecord:
-    """Diagnostics of one outer round.
+    """Diagnostics of one outer round; ``dataclasses.asdict`` of it is one
+    ``--trace`` line, its fields in declaration order.
 
     ``factorizations`` counts the LUs its SGD steps made: one per step,
     fewer when steps solved through an earlier step's LU.
     """
 
-    round_index: int
+    round: int
     n_support: int
     max_sq_error: float
     mean_sq_error: float
-    inner_losses: list[float] = field(default_factory=list)
-    factorizations: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "n_support": self.n_support,
-            "max_sq_error": self.max_sq_error,
-            "mean_sq_error": self.mean_sq_error,
-            "inner_losses": self.inner_losses,
-            "factorizations": self.factorizations,
-        }
+    inner_losses: list[float]
+    factorizations: int
 
 
 @dataclass
 class TrainTrace:
     """Per-round history plus the stop condition.
 
-    ``converged`` is False when a cap stopped training while the worst
-    residual still exceeded the budget — reported, never raised.
+    ``stop_reason`` is ``error_budget_met``, ``max_rounds``,
+    ``all_data_in_support`` or ``support_cap``.  ``converged`` is False when
+    a cap stopped training while the worst residual still exceeded the
+    budget — reported, never raised.
     """
 
     rounds: list[RoundRecord]
-    converged: bool
     stop_reason: str
-    n_train: int
-    wall_clock_seconds: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "error_budget_met"
 
     @property
     def n_rounds(self) -> int:
@@ -481,7 +483,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
     (:func:`~labrr.numerics.one_blas_thread`), so the model's bytes do not
     depend on the host's thread count.
     """
-    started = time.perf_counter()
     n = dataset.n
     support_cap = max(int(config.max_support_ratio * n), 1)
 
@@ -494,7 +495,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
     rng = np.random.default_rng([config.seed, 1])
 
     rounds: list[RoundRecord] = []
-    converged = False
     stop_reason = "max_rounds"
     for round_index in range(config.max_rounds):
         remainder = np.flatnonzero(~in_support)
@@ -517,7 +517,6 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
             RoundRecord(round_index, len(support), max_err, float(sq_errors.mean()), losses, factorizations)
         )
         if max_err <= config.error_budget:
-            converged = True
             stop_reason = "error_budget_met"
             break
         if remainder.shape[0] == 0:
@@ -541,11 +540,4 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[LabModel, TrainTrace]:
         support.extend(int(i) for i in new_indices)
         in_support[new_indices] = True
 
-    trace = TrainTrace(
-        rounds=rounds,
-        converged=converged,
-        stop_reason=stop_reason,
-        n_train=n,
-        wall_clock_seconds=time.perf_counter() - started,
-    )
-    return model, trace
+    return model, TrainTrace(rounds, stop_reason)

@@ -884,6 +884,12 @@ _BAD_INPUTS = {
     "config-clip-past-float64-benchmark": (lambda t, d, m: [
         "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3", "--trials", "1",
         "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "clip")], 2),
+    # Loop counts past int64, the largest count numpy can hold.
+    "inner-steps-past-int64-train": (lambda t, d, m: _train(d, t, "--L", str(10**20), "--max-outer", "1"), 2),
+    "config-max-rounds-past-int64-train": (lambda t, d, m: _train(
+        d, t, "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "max_rounds")), 2),
+    "trials-past-int64-benchmark": (lambda t, d, m: [
+        "benchmark", "--data", d, "--trials", str(10**20), "--B", "1e-3"], 2),
 }
 
 
@@ -1073,8 +1079,8 @@ def _fuzz_config_argv(data, tmp_path, rows, model_doc):
     doc = dict(_FUZZ_CONFIG)
     for _ in range(data.draw(st.integers(1, 2))):
         key = data.draw(st.sampled_from(sorted(cli._BENCH_KEYS | {"seed", "unknown"})))
-        if key in _CONFIG_COUNTS:  # a large count only runs long
-            values = st.one_of(st.integers(-1, 4), st.sampled_from(
+        if key in _CONFIG_COUNTS:  # a count between these bands only runs long
+            values = st.one_of(st.integers(-1, 4), st.integers(2**63, 10**400), st.sampled_from(
                 [v for v in _JSON_VALUES if not isinstance(v, int) or isinstance(v, bool)]))
         else:
             values = st.sampled_from([*_JSON_VALUES, _DELETE])

@@ -1,19 +1,22 @@
 """Every name a ``labrr`` module exports in ``__all__`` must resolve, as must
 every name the benchmark's tracer rebinds; the public surface of ``labrr``,
-``labrr.kernels``, ``labrr.metrics``, ``labrr.numerics`` and ``labrr.cli`` is
-pinned name by name, and so is every option of each ``labrr`` subcommand."""
+``labrr.data``, ``labrr.kernels``, ``labrr.metrics``, ``labrr.numerics`` and
+``labrr.cli`` is pinned name by name, and so are the parameters of the calls
+that take one input shape, the fields of the training records and every
+option of each ``labrr`` subcommand."""
 
 import argparse
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import labrr
-from labrr import TrainConfig, cli
+from labrr import TrainConfig, cli, data, kernels, metrics, ridgeless, trainer
 
 _MODULES = ["labrr"] + [f"labrr.{info.name}" for info in pkgutil.iter_modules(labrr.__path__)]
 
@@ -37,6 +40,11 @@ _PUBLIC = {
         "normalize", "predict", "predict_f1", "predict_f2", "project", "r_squared",
         "rbf_matrix", "save_model", "solve_regularized", "sparsity_r0", "split", "synth",
         "train",
+    ],
+    "labrr.data": [
+        "Dataset", "EmptyDataset", "InsufficientData", "InvalidSetting", "NormMeta", "ParseError",
+        "SplitSpec", "UnscalableData", "load_csv", "load_matrix_csv", "normalize", "save_csv",
+        "split", "synth",
     ],
     "labrr.kernels": ["MIN_BANDWIDTH", "BandwidthSet", "lab_matrix", "rbf_matrix"],
     "labrr.metrics": ["DegenerateLabels", "ZERO_COEF_TOL", "mse", "project", "r_squared", "sparsity_r0"],
@@ -80,6 +88,30 @@ _TRAIN_CONFIG_FIELDS = (
 
 def test_train_config_fields_are_pinned():
     assert tuple(f.name for f in dataclasses.fields(TrainConfig)) == _TRAIN_CONFIG_FIELDS
+
+
+# Each of these calls takes one input shape and returns one result type; a
+# re-added parameter, such as a tolerance or a dataset name, changes this table.
+_PARAMETERS = {
+    ridgeless.predict: ["model", "t"],
+    metrics.project: ["values", "bound"],
+    metrics.sparsity_r0: ["model"],
+    kernels.rbf_matrix: ["x1", "x2", "sigma"],
+    data.load_csv: ["path"],
+}
+
+
+@pytest.mark.parametrize("function", list(_PARAMETERS), ids=lambda f: f.__name__)
+def test_parameters_are_pinned(function):
+    assert list(inspect.signature(function).parameters) == _PARAMETERS[function]
+
+
+def test_training_record_fields_are_pinned():
+    # A RoundRecord's fields, in order, are the keys of its ``--trace`` line.
+    assert [f.name for f in dataclasses.fields(trainer.RoundRecord)] == [
+        "round", "n_support", "max_sq_error", "mean_sq_error", "inner_losses", "factorizations",
+    ]
+    assert [f.name for f in dataclasses.fields(trainer.TrainTrace)] == ["rounds", "stop_reason"]
 
 
 def test_every_setting_but_seed_has_one_train_flag():

@@ -91,11 +91,6 @@ def test_sparsity_counts_entries_above_tolerance():
     assert sparsity_r0(model) == 3
 
 
-def test_sparsity_custom_tolerance():
-    model = _model_with_alpha([0.5, 0.01])
-    assert sparsity_r0(model, tol=0.1) == 1
-
-
 def test_zero_coef_tol_value():
     assert ZERO_COEF_TOL == 1e-12
 

@@ -268,7 +268,11 @@ def test_an_accepted_nearby_solve_meets_the_backward_error_rule_and_agrees_with_
     assert residual <= numerics.UNIT_ROUNDOFF * (np.abs(a).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
     direct = FactorizedMatrix(new, jitter).solve(b, transpose)
     kappa = np.linalg.cond(a, np.inf)
-    assert np.abs(x - direct).max() <= 10 * kappa * numerics.UNIT_ROUNDOFF * np.abs(direct).max()
+    # Below the normal range a result is rounded to a multiple of the smallest
+    # subnormal, not to a relative u, so each of the n terms of a solve may add
+    # an absolute error of that size (Higham, 2nd ed., eq. 2.8).
+    underflow = len(b) * np.finfo(np.float64).smallest_subnormal
+    assert np.abs(x - direct).max() <= 10 * kappa * (numerics.UNIT_ROUNDOFF * np.abs(direct).max() + underflow)
 
 
 def test_nearby_solve_declines_on_a_non_finite_matrix():

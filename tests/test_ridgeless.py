@@ -68,11 +68,17 @@ def test_predict_single_point_matches_batch():
     model = fit_lab(ds.x, ds.y, BandwidthSet.uniform(30, 2, 2.0))
     batch = predict(model, ds.x[:5])
     for i in range(5):
-        single = predict(model, ds.x[i])
-        assert isinstance(single, float)
-        # Matrix-vector and matrix-matrix BLAS paths may sum in different
-        # orders, so equality holds to rounding rather than bitwise.
-        assert single == pytest.approx(batch[i], rel=1e-12, abs=1e-15)
+        single = predict(model, ds.x[i:i + 1])
+        assert isinstance(single, np.ndarray) and single.shape == (1,)
+        # BLAS may sum a one-row product in another order than a five-row
+        # one, so equality holds to rounding rather than bitwise.
+        assert single[0] == pytest.approx(batch[i], rel=1e-12, abs=1e-15)
+
+
+def test_predict_rejects_a_one_dimensional_point():
+    model = fit_lab([[0.0, 0.0], [1.0, 1.0]], [1.0, -1.0], BandwidthSet.uniform(2, 2, 1.5))
+    with pytest.raises(DimensionMismatch, match="t must be 2-d"):
+        predict(model, [0.5, 0.5])
 
 
 def _assert_predict_matches_lab_matrix(model, points):
@@ -113,9 +119,6 @@ def test_predict_matches_lab_matrix_on_narrow_bandwidths():
     diff = (points[:, None, :] - model.support_x[None, :, :]) * model.theta.values[None, :, :]
     assert np.mean((diff * diff).sum(axis=2) > 745.0) > 0.5
     _assert_predict_matches_lab_matrix(model, points)
-    single = predict(model, points[0])
-    assert isinstance(single, float)
-    assert single == pytest.approx(predict(model, points[:1])[0], rel=1e-12, abs=1e-15)
 
 
 def test_kernel_floor_does_not_move_the_fit():

@@ -657,7 +657,7 @@ def test_train_support_only_grows():
     sizes = [r.n_support for r in trace.rounds]
     assert sizes[0] == 8
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
-    assert [r.round_index for r in trace.rounds] == list(range(trace.n_rounds))
+    assert [r.round for r in trace.rounds] == list(range(trace.n_rounds))
     assert model.n_support == sizes[-1]
 
 
@@ -817,6 +817,8 @@ def test_sgd_does_not_diverge_on_noisy_small_support_seed_9803_trial_5():
         {"learning_rate": 10**400},
         {"jitter": 10**400},
         {"error_budget": 10**400},
+        {"inner_steps": 2**63},
+        {"max_rounds": 2**63},
     ],
 )
 def test_train_config_validation(overrides):
@@ -832,6 +834,7 @@ def test_train_config_defaults_validate():
     config = TrainConfig(error_budget=1e-3)
     TrainConfig(error_budget=1e-3, bandwidth_max=1e150)
     TrainConfig(error_budget=1e-3, inner_steps=np.int32(3), seed=np.int64(2))
+    TrainConfig(error_budget=1e-3, inner_steps=2**63 - 1, max_rounds=2**63 - 1)  # the largest int64
     # A float field given as an integer is stored as the float it converts to.
     assert type(TrainConfig(error_budget=1, jitter=0).jitter) is float
     with pytest.raises(dataclasses.FrozenInstanceError):
