@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("synth", help="generate a synthetic dataset CSV")
+    sp = sub.add_parser("synth", help="generate a synthetic dataset CSV", allow_abbrev=False)
     sp.add_argument("--fn", required=True, help="function id: f1, f2, or f3")
     sp.add_argument("--n", required=True, type=int, help="number of samples")
     sp.add_argument("--noise", type=float, default=0.0,
@@ -125,18 +125,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output CSV path")
     sp.set_defaults(func=cmd_synth)
 
-    sp = sub.add_parser("train", help="train on a full CSV (no split)")
+    sp = sub.add_parser("train", help="train on a full CSV (no split)", allow_abbrev=False)
     sp.add_argument("--data", required=True, help="training CSV (last column = label)")
     sp.add_argument("--out", required=True, help="output model file")
     sp.add_argument("--trace", default=None, help="optional JSONL trace of the rounds")
     _add_train_flags(sp, with_seed=True)
     sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("benchmark", help="repeated split/train/evaluate trials")
-    sp.add_argument("--data", default=None, help="dataset CSV (last column = label)")
-    sp.add_argument("--fn", default=None, help="synthetic function id instead of --data")
-    sp.add_argument("--n", type=int, default=None, help="synthetic sample count")
-    sp.add_argument("--noise", type=float, default=None, help="synthetic noise ratio (default 0)")
+    sp = sub.add_parser("benchmark", help="repeated split/train/evaluate trials", allow_abbrev=False)
+    sp.add_argument("--data", required=True, help="dataset CSV (last column = label)")
     sp.add_argument("--trials", type=int, default=None, help="number of trials (default 50)")
     sp.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
     sp.add_argument("--base-seed", dest="base_seed", type=int, default=None)
@@ -146,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(sp, with_seed=False)
     sp.set_defaults(func=cmd_benchmark)
 
-    sp = sub.add_parser("predict", help="predict with a saved model")
+    sp = sub.add_parser("predict", help="predict with a saved model", allow_abbrev=False)
     sp.add_argument("--model", required=True, help="model file from train")
     sp.add_argument("--data", required=True,
                     help="feature CSV (a trailing label column is ignored)")
@@ -267,10 +264,6 @@ def _write_jsonl(path, records: list[dict]) -> None:
 
 def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     settings = _settings(parser, args, _BENCH_KEYS)
-    if (args.data is None) == (args.fn is None):
-        parser.error("give exactly one of --data or --fn")
-    if args.data is not None and (args.n is not None or args.noise is not None):
-        parser.error("--n and --noise apply only to --fn")
     trials = settings.get("trials", 50)
     train_fraction = float(settings.get("train_fraction", 0.8))
     base_seed = settings.get("base_seed", 0)
@@ -284,13 +277,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     SplitSpec(base_seed, 0, train_fraction)  # checks base_seed and train_fraction
     base_config = _train_config(parser, settings)
 
-    if args.data is not None:
-        raw = load_csv(args.data)
-    elif args.n is None:
-        parser.error("--fn needs --n")
-    else:
-        raw = synth(args.fn, args.n, 0.0 if args.noise is None else args.noise, base_seed)
-    dataset = normalize(raw)
+    dataset = normalize(load_csv(args.data))
     if np.all(dataset.y == dataset.y[0]):  # then so is every trial's test side
         raise DegenerateLabels(f"{dataset.name}: all labels are equal, so no trial's R-squared is defined")
 

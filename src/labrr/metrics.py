@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import InsufficientData
-from .numerics import as_vector
+from .numerics import DimensionMismatch, as_vector
 from .ridgeless import LabModel
 
 __all__ = [
@@ -30,7 +30,7 @@ def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
     yt = as_vector(y_true, "y_true")
     yp = as_vector(y_pred, "y_pred")
     if yt.shape[0] != yp.shape[0]:
-        raise ValueError(f"length mismatch: {yt.shape[0]} vs {yp.shape[0]}")
+        raise DimensionMismatch(f"length mismatch: {yt.shape[0]} vs {yp.shape[0]}")
     return yt, yp
 
 

@@ -283,8 +283,9 @@ def test_train_missing_config_file_exits_2(tmp_path):
 
 
 def _bench_args(out, trials=2):
+    data = _write_synth_csv(Path(out).with_name("bench.csv"), n=60, seed=0)
     return [
-        "benchmark", "--fn", "f1", "--n", "60", "--trials", str(trials),
+        "benchmark", "--data", data, "--trials", str(trials),
         "--B", "1e-3", "--n0", "10", "--k", "5", "--L", "3",
         "--batch", "16", "--max-outer", "5", "--out", out,
     ]
@@ -372,29 +373,27 @@ def test_benchmark_tampered_aggregate_is_rejected(tmp_path):
         _load_results(out)
 
 
-def test_benchmark_requires_exactly_one_source(tmp_path):
+def test_benchmark_reads_only_data(tmp_path, capsys):
+    # ``synth`` writes the data; ``benchmark`` has no synthetic source of its own.
     data = _write_synth_csv(tmp_path / "d.csv")
     with pytest.raises(SystemExit) as err:
         main(["benchmark", "--trials", "1", "--B", "1e-3"])
     assert err.value.code == 2
+    assert "--data" in capsys.readouterr().err
     with pytest.raises(SystemExit) as err:
         main(["benchmark", "--data", data, "--fn", "f1", "--n", "30",
               "--trials", "1", "--B", "1e-3"])
     assert err.value.code == 2
-
-
-def test_benchmark_fn_needs_n():
-    with pytest.raises(SystemExit) as err:
-        main(["benchmark", "--fn", "f1", "--trials", "1", "--B", "1e-3"])
-    assert err.value.code == 2
+    assert "unrecognized arguments: --fn f1 --n 30" in capsys.readouterr().err
 
 
 def test_benchmark_validates_trials_and_clip(tmp_path):
+    data = _write_synth_csv(tmp_path / "d.csv")
     with pytest.raises(SystemExit) as err:
-        main(["benchmark", "--fn", "f1", "--n", "30", "--trials", "0", "--B", "1e-3"])
+        main(["benchmark", "--data", data, "--trials", "0", "--B", "1e-3"])
     assert err.value.code == 2
     with pytest.raises(SystemExit) as err:
-        main(["benchmark", "--fn", "f1", "--n", "30", "--trials", "1",
+        main(["benchmark", "--data", data, "--trials", "1",
               "--B", "1e-3", "--clip", "-1"])
     assert err.value.code == 2
 
@@ -442,8 +441,8 @@ def test_benchmark_one_row_test_side_stops_at_trial_0(tmp_path, monkeypatch):
 
     monkeypatch.setattr("labrr.cli.train", counted)
     with pytest.raises(SystemExit) as err:
-        main(["benchmark", "--fn", "f1", "--n", "5", "--trials", "2", "--B", "1e-3",
-              "--n0", "2", "--L", "1", "--batch", "2"])
+        main(["benchmark", "--data", _write_synth_csv(tmp_path / "five.csv", n=5, seed=0),
+              "--trials", "2", "--B", "1e-3", "--n0", "2", "--L", "1", "--batch", "2"])
     assert err.value.code == 2
     assert calls == [0]
 
@@ -478,7 +477,7 @@ def test_benchmark_programming_error_in_a_trial_escapes_main(tmp_path, monkeypat
     monkeypatch.setattr("labrr.cli.r_squared", broken)
     out = tmp_path / "results.jsonl"
     with pytest.raises(ValueError, match="a defect in the metric"):
-        main(["benchmark", "--fn", "f1", "--n", "30", "--trials", "2", "--B", "1e-3",
+        main(["benchmark", "--data", _write_synth_csv(tmp_path / "d.csv"), "--trials", "2", "--B", "1e-3",
               "--n0", "4", "--L", "1", "--batch", "4", "--max-outer", "2", "--out", str(out)])
     assert not out.exists()
 
@@ -491,8 +490,8 @@ def test_benchmark_config_file_keys(tmp_path):
         "batch_size": 16, "max_rounds": 3,
     }))
     out = tmp_path / "results.jsonl"
-    rc = main(["benchmark", "--fn", "f1", "--n", "60", "--config", str(cfg),
-               "--out", str(out)])
+    data = _write_synth_csv(tmp_path / "d.csv", n=60, seed=5)
+    rc = main(["benchmark", "--data", data, "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     config, trials, _ = _load_results(out)
     assert config["base_seed"] == 5
@@ -504,7 +503,7 @@ def test_benchmark_config_seed_points_to_base_seed(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"error_budget": 1e-3, "seed": 99}))
     with pytest.raises(SystemExit) as err:
-        main(["benchmark", "--fn", "f1", "--n", "30", "--config", str(cfg)])
+        main(["benchmark", "--data", _write_synth_csv(tmp_path / "d.csv"), "--config", str(cfg)])
     assert err.value.code == 2
     assert "base_seed" in capsys.readouterr().err
 
@@ -787,9 +786,6 @@ _BAD_INPUTS = {
         "train", "--data", d, "--out", str(t), "--B", "1e-6", "--n0", "30",
         "--max-support-ratio", "1.0", "--jitter", "0", "--L", "0"], 3),
     "unwritable-predict-out": (lambda t, d, m: _predict(m, d, "--out", str(t)), 3),
-    "benchmark-negative-n": (lambda t, d, m: ["benchmark", "--fn", "f1", "--n", "-5", "--B", "1e-3"], 2),
-    "benchmark-nan-noise": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "30", "--noise", "nan", "--B", "1e-3"], 2),
     "synth-nan-noise": (lambda t, d, m: _synth(t, "f1", "--noise", "nan"), 2),
     "synth-infinite-noise": (lambda t, d, m: _synth(t, "f1", "--noise", "inf"), 2),
     "synth-overflowing-noise": (lambda t, d, m: _synth(t, "f2", "--noise", "1e308"), 2),
@@ -798,33 +794,33 @@ _BAD_INPUTS = {
     # one whose array size overflows a byte count.
     "synth-n-past-the-largest-dimension": (lambda t, d, m: _synth(t, "f1", "--n", str(10**23)), 2),
     "synth-n-past-the-largest-array": (lambda t, d, m: _synth(t, "f1", "--n", str(2**61)), 2),
-    "benchmark-fn-n-past-the-largest-dimension": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", str(10**23), "--B", "1e-3"], 2),
     "wrong-column-count-predict": (lambda t, d, m: _predict(
         m, _file(t, "wide.csv", "a,b,c,d,e\n1,2,3,4,5\n")), 2),
-    "benchmark-negative-noise": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "30", "--noise", "-1", "--B", "1e-3"], 2),
     "benchmark-negative-base-seed": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "30", "--base-seed", "-1", "--B", "1e-3"], 2),
+        "benchmark", "--data", d, "--base-seed", "-1", "--B", "1e-3"], 2),
     "benchmark-empty-split": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "40", "--train-fraction", "0.01", "--trials", "1", "--B", "1e-3"], 2),
+        "benchmark", "--data", d, "--train-fraction", "0.01", "--trials", "1", "--B", "1e-3"], 2),
     "benchmark-support-past-the-split": (lambda t, d, m: [
         "benchmark", "--data", d, "--n0", "29", "--trials", "1", "--B", "1e-3"], 2),
+    # ``synth`` writes synthetic data; ``benchmark`` reads only ``--data``.
+    # Options are spelled in full, so ``--n`` does not stand for ``--n0``.
     "benchmark-data-with-n": (lambda t, d, m: [
         "benchmark", "--data", d, "--n", "5", "--trials", "1", "--B", "1e-3"], 2),
     "benchmark-data-with-noise": (lambda t, d, m: [
         "benchmark", "--data", d, "--noise", "nan", "--trials", "1", "--B", "1e-3"], 2),
+    "removed-fn-benchmark": (lambda t, d, m: ["benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3"], 2),
+    "no-data-benchmark": (lambda t, d, m: ["benchmark", "--B", "1e-3"], 2),
     "config-fractional-rounds": (lambda t, d, m: _train(
         d, t, "--config", _file(t, "cfg.json", '{"max_rounds": 1.5}')), 2),
     "config-string-trials": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
+        "benchmark", "--data", d, "--B", "1e-3",
         "--config", _file(t, "cfg.json", '{"trials": "3"}')], 2),
     "config-not-json": (lambda t, d, m: _train(d, t, "--config", _file(t, "cfg.json", "{oops")), 2),
     "infinite-jitter-train": (lambda t, d, m: _train(d, t, "--jitter", "inf"), 2),
     "infinite-bandwidths-train": (lambda t, d, m: _train(d, t, "--sigma0", "inf", "--theta-max", "inf"), 2),
     "infinite-learning-rate-train": (lambda t, d, m: _train(d, t, "--eta", "inf"), 2),
     "config-seed-benchmark": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
+        "benchmark", "--data", d, "--B", "1e-3",
         "--config", _file(t, "cfg.json", '{"seed": 99}')], 2),
     "overflowing-range-train": (lambda t, d, m: _train(_file(t, "huge.csv", _HUGE_RANGE), t), 3),
     "overflowing-probe-predict": (lambda t, d, m: _predict(m, _file(t, "huge.csv", "1e308,0.2\n")), 3),
@@ -849,7 +845,7 @@ _BAD_INPUTS = {
     "model-with-far-support-point": (lambda t, d, m: _predict(_edited_model(
         t, m, lambda doc: doc.update(support_x=[[1e200] * doc["dim"], *doc["support_x"][1:]])), d), 3),
     "benchmark-one-row-test-split": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "5", "--trials", "2", "--B", "1e-3",
+        "benchmark", "--data", _write_synth_csv(t / "five.csv", n=5, seed=0), "--trials", "2", "--B", "1e-3",
         "--n0", "2", "--L", "1", "--batch", "2"], 2),
     "benchmark-constant-labels": (lambda t, d, m: [
         "benchmark", "--data", _file(t, "const.csv", _CONSTANT_LABELS), "--trials", "2", "--B", "1e-3",
@@ -864,6 +860,7 @@ _BAD_INPUTS = {
         t, m, lambda doc: doc["normalization"].update(label_min=repr(doc["normalization"]["label_min"]))), d), 3),
     "model-with-integer-alpha-past-float64": (lambda t, d, m: _predict(_edited_model(
         t, m, lambda doc: doc["alpha"].__setitem__(0, 10**400)), d), 3),
+    "abbreviated-flag-train": (lambda t, d, m: _train(d, t, "--max-out", "1"), 2),
     "removed-momentum-flag-train": (lambda t, d, m: _train(d, t, "--momentum", "0.5"), 2),
     "removed-momentum-config-train": (lambda t, d, m: _train(
         d, t, "--config", _file(t, "cfg.json", '{"momentum": 0.5}')), 2),
@@ -873,16 +870,16 @@ _BAD_INPUTS = {
     "config-jitter-past-float64-train": (lambda t, d, m: _train(
         d, t, "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "jitter")), 2),
     "config-learning-rate-past-float64-benchmark": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
+        "benchmark", "--data", d, "--B", "1e-3",
         "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "learning_rate")], 2),
     "config-jitter-past-float64-benchmark": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
+        "benchmark", "--data", d, "--B", "1e-3",
         "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "jitter")], 2),
     "config-train-fraction-past-float64-benchmark": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3",
+        "benchmark", "--data", d, "--B", "1e-3",
         "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "train_fraction")], 2),
     "config-clip-past-float64-benchmark": (lambda t, d, m: [
-        "benchmark", "--fn", "f1", "--n", "30", "--B", "1e-3", "--trials", "1",
+        "benchmark", "--data", d, "--B", "1e-3", "--trials", "1",
         "--config", _file(t, "cfg.json", _PAST_FLOAT64 % "clip")], 2),
     # Loop counts past int64, the largest count numpy can hold.
     "inner-steps-past-int64-train": (lambda t, d, m: _train(d, t, "--L", str(10**20), "--max-outer", "1"), 2),
@@ -1075,7 +1072,7 @@ def _fuzz_csv_argv(data, tmp_path, rows, model_doc):
 
 def _fuzz_config_argv(data, tmp_path, rows, model_doc):
     """``train`` or ``benchmark`` with a ``--config`` document mutated key by key."""
-    command = data.draw(st.sampled_from(["train", "benchmark --data", "benchmark --fn"]))
+    command = data.draw(st.sampled_from(["train", "benchmark"]))
     doc = dict(_FUZZ_CONFIG)
     for _ in range(data.draw(st.integers(1, 2))):
         key = data.draw(st.sampled_from(sorted(cli._BENCH_KEYS | {"seed", "unknown"})))
@@ -1094,12 +1091,7 @@ def _fuzz_config_argv(data, tmp_path, rows, model_doc):
         return ["train", "--data", _csv_file(tmp_path, rows), "--out", str(tmp_path / "m.json"), *argv]
     if "trials" not in doc:  # not the default of 50
         argv += ["--trials", "2"]
-    if command == "benchmark --data":
-        return ["benchmark", "--data", _csv_file(tmp_path, rows), *argv]
-    # Rows that numpy can allocate at once, or rows past what it can address;
-    # a count in between would allocate gigabytes.
-    n = data.draw(st.one_of(st.integers(-1, 50), st.integers(2**62, 2**80)))
-    return ["benchmark", "--fn", "f1", "--n", str(n), *argv]
+    return ["benchmark", "--data", _csv_file(tmp_path, rows), *argv]
 
 
 def _csv_file(tmp_path, rows):

@@ -130,7 +130,7 @@ _OPTIONS = {
     "synth": ["-h", "--help", "--fn", "--n", "--noise", "--seed", "--out"],
     "train": ["-h", "--help", "--data", "--out", "--trace", *_TRAIN_OPTIONS, "--seed", "--config"],
     "benchmark": [
-        "-h", "--help", "--data", "--fn", "--n", "--noise", "--trials", "--train-fraction",
+        "-h", "--help", "--data", "--trials", "--train-fraction",
         "--base-seed", "--clip", "--out", *_TRAIN_OPTIONS, "--config",
     ],
     "predict": ["-h", "--help", "--model", "--data", "--out", "--clip"],

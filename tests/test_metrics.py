@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from labrr.cli import main
-from labrr.data import InsufficientData, split
+from labrr.data import InsufficientData, save_csv, split, synth
 from labrr.kernels import BandwidthSet
 from labrr.metrics import (
     DegenerateLabels,
@@ -16,6 +16,7 @@ from labrr.metrics import (
     r_squared,
     sparsity_r0,
 )
+from labrr.numerics import DimensionMismatch
 from labrr.ridgeless import LabModel, predict
 from labrr.trainer import train
 
@@ -53,6 +54,13 @@ def test_r_squared_validation():
         r_squared([1.0], [1.0])
     with pytest.raises(ValueError):
         r_squared([1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("metric", [mse, r_squared])
+def test_length_mismatch_is_a_dimension_mismatch(metric):
+    # The shape error every other labrr check raises, which ``main`` maps to exit 2.
+    with pytest.raises(DimensionMismatch, match="length mismatch: 3 vs 2"):
+        metric([0.0, 1.0, 2.0], [0.0, 1.0])
 
 
 def test_project_scalar_and_array():
@@ -104,8 +112,10 @@ _TRIAL_KEYS = [
 
 
 def _benchmark_trials(out):
+    data = out.with_name("bench.csv")
+    save_csv(synth("f1", 60, 0.0, seed=0), data)
     assert main([
-        "benchmark", "--fn", "f1", "--n", "60", "--trials", "2", "--clip", "0.9",
+        "benchmark", "--data", str(data), "--trials", "2", "--clip", "0.9",
         "--B", "1e-3", "--n0", "10", "--k", "5", "--L", "3",
         "--batch", "16", "--max-outer", "5", "--out", str(out),
     ]) == 0
