@@ -28,7 +28,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .data import (
     ParseError,
     SplitSpec,
     UnscalableData,
+    _check_fields,
     _write_rows,
     apply_feature_scaling,
     invert_label_scaling,
@@ -82,12 +83,35 @@ _TRAIN_FLAGS = [
     ("--jitter", "jitter", "diagonal regularization of every solve"),
 ]
 
+
+@dataclass(frozen=True)
+class BenchmarkConfig:
+    """``benchmark``'s own settings, checked on construction as
+    ``TrainConfig`` is: a value of the wrong type or out of range raises
+    :class:`~labrr.data.InvalidSetting`.  Trial ``t`` splits with
+    ``SplitSpec(base_seed, t, train_fraction)`` and trains with seed
+    ``base_seed + t``; ``clip``, when set, clamps the normalized
+    predictions into ``[-clip, clip]``."""
+
+    trials: int = 50
+    train_fraction: float = 0.8
+    base_seed: int = 0
+    clip: float | None = None
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
+        if self.trials < 1:
+            raise InvalidSetting(f"trials must be at least 1, got {self.trials}")
+        if self.trials > _MAX_COUNT:
+            raise InvalidSetting(f"trials must be at most {_MAX_COUNT}, the largest int64")
+        if self.clip is not None and not (self.clip > 0.0):
+            raise InvalidSetting(f"clip must be positive, got {self.clip}")
+        SplitSpec(self.base_seed, 0, self.train_fraction)  # checks base_seed and train_fraction
+
+
 _TRAIN_TYPES = typing.get_type_hints(TrainConfig)
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
-# JSON types of the benchmark-only settings; TrainConfig checks its own.
-_BENCH_TYPES = {"trials": (int,), "train_fraction": (int, float), "base_seed": (int,),
-                "clip": (int, float, type(None))}
-_BENCH_KEYS = _TRAIN_KEYS - {"seed"} | _BENCH_TYPES.keys()
+_BENCH_KEYS = _TRAIN_KEYS - {"seed"} | {f.name for f in fields(BenchmarkConfig)}
 
 
 def _configure_logging() -> None:
@@ -134,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("benchmark", help="repeated split/train/evaluate trials", allow_abbrev=False)
     sp.add_argument("--data", required=True, help="dataset CSV (last column = label)")
-    sp.add_argument("--trials", type=int, default=None, help="number of trials (default 50)")
+    sp.add_argument("--trials", type=int, default=None,
+                    help=f"number of trials (default {BenchmarkConfig.trials})")
     sp.add_argument("--train-fraction", dest="train_fraction", type=float, default=None)
     sp.add_argument("--base-seed", dest="base_seed", type=int, default=None)
     sp.add_argument("--clip", type=float, default=None,
@@ -162,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace, keys: set) -> dict:
     """Config-file values with the flags the user gave laid over them.
 
-    ``keys`` names every setting the command takes; ``TrainConfig`` checks
-    the types and ranges of its own.
+    ``keys`` names every setting the command takes; the settings objects
+    (``TrainConfig``, ``BenchmarkConfig``) check their types and ranges.
     """
     doc: dict = {}
     if args.config is not None:
@@ -174,14 +199,10 @@ def _settings(parser: argparse.ArgumentParser, args: argparse.Namespace, keys: s
             raise InvalidSetting(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(doc, dict):
             parser.error("config file must hold a JSON object")
-    for key, value in doc.items():
+    for key in doc:
         if key not in keys:
             hint = "; trial t runs with seed base_seed + t, so set base_seed" if key == "seed" else ""
             parser.error(f"unknown config key {key!r}{hint}")
-        if key in _BENCH_TYPES and (isinstance(value, bool) or not isinstance(value, _BENCH_TYPES[key])):
-            parser.error(f"config key {key!r} has the wrong type: {value!r}")
-        if float in _BENCH_TYPES.get(key, ()) and isinstance(value, int) and abs(value) > sys.float_info.max:
-            parser.error(f"{key} overflows float64")
     flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     return doc | flags
 
@@ -264,17 +285,7 @@ def _write_jsonl(path, records: list[dict]) -> None:
 
 def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     settings = _settings(parser, args, _BENCH_KEYS)
-    trials = settings.get("trials", 50)
-    train_fraction = float(settings.get("train_fraction", 0.8))
-    base_seed = settings.get("base_seed", 0)
-    clip = settings.get("clip")
-    if trials < 1:
-        parser.error(f"trials must be at least 1, got {trials}")
-    if trials > _MAX_COUNT:
-        parser.error(f"trials must be at most {_MAX_COUNT}, the largest int64")
-    if clip is not None and not (clip > 0.0):
-        parser.error(f"clip must be positive, got {clip}")
-    SplitSpec(base_seed, 0, train_fraction)  # checks base_seed and train_fraction
+    bench = BenchmarkConfig(**{k: v for k, v in settings.items() if k not in _TRAIN_KEYS})
     base_config = _train_config(parser, settings)
 
     dataset = normalize(load_csv(args.data))
@@ -286,23 +297,20 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         "dataset": dataset.name,
         "n": dataset.n,
         "dim": dataset.dim,
-        "trials": trials,
-        "train_fraction": train_fraction,
-        "base_seed": base_seed,
-        "clip": clip,
+        **asdict(bench),
         "train_config": {k: v for k, v in asdict(base_config).items() if k != "seed"},
     }
 
     records: list[dict] = []
-    for trial in range(trials):
-        config = replace(base_config, seed=base_seed + trial)
+    for trial in range(bench.trials):
+        config = replace(base_config, seed=bench.base_seed + trial)
         started = time.perf_counter()
         try:
-            train_ds, test_ds = split(dataset, SplitSpec(base_seed, trial, train_fraction))
+            train_ds, test_ds = split(dataset, SplitSpec(bench.base_seed, trial, bench.train_fraction))
             model, trace = train(train_ds, config)
             preds = predict(model, test_ds.x)
-            if clip is not None:
-                preds = project(preds, float(clip))
+            if bench.clip is not None:
+                preds = project(preds, bench.clip)
             row = {
                 "record": "trial",
                 "trial": trial,
@@ -339,7 +347,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         _write_jsonl(args.out, [effective, *records, aggregate])
 
     good = [r for r in records if "error" not in r]
-    print(f"# {dataset.name}: {len(good)}/{trials} trials ok")
+    print(f"# {dataset.name}: {len(good)}/{bench.trials} trials ok")
     print("trial  r_squared   mse         support  r0    rounds  stop")
     for row in records:
         if "error" in row:
@@ -356,7 +364,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
             f"mean_support={aggregate['mean_n_support']:.1f}"
         )
         return EXIT_OK
-    LOG.error("all %d trials failed", trials)
+    LOG.error("all %d trials failed", bench.trials)
     return EXIT_FAILED
 
 

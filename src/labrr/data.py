@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -67,6 +67,31 @@ class EmptyDataset(ValueError):
 
 class InvalidSetting(ValueError):
     """A setting has the wrong type or lies outside its range."""
+
+
+#: What each settings annotation accepts; none accepts a bool.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+                "float | None": (numbers.Real, type(None))}
+
+
+def _check_fields(settings) -> None:
+    """Check each field of the dataclass ``settings`` against its annotation.
+
+    The one type check of every settings object (``SplitSpec``,
+    ``TrainConfig``, ``benchmark``'s settings): a value of the wrong type, a
+    bool included, raises :class:`InvalidSetting`.  Each ``float`` is stored
+    as ``float(value)``, ``None`` as it is, and a value past float64's range
+    (an integer such as ``10**400``) raises it too.
+    """
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise InvalidSetting(f"{f.name} must be of type {f.type}, got {value!r}")
+        if f.type.startswith("float") and value is not None:
+            try:
+                object.__setattr__(settings, f.name, float(value))
+            except OverflowError:
+                raise InvalidSetting(f"{f.name} overflows float64") from None
 
 
 class InsufficientData(ValueError):
@@ -422,13 +447,17 @@ def invert_label_scaling(meta: NormMeta, y_norm) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Seeded train/test partition; deterministic per (seed, trial_index)."""
+    """Seeded train/test partition; deterministic per (seed, trial_index).
+
+    A value of the wrong type or out of range raises :class:`InvalidSetting`.
+    """
 
     seed: int
     trial_index: int = 0
     train_fraction: float = 0.8
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidSetting(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.seed < 0 or self.trial_index < 0:

@@ -35,10 +35,11 @@ def _paired(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mse(y_true, y_pred) -> float:
-    """Mean squared error."""
+    """Mean squared error; raises :class:`~labrr.data.InsufficientData` for
+    no points."""
     yt, yp = _paired(y_true, y_pred)
     if yt.shape[0] == 0:
-        raise ValueError("mse needs at least one point")
+        raise InsufficientData("mse needs at least one point")
     return float(np.mean((yt - yp) ** 2))
 
 

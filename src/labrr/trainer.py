@@ -17,12 +17,11 @@ the model bitwise.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, InsufficientData, InvalidSetting
+from .data import Dataset, InsufficientData, InvalidSetting, _check_fields
 from .kernels import MIN_BANDWIDTH, BandwidthSet, _bandwidth_set
 from .numerics import DimensionMismatch, DivergedStep, FactorizedMatrix, NumericalFailure, SingularSystem
 from .numerics import as_vector, one_blas_thread
@@ -57,9 +56,6 @@ MAX_RELATIVE_STEP = 0.5
 #: ``benchmark``'s ``trials``): the largest int64.  A count past what numpy
 #: can hold is refused, not run until the process is killed.
 _MAX_COUNT = int(np.iinfo(np.int64).max)
-
-#: What each ``TrainConfig`` annotation accepts; no field accepts a bool.
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 @dataclass(frozen=True)
@@ -122,15 +118,7 @@ class TrainConfig:
     jitter: float = DEFAULT_JITTER
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise InvalidSetting(f"{f.name} must be of type {f.type}, got {value!r}")
-            if f.type == "float":
-                try:
-                    object.__setattr__(self, f.name, float(value))
-                except OverflowError:
-                    raise InvalidSetting(f"{f.name} overflows float64") from None
+        _check_fields(self)
         if not (self.error_budget > 0.0):
             raise InvalidSetting(f"error_budget must be positive, got {self.error_budget}")
         if self.grow_count < 1:
@@ -288,8 +276,7 @@ def select_initial_support(dataset: Dataset, count: int, strategy: str, seed: in
 
 
 class _RoundLU:
-    """An SGD round's step solver: its last LU and whether the round still
-    tries reuse.
+    """An SGD round's step solver: the round's first LU, held for reuse.
 
     It holds no kernel: :meth:`solve` takes the step's own Gram.  A round
     whose held LU declines once (a refined solve misses
@@ -300,14 +287,13 @@ class _RoundLU:
 
     def __init__(self) -> None:
         self.solver: FactorizedMatrix | None = None
-        self.reusing = True
         self.factorizations = 0
 
     def solve(self, system, gram, cross_t, batch_y):
         """``(alpha, resid, u)`` of the step: through the held LU when
         ``FactorizedMatrix.solve_nearby`` accepts both solves against
-        ``gram``; otherwise through a fresh LU of ``gram``, held while the
-        round reuses."""
+        ``gram``; otherwise through a fresh LU of ``gram``, held if it is
+        the round's first."""
         if self.solver is not None:
             alpha = self.solver.solve_nearby(gram, system.y)
             if alpha is not None:
@@ -317,10 +303,9 @@ class _RoundLU:
                     return alpha, resid, u
             # Dropped before the fresh LU is made, so the two are never held at once.
             self.solver = None
-            self.reusing = False
         solver = FactorizedMatrix(gram, system.jitter)
         self.factorizations += 1
-        if self.reusing:
+        if self.factorizations == 1:
             self.solver = solver
         alpha = solver.solve(system.y)
         resid = alpha @ cross_t - batch_y

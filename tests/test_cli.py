@@ -19,10 +19,19 @@ from hypothesis import strategies as st
 import labrr
 from labrr import cli, trainer
 from labrr.cli import _aggregate, main
-from labrr.data import apply_feature_scaling, invert_label_scaling, load_csv, normalize, save_csv, synth
+from labrr.data import (
+    InvalidSetting,
+    SplitSpec,
+    apply_feature_scaling,
+    invert_label_scaling,
+    load_csv,
+    normalize,
+    save_csv,
+    synth,
+)
 from labrr.kernels import BandwidthSet
 from labrr.ridgeless import LabModel, fit_lab, load_model, model_to_dict, predict, save_model
-from labrr.trainer import train
+from labrr.trainer import TrainConfig, train
 
 
 def _labrr_env():
@@ -396,6 +405,41 @@ def test_benchmark_validates_trials_and_clip(tmp_path):
         main(["benchmark", "--data", data, "--trials", "1",
               "--B", "1e-3", "--clip", "-1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("bad", [
+    {"trials": True}, {"trials": "3"}, {"trials": 2.0}, {"base_seed": 1.5}, {"clip": "2"},
+    {"train_fraction": None}, {"clip": 10**400}, {"train_fraction": 10**400},
+    {"trials": 0}, {"trials": 2**63}, {"clip": 0.0}, {"clip": float("nan")},
+    {"train_fraction": 1}, {"base_seed": -1},
+], ids=repr)
+def test_benchmark_config_checks_its_settings(bad):
+    with pytest.raises(InvalidSetting):
+        cli.BenchmarkConfig(**bad)
+
+
+def test_benchmark_config_stores_its_floats_as_floats():
+    bench = cli.BenchmarkConfig(trials=2**63 - 1, train_fraction=np.float32(0.5), clip=2)
+    assert (type(bench.train_fraction), type(bench.clip)) == (float, float)
+    assert cli.BenchmarkConfig().clip is None
+
+
+@pytest.mark.parametrize("settings", [SplitSpec, TrainConfig, cli.BenchmarkConfig], ids=lambda c: c.__name__)
+def test_every_settings_object_refuses_a_bool_by_one_rule(settings):
+    with pytest.raises(InvalidSetting, match=r"must be of type (int|float), got True"):
+        settings(True)
+
+
+def test_benchmark_record_writes_an_integer_clip_as_a_float(tmp_path):
+    # The config record spreads the checked settings, so a JSON-integer clip
+    # is written as the float every trial clamps with.
+    cfg = _file(tmp_path, "cfg.json", json.dumps({"error_budget": 1e-3, "clip": 2, "trials": 1}))
+    out = tmp_path / "results.jsonl"
+    assert main(["benchmark", "--data", _write_synth_csv(tmp_path / "d.csv"), "--config", cfg,
+                 "--n0", "4", "--L", "1", "--batch", "4", "--max-outer", "1", "--out", str(out)]) == 0
+    config = json.loads(out.read_text().splitlines()[0])
+    assert list(config)[4:8] == ["trials", "train_fraction", "base_seed", "clip"]
+    assert type(config["clip"]) is float and config["clip"] == 2.0
 
 
 # Forty f1 rows whose labels are all 0.5.

@@ -111,6 +111,19 @@ def test_split_spec_raises_invalid_setting():
         SplitSpec(0, 0, 1.0)
 
 
+@pytest.mark.parametrize("args", [(0, 1.0), (1.5,), (True,), (0, 0, "0.8")], ids=repr)
+def test_split_spec_checks_each_field_type(args):
+    # Unchecked, the first two end in numpy's ``TypeError`` inside ``split``,
+    # the string in a ``TypeError`` from ``<``, and ``True`` splits as seed 1.
+    with pytest.raises(InvalidSetting, match="must be of type"):
+        SplitSpec(*args)
+
+
+def test_split_spec_stores_its_fraction_as_a_float():
+    spec = SplitSpec(0, 0, np.float32(0.5))
+    assert type(spec.train_fraction) is float and spec.train_fraction == 0.5
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 

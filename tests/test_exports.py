@@ -90,6 +90,17 @@ def test_train_config_fields_are_pinned():
     assert tuple(f.name for f in dataclasses.fields(TrainConfig)) == _TRAIN_CONFIG_FIELDS
 
 
+# ``benchmark``'s own settings, with their defaults, in the order the
+# ``--out`` config record lists them.
+_BENCHMARK_CONFIG_FIELDS = (("trials", 50), ("train_fraction", 0.8), ("base_seed", 0), ("clip", None))
+
+
+def test_benchmark_config_fields_are_pinned():
+    fields = tuple((f.name, f.default) for f in dataclasses.fields(cli.BenchmarkConfig))
+    assert fields == _BENCHMARK_CONFIG_FIELDS
+    assert "BenchmarkConfig" not in cli.__all__
+
+
 # Each of these calls takes one input shape and returns one result type; a
 # re-added parameter, such as a tolerance or a dataset name, changes this table.
 _PARAMETERS = {

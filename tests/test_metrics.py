@@ -28,7 +28,8 @@ def test_mse_hand_values():
 
 
 def test_mse_needs_a_point():
-    with pytest.raises(ValueError):
+    # As ``r_squared``'s check of too few points, which ``main`` maps to exit 2.
+    with pytest.raises(InsufficientData, match="mse needs at least one point"):
         mse([], [])
 
 

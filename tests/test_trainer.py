@@ -967,11 +967,19 @@ def _step_solve_args(system, th, batch):
     return system, kt[:, :n].T, kt[:, n:], labels
 
 
+def _assert_never_holds_again(round_lu, system, th, batch):
+    # A round whose held LU declined factors every later step, a good Gram
+    # included, and holds none of those LUs.
+    made = round_lu.factorizations
+    round_lu.solve(*_step_solve_args(system, th, batch))
+    assert round_lu.solver is None and round_lu.factorizations == made + 1
+
+
 def test_round_lu_solves_through_its_held_lu_until_the_gram_moves():
     # ``_RoundLU.solve`` is the step's one solve path.  Its first call factors,
     # bit for bit as a fresh solver does; a call at the same bandwidths solves
     # through the held LU; a call whose Gram moved too far factors again, bit
-    # for bit as a fresh solver does, and the round stops reusing.
+    # for bit as a fresh solver does, and the round never holds an LU again.
     system, th, batch = _two_step_system(jitter=1e-3)
     round_lu = trainer._RoundLU()
     first = round_lu.solve(*_step_solve_args(system, th, batch))
@@ -987,7 +995,8 @@ def test_round_lu_solves_through_its_held_lu_until_the_gram_moves():
     after = round_lu.solve(*_step_solve_args(system, moved, batch))
     fresh = trainer._RoundLU().solve(*_step_solve_args(system, moved, batch))
     assert [a.tobytes() for a in after] == [a.tobytes() for a in fresh]
-    assert not round_lu.reusing and round_lu.solver is None and round_lu.factorizations == 2
+    assert round_lu.solver is None and round_lu.factorizations == 2
+    _assert_never_holds_again(round_lu, system, th, batch)
 
 
 def test_a_singular_next_gram_declines_reuse_and_raises_as_the_direct_path_does():
@@ -1001,7 +1010,8 @@ def test_a_singular_next_gram_declines_reuse_and_raises_as_the_direct_path_does(
         batch_loss_and_grad(system, floor, *batch)
     with pytest.raises(SingularSystem):
         batch_loss_and_grad(system, floor, *batch, round_lu)
-    assert not round_lu.reusing and round_lu.solver is None
+    assert round_lu.solver is None
+    _assert_never_holds_again(round_lu, system, th, batch)
 
 
 def test_a_non_finite_next_gram_declines_reuse_and_raises_as_the_direct_path_does():
@@ -1019,7 +1029,9 @@ def test_a_non_finite_next_gram_declines_reuse_and_raises_as_the_direct_path_doe
     for lu in (None, round_lu):
         with pytest.raises(ValueError, match="non-finite"):
             batch_loss_and_grad(system, th, *batch, lu)
-    assert not round_lu.reusing and round_lu.factorizations == 1
+    assert round_lu.solver is None and round_lu.factorizations == 1
+    system.kernel_t = kernel_t
+    _assert_never_holds_again(round_lu, system, th, batch)
 
 
 def test_a_round_whose_gram_stands_still_factors_through_the_tracer_names_once(monkeypatch):
