@@ -40,6 +40,7 @@ from .data import (
     ParseError,
     SplitSpec,
     UnscalableData,
+    _MAX_COUNT,
     _check_fields,
     _write_rows,
     apply_feature_scaling,
@@ -51,10 +52,10 @@ from .data import (
     split,
     synth,
 )
-from .metrics import DegenerateLabels, mse, project, r_squared, sparsity_r0
+from .metrics import DegenerateLabels, _check_clip, mse, project, r_squared, sparsity_r0
 from .numerics import DimensionMismatch, NumericalFailure
 from .ridgeless import load_model, predict, save_model
-from .trainer import _MAX_COUNT, TrainConfig, train
+from .trainer import TrainConfig, train
 
 __all__ = ["build_parser", "main"]
 
@@ -88,7 +89,8 @@ _TRAIN_FLAGS = [
 class BenchmarkConfig:
     """``benchmark``'s own settings, checked on construction as
     ``TrainConfig`` is: a value of the wrong type or out of range raises
-    :class:`~labrr.data.InvalidSetting`.  Trial ``t`` splits with
+    :class:`~labrr.data.InvalidSetting`, as does a last trial's seed past
+    int64.  Trial ``t`` splits with
     ``SplitSpec(base_seed, t, train_fraction)`` and trains with seed
     ``base_seed + t``; ``clip``, when set, clamps the normalized
     predictions into ``[-clip, clip]``."""
@@ -102,11 +104,10 @@ class BenchmarkConfig:
         _check_fields(self)
         if self.trials < 1:
             raise InvalidSetting(f"trials must be at least 1, got {self.trials}")
-        if self.trials > _MAX_COUNT:
-            raise InvalidSetting(f"trials must be at most {_MAX_COUNT}, the largest int64")
-        if self.clip is not None and not (self.clip > 0.0):
-            raise InvalidSetting(f"clip must be positive, got {self.clip}")
-        SplitSpec(self.base_seed, 0, self.train_fraction)  # checks base_seed and train_fraction
+        if self.base_seed + self.trials - 1 > _MAX_COUNT:
+            raise InvalidSetting(f"base_seed + trials - 1, the last trial's seed, must be at most {_MAX_COUNT}")
+        _check_clip(self.clip)
+        SplitSpec(self.base_seed, 0, self.train_fraction)  # checks train_fraction's range
 
 
 _TRAIN_TYPES = typing.get_type_hints(TrainConfig)
@@ -369,8 +370,7 @@ def cmd_benchmark(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 
 
 def cmd_predict(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.clip is not None and not (args.clip > 0.0):
-        parser.error(f"clip must be positive, got {args.clip}")
+    _check_clip(args.clip)
     model = load_model(args.model)
     matrix = load_matrix_csv(args.data)
 

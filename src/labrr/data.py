@@ -69,29 +69,44 @@ class InvalidSetting(ValueError):
     """A setting has the wrong type or lies outside its range."""
 
 
-#: What each settings annotation accepts; none accepts a bool.
+#: Largest integer a setting may hold: the largest int64, so every count, seed
+#: and index fits numpy's integers.  A loop count past what numpy can hold is
+#: refused, not run until the process is killed.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
+
+#: What each annotation kind accepts; none accepts a bool.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
                 "float | None": (numbers.Real, type(None))}
 
 
-def _check_fields(settings) -> None:
-    """Check each field of the dataclass ``settings`` against its annotation.
+def _checked(name: str, value, kind: str):
+    """``value`` as the setting ``name`` of annotation ``kind`` holds it.
 
-    The one type check of every settings object (``SplitSpec``,
-    ``TrainConfig``, ``benchmark``'s settings): a value of the wrong type, a
-    bool included, raises :class:`InvalidSetting`.  Each ``float`` is stored
-    as ``float(value)``, ``None`` as it is, and a value past float64's range
-    (an integer such as ``10**400``) raises it too.
+    The one scalar rule of every settings object, ``synth`` argument and
+    model-file number.  No kind accepts a bool.  An ``int`` is an integer in
+    ``[0, _MAX_COUNT]``; a ``float`` is a real number, returned as
+    ``float(value)`` and refused past float64's range (an integer such as
+    ``10**400``); ``None`` is returned as it is where the kind allows it.
+    Anything else raises :class:`InvalidSetting`.
     """
+    if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[kind]):
+        raise InvalidSetting(f"{name} must be of type {kind}, got {value!r}")
+    if kind == "int" and not 0 <= value <= _MAX_COUNT:
+        raise InvalidSetting(f"{name} must be an integer in [0, {_MAX_COUNT}], a nonnegative int64")
+    if kind.startswith("float") and value is not None:
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidSetting(f"{name} overflows float64") from None
+    return value
+
+
+def _check_fields(settings) -> None:
+    """Check each field of the dataclass ``settings`` against its annotation
+    by :func:`_checked`, and store what it returns: the one type check of
+    ``SplitSpec``, ``TrainConfig`` and ``benchmark``'s settings."""
     for f in fields(settings):
-        value = getattr(settings, f.name)
-        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-            raise InvalidSetting(f"{f.name} must be of type {f.type}, got {value!r}")
-        if f.type.startswith("float") and value is not None:
-            try:
-                object.__setattr__(settings, f.name, float(value))
-            except OverflowError:
-                raise InvalidSetting(f"{f.name} overflows float64") from None
+        object.__setattr__(settings, f.name, _checked(f.name, getattr(settings, f.name), f.type))
 
 
 class InsufficientData(ValueError):
@@ -102,14 +117,6 @@ class UnscalableData(ValueError):
     """A column's range or values overflow float64 when scaled to [-1, 1] or
     back, or a model's bandwidths, support points or coefficients overflow it
     in the kernel or the prediction."""
-
-
-def _typed(doc: dict, key: str, kind):
-    """``doc[key]`` if it is a ``kind`` (JSON ``true``/``false`` never count)."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{key} has the wrong type: {value!r}")
-    return value
 
 
 def _numbers(doc: dict, key: str) -> np.ndarray:
@@ -159,8 +166,8 @@ class NormMeta:
         return cls(
             feature_min=_numbers(doc, "feature_min"),
             feature_max=_numbers(doc, "feature_max"),
-            label_min=_typed(doc, "label_min", (int, float)),
-            label_max=_typed(doc, "label_max", (int, float)),
+            label_min=_checked("label_min", doc["label_min"], "float"),
+            label_max=_checked("label_max", doc["label_max"], "float"),
         )
 
 
@@ -460,8 +467,6 @@ class SplitSpec:
         _check_fields(self)
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidSetting(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.seed < 0 or self.trial_index < 0:
-            raise InvalidSetting("seed and trial_index must be nonnegative")
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -518,18 +523,20 @@ def synth(function_id: str, n: int, noise_ratio: float = 0.0, seed: int = 0) -> 
     ``noise_ratio`` times the variance of the clean labels.  Fully
     deterministic for a fixed seed (features drawn first, then noise).
 
-    Raises :class:`InvalidSetting` for an unknown ``function_id``, an ``n``
-    or ``seed`` that is not an integer of at least 1 or 0, an ``n`` whose
-    ``(n, dim)`` float64 array is past the largest size numpy can address,
-    or a negative or non-finite ``noise_ratio``, or one whose noise variance
-    overflows float64.  An addressable array that memory cannot hold raises
-    ``MemoryError``.
+    Raises :class:`InvalidSetting` for an ``n`` or ``seed`` that breaks the
+    rule of an ``int`` setting or a ``noise_ratio`` that breaks a ``float``
+    one's (:func:`_checked`), an unknown ``function_id``, an ``n`` of 0 or
+    one whose ``(n, dim)`` float64 array is past the largest size numpy can
+    address, or a negative or non-finite ``noise_ratio``, or one whose noise
+    variance overflows float64.  An addressable array that memory cannot
+    hold raises ``MemoryError``.
     """
     if function_id not in _SYNTH_FUNCTIONS:
         raise InvalidSetting(f"unknown function: {function_id!r} (choose from f1, f2, f3)")
-    for name, value, low in (("n", n, 1), ("seed", seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise InvalidSetting(f"{name} must be an integer of at least {low}, got {value!r}")
+    if _checked("n", n, "int") < 1:
+        raise InvalidSetting(f"n must be at least 1, got {n}")
+    _checked("seed", seed, "int")
+    noise_ratio = _checked("noise_ratio", noise_ratio, "float")
     if not (0.0 <= noise_ratio < math.inf):
         raise InvalidSetting(f"noise_ratio must be finite and nonnegative, got {noise_ratio}")
     fn, lo, hi, dim = _SYNTH_FUNCTIONS[function_id]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import InsufficientData
+from .data import InsufficientData, InvalidSetting
 from .numerics import DimensionMismatch, as_vector
 from .ridgeless import LabModel
 
@@ -59,11 +59,17 @@ def r_squared(y_true, y_pred) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _check_clip(bound: float | None) -> None:
+    """The one rule of a clip bound, :func:`project`'s and the CLI's ``--clip``:
+    none, or positive; raises :class:`~labrr.data.InvalidSetting`."""
+    if bound is not None and not (bound > 0.0):
+        raise InvalidSetting(f"clip must be positive, got {bound}")
+
+
 def project(values, bound: float) -> np.ndarray:
     """Clamp an array of predictions into ``[-bound, bound]``, as a float64
     array; idempotent and monotone."""
-    if not (bound > 0.0):
-        raise ValueError(f"bound must be positive, got {bound}")
+    _check_clip(bound)
     return np.clip(np.asarray(values, dtype=np.float64), -bound, bound)
 
 

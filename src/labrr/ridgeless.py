@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NormMeta, ParseError, UnscalableData, _numbers, _typed
+from .data import NormMeta, ParseError, UnscalableData, _checked, _numbers
 from .kernels import _EXP_FLOOR, BandwidthSet, _bandwidth_set, _clamped_exp, _neg_coef, _quadratic_features
 # ``lab_matrix`` is no longer called here, but the benchmark's tracer rebinds
 # ``ridgeless.lab_matrix`` by name, so the name must stay importable.
@@ -302,11 +302,11 @@ def model_from_dict(doc) -> LabModel:
             support_x=_numbers(doc, "support_x"),
             theta=_numbers(doc, "bandwidths"),
             alpha=_numbers(doc, "alpha"),
-            jitter=float(_typed(doc, "jitter", (int, float))),
+            jitter=_checked("jitter", doc["jitter"], "float"),
             norm_meta=NormMeta.from_dict(norm) if norm is not None else None,
         )
-        declared = (_typed(doc, "dim", int), _typed(doc, "n_support", int))
-    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an integer past float64
+        declared = (_checked("dim", doc["dim"], "int"), _checked("n_support", doc["n_support"], "int"))
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an array entry past float64
         raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from None
     meta_dim = model.dim if model.norm_meta is None else model.norm_meta.feature_min.shape[0]
     if declared != (model.dim, model.n_support) or meta_dim != model.dim:

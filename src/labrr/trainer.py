@@ -52,20 +52,16 @@ _KMEANS_SWEEPS = 50
 #: it (largest relative step 0.1-0.26); diverging runs pass it at once.
 MAX_RELATIVE_STEP = 0.5
 
-#: Largest loop count a setting may ask for (``inner_steps``, ``max_rounds``,
-#: ``benchmark``'s ``trials``): the largest int64.  A count past what numpy
-#: can hold is refused, not run until the process is killed.
-_MAX_COUNT = int(np.iinfo(np.int64).max)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
     """All knobs of the training loop, checked on construction (also by
     ``dataclasses.replace``); a value of the wrong type or out of range raises
-    :class:`~labrr.data.InvalidSetting`, a ``ValueError``.  Each ``float``
-    field is stored as ``float(value)``, and a value past float64's range
-    (an integer such as ``10**400``) raises it too, as does an
-    ``inner_steps`` or ``max_rounds`` past int64's.
+    :class:`~labrr.data.InvalidSetting`, a ``ValueError``.  Each field first
+    meets the one rule of every setting: no bool; an ``int`` field, ``seed``
+    included, holds an integer in int64's nonnegative range; a ``float`` field
+    holds a real number within float64's range and is stored as
+    ``float(value)``.  The ranges below are then this class's own.
 
     Attributes
     ----------
@@ -125,8 +121,6 @@ class TrainConfig:
             raise InvalidSetting(f"grow_count must be at least 1, got {self.grow_count}")
         if not (0.0 <= self.learning_rate < np.inf):
             raise InvalidSetting(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.inner_steps < 0:
-            raise InvalidSetting(f"inner_steps must be nonnegative, got {self.inner_steps}")
         if self.initial_support < 1:
             raise InvalidSetting(f"initial_support must be at least 1, got {self.initial_support}")
         if not (MIN_BANDWIDTH <= self.bandwidth_min <= self.bandwidth_max <= 1e150):
@@ -143,9 +137,6 @@ class TrainConfig:
             raise InvalidSetting(f"batch_size must be at least 1, got {self.batch_size}")
         if self.max_rounds < 1:
             raise InvalidSetting(f"max_rounds must be at least 1, got {self.max_rounds}")
-        for name in ("inner_steps", "max_rounds"):
-            if getattr(self, name) > _MAX_COUNT:
-                raise InvalidSetting(f"{name} must be at most {_MAX_COUNT}, the largest int64")
         if not (0.0 < self.max_support_ratio <= 1.0):
             raise InvalidSetting(f"max_support_ratio must be in (0, 1], got {self.max_support_ratio}")
         if self.selection not in SELECTION_STRATEGIES:
@@ -153,8 +144,6 @@ class TrainConfig:
                 f"unknown selection strategy {self.selection!r}; "
                 f"choose from {', '.join(SELECTION_STRATEGIES)}"
             )
-        if self.seed < 0:
-            raise InvalidSetting(f"seed must be nonnegative, got {self.seed}")
         if not (0.0 <= self.jitter < np.inf):
             raise InvalidSetting(f"jitter must be finite and nonnegative, got {self.jitter}")
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process via main)."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -411,7 +412,7 @@ def test_benchmark_validates_trials_and_clip(tmp_path):
     {"trials": True}, {"trials": "3"}, {"trials": 2.0}, {"base_seed": 1.5}, {"clip": "2"},
     {"train_fraction": None}, {"clip": 10**400}, {"train_fraction": 10**400},
     {"trials": 0}, {"trials": 2**63}, {"clip": 0.0}, {"clip": float("nan")},
-    {"train_fraction": 1}, {"base_seed": -1},
+    {"train_fraction": 1}, {"base_seed": -1}, {"base_seed": 2**63 - 1, "trials": 2},
 ], ids=repr)
 def test_benchmark_config_checks_its_settings(bad):
     with pytest.raises(InvalidSetting):
@@ -424,10 +425,22 @@ def test_benchmark_config_stores_its_floats_as_floats():
     assert cli.BenchmarkConfig().clip is None
 
 
+# The fewest arguments each settings object needs.
+_REQUIRED = {SplitSpec: {"seed": 0}, TrainConfig: {"error_budget": 1e-3}, cli.BenchmarkConfig: {}}
+
+
 @pytest.mark.parametrize("settings", [SplitSpec, TrainConfig, cli.BenchmarkConfig], ids=lambda c: c.__name__)
 def test_every_settings_object_refuses_a_bool_by_one_rule(settings):
+    # The one rule also refuses, in every integer field, seeds included, a
+    # negative value and one past int64, before the object's own ranges.
     with pytest.raises(InvalidSetting, match=r"must be of type (int|float), got True"):
         settings(True)
+    int_fields = [f.name for f in dataclasses.fields(settings) if f.type == "int"]
+    assert int_fields
+    for name in int_fields:
+        for bad in (-1, 2**63):
+            with pytest.raises(InvalidSetting, match=rf"^{name} must be an integer in \[0, {2**63 - 1}\]"):
+                settings(**{**_REQUIRED[settings], name: bad})
 
 
 def test_benchmark_record_writes_an_integer_clip_as_a_float(tmp_path):
@@ -734,11 +747,17 @@ def test_predict_clip_bounds_predictions(tmp_path, trained):
     assert np.all(preds <= mid + 0.5 * half + 1e-9)
 
 
-def test_predict_invalid_clip_exits_2(trained):
+def test_predict_invalid_clip_exits_2(trained, tmp_path):
     data, model_path = trained
     with pytest.raises(SystemExit) as err:
         main(["predict", "--model", str(model_path), "--data", data, "--clip", "0"])
     assert err.value.code == 2
+    # The clip is checked before any file is read, so absent files exit 2, not 3.
+    for argv in (["predict", "--model", str(tmp_path / "absent.json"), "--data", data, "--clip", "0"],
+                 ["benchmark", "--data", str(tmp_path / "absent.csv"), "--B", "1e-3", "--clip", "-1"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_predict_corrupt_model_returns_3(tmp_path, trained):
@@ -818,6 +837,8 @@ _BAD_INPUTS = {
         _edited_model(t, m, lambda doc: doc.update(jitter=True)), d), 3),
     "model-with-boolean-dim": (lambda t, d, m: _predict(
         _one_dim_model(t, dim=True), _file(t, "x.csv", "0.5\n")), 3),
+    "model-with-n-support-past-int64": (lambda t, d, m: _predict(
+        _edited_model(t, m, lambda doc: doc.update(n_support=2**63)), d), 3),
     "model-without-features": (lambda t, d, m: _predict(
         _one_dim_model(t, dim=0, support_x=[[]], bandwidths=[[]]), _file(t, "x.csv", "0.5\n")), 3),
     "non-json-model": (lambda t, d, m: _predict(_file(t, "broken.json", "not a model {"), d), 3),
@@ -834,6 +855,7 @@ _BAD_INPUTS = {
     "synth-infinite-noise": (lambda t, d, m: _synth(t, "f1", "--noise", "inf"), 2),
     "synth-overflowing-noise": (lambda t, d, m: _synth(t, "f2", "--noise", "1e308"), 2),
     "synth-negative-seed": (lambda t, d, m: _synth(t, "f1", "--seed", "-1"), 2),
+    "synth-seed-past-int64": (lambda t, d, m: _synth(t, "f1", "--seed", str(2**63)), 2),
     # Rows past what numpy can address: one past its largest dimension, and
     # one whose array size overflows a byte count.
     "synth-n-past-the-largest-dimension": (lambda t, d, m: _synth(t, "f1", "--n", str(10**23)), 2),

@@ -97,9 +97,12 @@ def test_synth_noise_variance_calibration():
 def test_synth_rejects_bad_arguments():
     with pytest.raises(InvalidSetting, match="unknown function: 'f9'"):
         synth("f9", 10)
-    # 1e308 times f2's label variance overflows float64.
+    # 1e308 times f2's label variance overflows float64.  Integers past int64
+    # or float64, strings and bools break the rule of every setting.
     for bad in ({"n": 0}, {"n": 10.0}, {"n": True}, {"seed": -1}, {"seed": 1.5}, {"noise_ratio": -0.1},
-                {"noise_ratio": float("nan")}, {"noise_ratio": float("inf")}, {"noise_ratio": 1e308}):
+                {"noise_ratio": float("nan")}, {"noise_ratio": float("inf")}, {"noise_ratio": 1e308},
+                {"noise_ratio": 10**400}, {"noise_ratio": "0.1"}, {"noise_ratio": True}, {"seed": 2**63},
+                {"n": 2**63}):
         with pytest.raises(InvalidSetting):
             synth(**{"function_id": "f2", "n": 10, **bad})
 

@@ -1,7 +1,8 @@
 """Every name a ``labrr`` module exports in ``__all__`` must resolve, as must
 every name the benchmark's tracer rebinds; the public surface of ``labrr``,
-``labrr.data``, ``labrr.kernels``, ``labrr.metrics``, ``labrr.numerics`` and
-``labrr.cli`` is pinned name by name, and so are the parameters of the calls
+``labrr.data``, ``labrr.kernels``, ``labrr.metrics``, ``labrr.numerics``,
+``labrr.ridgeless``, ``labrr.trainer`` and ``labrr.cli`` is pinned name by
+name, and so are the parameters of the calls
 that take one input shape, the fields of the training records and every
 option of each ``labrr`` subcommand."""
 
@@ -51,6 +52,14 @@ _PUBLIC = {
     "labrr.numerics": [
         "DimensionMismatch", "DivergedStep", "NumericalFailure", "SingularSystem", "FactorizedMatrix",
         "as_matrix", "as_pair", "as_vector", "one_blas_thread", "solve_regularized",
+    ],
+    "labrr.ridgeless": [
+        "DEFAULT_JITTER", "AsymDualSolution", "LabModel", "SupportSystem", "fit_asym_duals", "fit_lab",
+        "load_model", "predict", "predict_f1", "predict_f2", "save_model",
+    ],
+    "labrr.trainer": [
+        "SELECTION_STRATEGIES", "RoundRecord", "TrainConfig", "TrainTrace", "batch_loss_and_grad",
+        "grow_support", "select_initial_support", "sgd_round", "train",
     ],
     "labrr.cli": ["build_parser", "main"],
 }

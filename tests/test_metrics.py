@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from labrr.cli import main
-from labrr.data import InsufficientData, save_csv, split, synth
+from labrr.data import InsufficientData, InvalidSetting, save_csv, split, synth
 from labrr.kernels import BandwidthSet
 from labrr.metrics import (
     DegenerateLabels,
@@ -82,9 +82,10 @@ def test_project_is_idempotent_and_monotone():
 
 
 def test_project_requires_positive_bound():
-    with pytest.raises(ValueError):
+    # The one clip rule, shared with ``predict --clip`` and ``benchmark --clip``.
+    with pytest.raises(InvalidSetting, match="clip must be positive, got 0.0"):
         project(1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSetting, match="clip must be positive, got -2.0"):
         project(1.0, -2.0)
 
 
