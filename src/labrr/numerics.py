@@ -187,47 +187,57 @@ class FactorizedMatrix:
 
     def solve(self, b, transpose: bool = False) -> np.ndarray:
         """Solve ``(A + jitter*I) x = b``, or its transpose with ``transpose=True``."""
-        b = as_vector(b, "b")
-        if b.shape[0] != self.shape[0]:
-            raise DimensionMismatch(
-                f"right-hand side has length {b.shape[0]}, expected {self.shape[0]}"
-            )
         lu, piv = self._lu_piv
-        x, _ = dgetrs(lu, piv, b, trans=1 if transpose else 0)
+        x, _ = dgetrs(lu, piv, self._of_order(b, "right-hand side"), trans=1 if transpose else 0)
         return x
 
-    def solve_nearby(self, a, b, transpose: bool = False) -> np.ndarray | None:
+    def _of_order(self, v, name: str) -> np.ndarray:
+        """``as_vector(v)``, checked to be of this LU's order (else
+        :class:`DimensionMismatch`)."""
+        v = as_vector(v, name)
+        if v.shape[0] != self.shape[0]:
+            raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {self.shape[0]}")
+        return v
+
+    def solve_nearby(self, a, b, transpose: bool = False, start=None) -> np.ndarray | None:
         """Solve ``(a + jitter*I) x = b`` (or its transpose) through this LU
         of a nearby matrix, or return ``None`` when the solve is not shown
         accurate.
 
         ``a``, of this LU's order, is only read; a NaN or infinite entry in
         it makes the solve decline.  With ``B`` the matrix plus ``jitter*I``
-        this LU was made from, ``x = B^-1 b`` takes at most
-        ``REFINE_SWEEPS`` sweeps ``x += B^-1 r`` of stationary iterative
-        refinement (Moler, J. ACM 14(2), 1967; Higham, *Accuracy and
-        Stability of Numerical Algorithms*, 2nd ed., ch. 12), and is
-        returned only once its float64 residual ``r = b - (a x + jitter x)``
-        meets ``||r||_inf <= u (2 ||b||_inf - ||r||_inf)``, ``u = 2**-53``.
-        That test implies the normwise backward-error rule ``||r||_inf <= u
-        (||a + jitter*I||_inf ||x||_inf + ||b||_inf)``, since ``||b|| - ||r||
-        <= ||(a + jitter*I) x||``, without a pass over ``a``; a solve that
-        meets it is as good as a direct solve (Rigal & Gaches, J. ACM 14(3),
-        1967), whatever ``a`` is.  No a-priori bound on ``a - B`` is taken:
-        when ``a + jitter*I`` is singular, or too far from ``B`` for the
-        sweeps to converge, the residual stays large and the test declines.
-        It is written so that a NaN residual fails it; a solve that misses
-        it after the last sweep, or whose residual is not finite, declines.
+        this LU was made from, ``x`` starts at ``start``, or at ``B^-1 b``
+        without one, takes at most ``REFINE_SWEEPS`` sweeps ``x += B^-1 r``
+        of stationary iterative refinement (Moler, J. ACM 14(2), 1967;
+        Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+        ch. 12), and is returned only once its float64 residual ``r = b - (a
+        x + jitter x)`` meets ``||r||_inf <= u (2 ||b||_inf - ||r||_inf)``,
+        ``u = 2**-53``.  That test implies the normwise backward-error rule
+        ``||r||_inf <= u (||a + jitter*I||_inf ||x||_inf + ||b||_inf)``, since
+        ``||b|| - ||r|| <= ||(a + jitter*I) x||``, without a pass over ``a``;
+        a solve that meets it is as good as a direct solve (Rigal & Gaches,
+        J. ACM 14(3), 1967), whatever ``a`` is and wherever ``x`` started.  A
+        start near the solution, such as the solution of a nearby system,
+        saves the first triangular solve and often the sweeps; a start that
+        already meets the test is returned as it is, not copied.  No
+        a-priori bound on ``a - B`` is taken: when ``a + jitter*I`` is
+        singular, or too far from ``B`` for the sweeps to converge, the
+        residual stays large and the test declines.  It is written so that
+        a NaN residual fails it; a solve that misses it after the last
+        sweep, or whose residual is not finite, declines.
 
-        Every solve against the LU goes through :meth:`solve`, which also
-        raises what it raises for ``b``.
+        ``b`` and ``start`` must be finite vectors of this LU's order (else
+        what :meth:`solve` raises for ``b``).
         """
         a = np.asarray(a, dtype=np.float64)
         if a.shape != self.shape:
             raise DimensionMismatch(f"matrix has shape {a.shape}, the LU has {self.shape}")
         op = a.T if transpose else a
+        if start is None:
+            x = self.solve(b, transpose)
+        else:
+            b, x = self._of_order(b, "right-hand side"), self._of_order(start, "start")
         b_norm = np.abs(b).max()
-        x = self.solve(b, transpose)
         for sweep in range(REFINE_SWEEPS + 1):
             r = b - (op @ x + self.jitter * x)
             r_norm = np.abs(r).max()

@@ -209,16 +209,20 @@ def _kmeans_representatives(x: np.ndarray, count: int, seed: int) -> list[int]:
     to the value it already has, and so would every later sweep: stopping
     there gives the capped run's centers bit for bit.
 
-    The squared distances are ``x_sq + c_sq - 2.0 * (x @ centers.T)``, and
+    The squared distances are ``x_sq + c_sq - 2.0 * (x @ centers.T)``, in
+    that operation order, written into two ``n x count`` buffers made once;
     each cluster's sum is a ``bincount`` per column, which adds its points
     in the order ``np.add.at`` does.
     """
     rng = np.random.default_rng(seed)
     centers = x[rng.choice(x.shape[0], size=count, replace=False)].copy()
     x_sq = (x * x).sum(axis=1)
+    product, dist = np.empty((2, x.shape[0], count))
 
     def distances() -> np.ndarray:
-        return x_sq[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * (x @ centers.T)
+        np.multiply(2.0, np.matmul(x, centers.T, out=product), out=product)
+        np.add(x_sq[:, None], (centers * centers).sum(axis=1)[None, :], out=dist)
+        return np.subtract(dist, product, out=dist)
 
     previous = None
     for _ in range(_KMEANS_SWEEPS):
@@ -270,25 +274,32 @@ class _RoundLU:
     It holds no kernel: :meth:`solve` takes the step's own Gram.  A round
     whose held LU declines once (a refined solve misses
     ``FactorizedMatrix.solve_nearby``'s one acceptance test) drops its LU
-    and factors every later step.  ``factorizations`` counts the LUs the
-    round's steps made.
+    and factors every later step.  ``alpha`` is the latest step's, fresh or
+    reused: the next reused ``alpha`` solve starts from it, which saves a
+    triangular solve and, while the Gram moves little, most correction
+    sweeps, but leaves the test, and so which solves are accepted, as it
+    is.  No caller writes into an ``alpha``, which may be that start
+    itself.  ``factorizations`` counts the LUs the round's steps made.
     """
 
     def __init__(self) -> None:
         self.solver: FactorizedMatrix | None = None
+        self.alpha: np.ndarray | None = None
         self.factorizations = 0
 
     def solve(self, system, gram, cross_t, batch_y):
         """``(alpha, resid, u)`` of the step: through the held LU when
         ``FactorizedMatrix.solve_nearby`` accepts both solves against
         ``gram``; otherwise through a fresh LU of ``gram``, held if it is
-        the round's first."""
+        the round's first.  The adjoint solve starts cold: its right-hand
+        side changes with each batch."""
         if self.solver is not None:
-            alpha = self.solver.solve_nearby(gram, system.y)
+            alpha = self.solver.solve_nearby(gram, system.y, start=self.alpha)
             if alpha is not None:
                 resid = alpha @ cross_t - batch_y
                 u = self.solver.solve_nearby(gram, cross_t @ resid, transpose=True)
                 if u is not None:
+                    self.alpha = alpha
                     return alpha, resid, u
             # Dropped before the fresh LU is made, so the two are never held at once.
             self.solver = None
@@ -296,7 +307,7 @@ class _RoundLU:
         self.factorizations += 1
         if self.factorizations == 1:
             self.solver = solver
-        alpha = solver.solve(system.y)
+        alpha = self.alpha = solver.solve(system.y)
         resid = alpha @ cross_t - batch_y
         # Adjoint of the solve: u solves (K + jitter*I)^T u = cross^T resid.
         return alpha, resid, solver.solve(cross_t @ resid, transpose=True)

@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -956,6 +957,15 @@ _BAD_INPUTS = {
 }
 
 
+#: Wall-clock seconds one malformed input may run: each exits in well under
+#: one, but a lost loop-count bound would otherwise run for years.
+_BAD_INPUT_DEADLINE_S = 30.0
+
+
+def _past_the_deadline(signum, frame):
+    pytest.fail(f"main still running after {_BAD_INPUT_DEADLINE_S:g} s", pytrace=False)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
 def test_malformed_input_exits_with_its_code(case, tmp_path, trained, capfd, caplog):
@@ -964,10 +974,16 @@ def test_malformed_input_exits_with_its_code(case, tmp_path, trained, capfd, cap
     argv = build(tmp_path, data, model_path)
     capfd.readouterr()
     caplog.clear()
+    # pytest's Failed is no Exception, so no handler in main catches it.
+    previous = signal.signal(signal.SIGALRM, _past_the_deadline)
+    signal.setitimer(signal.ITIMER_REAL, _BAD_INPUT_DEADLINE_S)
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse's path for argument errors
         code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
     err = capfd.readouterr().err
     assert code == expected
     assert "Traceback" not in err
@@ -1204,6 +1220,15 @@ def test_log_env_does_not_break_commands(tmp_path, monkeypatch):
     monkeypatch.setenv("LABRR_LOG", "debug")
     out = tmp_path / "d.csv"
     assert main(["synth", "--fn", "f3", "--n", "8", "--out", str(out)]) == 0
+
+
+def test_unknown_log_env_value_warns_once_and_runs_at_info(tmp_path, monkeypatch, caplog):
+    monkeypatch.setenv("LABRR_LOG", "Loud")
+    caplog.clear()
+    assert main(["synth", "--fn", "f3", "--n", "8", "--out", str(tmp_path / "d.csv")]) == 0
+    warnings_ = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings_ == ["unknown LABRR_LOG value 'loud'; using info"]
+    assert logging.getLogger().level == logging.INFO
 
 
 @pytest.mark.parametrize("module", ["labrr", "labrr.cli"])

@@ -100,6 +100,11 @@ def test_non_square_matrix_rejected():
         FactorizedMatrix(np.ones((2, 3)))
 
 
+def test_one_dimensional_matrix_rejected():
+    with pytest.raises(DimensionMismatch, match="must be 2-d"):
+        FactorizedMatrix(np.ones(4))
+
+
 def test_empty_matrix_rejected():
     with pytest.raises(DimensionMismatch):
         FactorizedMatrix(np.zeros((0, 0)))
@@ -252,14 +257,23 @@ def _nearby_systems(draw):
     a = draw(arrays(np.float64, (n, n), elements=entries)) + (n + 1.0) * np.eye(n)
     move = draw(arrays(np.float64, (n, n), elements=entries)) * draw(st.sampled_from([0.0, 1e-15, 1e-10, 1e-6, 1e-2]))
     b = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3, allow_nan=False)))
-    return a, a + move, b, draw(st.sampled_from([0.0, 1e-5, 1e-2])), draw(st.booleans())
+    # No start, the LU's own first iterate ``B^-1 b``, or any finite vector.
+    start = draw(st.one_of(st.none(), st.just("lu"), arrays(np.float64, n, elements=st.floats(-1e3, 1e3))))
+    return a, a + move, b, draw(st.sampled_from([0.0, 1e-5, 1e-2])), draw(st.booleans()), start
 
 
 @settings(max_examples=200, deadline=None)
 @given(system=_nearby_systems())
 def test_an_accepted_nearby_solve_meets_the_backward_error_rule_and_agrees_with_a_direct_solve(system):
-    old, new, b, jitter, transpose = system
-    x = FactorizedMatrix(old, jitter).solve_nearby(new, b, transpose)
+    old, new, b, jitter, transpose, start = system
+    lu = FactorizedMatrix(old, jitter)
+    if isinstance(start, str):
+        start = lu.solve(b, transpose)
+        # Started at the iterate a solve without a start makes first: the same bits.
+        cold = lu.solve_nearby(new, b, transpose)
+        warm = lu.solve_nearby(new, b, transpose, start)
+        assert (warm is None) == (cold is None) and (cold is None or np.array_equal(warm, cold))
+    x = lu.solve_nearby(new, b, transpose, start)
     if x is None:  # the acceptance test declined; the direct path takes over
         return
     a = (new + jitter * np.eye(len(b))).T if transpose else new + jitter * np.eye(len(b))
@@ -324,3 +338,38 @@ def test_a_nearby_solve_that_misses_the_acceptance_test_declines_even_within_the
         assert residual <= numerics.UNIT_ROUNDOFF * (np.abs(op).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
         assert residual > numerics.UNIT_ROUNDOFF * (2.0 * np.abs(b).max() - residual)
         assert lu.solve_nearby(a, b, transpose) is None
+
+
+def _moved_system():
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(6, 6)) + 8.0 * np.eye(6)
+    return FactorizedMatrix(a, 1e-2), a + 1e-9 * rng.normal(size=(6, 6)), rng.normal(size=6)
+
+
+def test_a_start_that_meets_the_acceptance_test_is_returned_without_a_triangular_solve(monkeypatch):
+    lu, moved, b = _moved_system()
+    solves = []
+    solve = FactorizedMatrix.solve
+
+    def counting(self, *args, **kwargs):
+        solves.append(args)
+        return solve(self, *args, **kwargs)
+
+    for transpose in (False, True):
+        start = lu.solve_nearby(moved, b, transpose)
+        assert start is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(FactorizedMatrix, "solve", counting)
+            assert lu.solve_nearby(moved, b, transpose, start) is start
+        assert solves == []
+
+
+def test_a_start_of_the_wrong_shape_raises():
+    lu, moved, b = _moved_system()
+    for start in (np.ones(5), np.ones(7), np.ones((6, 1))):
+        with pytest.raises(DimensionMismatch):
+            lu.solve_nearby(moved, b, start=start)
+    with pytest.raises(ValueError, match="non-finite"):
+        lu.solve_nearby(moved, b, start=np.full(6, np.inf))
+    with pytest.raises(DimensionMismatch):
+        lu.solve_nearby(moved, b[:5], start=np.ones(6))

@@ -999,6 +999,28 @@ def test_round_lu_solves_through_its_held_lu_until_the_gram_moves():
     _assert_never_holds_again(round_lu, system, th, batch)
 
 
+def test_a_reused_step_whose_gram_stands_still_makes_only_the_adjoint_s_triangular_solve(monkeypatch):
+    # Each reused step's alpha solve starts from the previous step's alpha.
+    # Once that alpha meets the acceptance test, a step at the same Gram
+    # returns it as it is: the step's one triangular solve is the adjoint's.
+    system, th, batch = _two_step_system(jitter=1e-3)
+    round_lu = trainer._RoundLU()
+    for _ in range(2):  # the first factors; the second may refine its alpha
+        round_lu.solve(*_step_solve_args(system, th, batch))
+    solves = []
+    solve = FactorizedMatrix.solve
+
+    def counting(self, b, transpose=False):
+        solves.append(transpose)
+        return solve(self, b, transpose)
+
+    monkeypatch.setattr(FactorizedMatrix, "solve", counting)
+    for _ in range(3):
+        alpha = round_lu.alpha
+        assert round_lu.solve(*_step_solve_args(system, th, batch))[0] is alpha
+    assert solves == [True] * 3 and round_lu.factorizations == 1
+
+
 def test_a_singular_next_gram_declines_reuse_and_raises_as_the_direct_path_does():
     # Bandwidths at the floor make every kernel entry 1: without jitter the
     # Gram is all ones, singular.
